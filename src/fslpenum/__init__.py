@@ -13,12 +13,10 @@ from .automata import (
 )
 from .dagenum import (
     DecoratedDAG,
-    EnumIndex,
     FMSession,
+    Normalizer,
     PathSession,
-    fm_open_session,
     fm_preprocess,
-    open_session,
     preprocess,
 )
 from .effects import Effect, MonoidCategory, PRE_CATEGORY
@@ -61,9 +59,6 @@ from .msoenum import (
     ConfSets,
     ProductIndex,
     build_conf_sets,
-    build_product,
-    check_empty_solution,
-    enumerate_select,
     enumerate_select_uncompressed,
 )
 from .oracle import (

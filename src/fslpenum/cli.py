@@ -16,12 +16,11 @@ import time
 from typing import Optional
 
 from . import automata, fixtures, fslp
-from .dagenum import open_session, preprocess
+from .dagenum import PathSession, preprocess
 from .forest import ParseError, parse_term, serialize_term
 from .fslp import (
     FSLP,
     BudgetExceeded,
-    DEFAULT_BUDGET,
     InvalidFSLP,
     compress_forest,
     compute_stats,
@@ -197,7 +196,7 @@ def cmd_bench(args) -> int:
         t0 = time.perf_counter()
         idx = preprocess(d)
         t1 = time.perf_counter()
-        sess = open_session(idx, fixtures.SAMPLE_DAG_SOURCE)
+        sess = PathSession(idx, fixtures.SAMPLE_DAG_SOURCE)
         outputs = 0
         max_steps = 0
         for _ in sess:
@@ -218,7 +217,7 @@ def cmd_bench(args) -> int:
     elif args.family == "wide":
         g = row_fslp("a", 2 ** args.size)
     elif args.family == "random":
-        term = _random_term(rng, args.size)
+        term = fixtures.random_term(rng, args.size, "ab")
         g = compress_forest(parse_term(term))
     else:
         print(f"unknown family {args.family!r}", file=sys.stderr)
@@ -249,19 +248,6 @@ def cmd_bench(args) -> int:
     return 0
 
 
-def _random_term(rng: random.Random, n: int) -> str:
-    def grow(budget: list[int]) -> str:
-        out = []
-        while budget[0] > 0 and (not out or rng.random() < 0.6):
-            budget[0] -= 1
-            label = rng.choice("ab")
-            kids = grow(budget) if rng.random() < 0.5 and budget[0] else ""
-            out.append(label + (f"({kids})" if kids else ""))
-        return "".join(out)
-
-    return grow([max(1, n)]) or "a"
-
-
 def make_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="fslpenum",
@@ -278,7 +264,7 @@ def make_parser() -> argparse.ArgumentParser:
     c.add_argument("input")
     c.add_argument("-o", "--output")
     c.add_argument("--vertex", type=int)
-    c.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    c.add_argument("--budget", type=int)
     c.set_defaults(func=cmd_decompress)
 
     c = sub.add_parser("stats", help="dump per-node statistics")
@@ -319,7 +305,7 @@ def make_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("validate", help="check f-SLP well-formedness")
     c.add_argument("input")
     c.add_argument("--via-btau", action="store_true")
-    c.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    c.add_argument("--budget", type=int)
     c.set_defaults(func=cmd_validate)
     return p
 

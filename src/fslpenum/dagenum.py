@@ -177,43 +177,31 @@ class Normalizer:
         return spine[0]
 
 
-class EnumIndex:
-    """Preprocessed path-enumeration structure for one decorated DAG."""
-
-    def __init__(self, norm: Normalizer):
-        self.norm = norm
-
-    def disposition(self, orig) -> tuple:
-        try:
-            return self.norm.source[orig]
-        except KeyError:
-            raise ValueError(f"unknown vertex {orig!r}") from None
-
-
-def preprocess(d: DecoratedDAG) -> EnumIndex:
+def preprocess(d: DecoratedDAG) -> Normalizer:
     """Normalize ``d`` in one bottom-up pass over a topological order."""
     if d.category is None:
         raise ValueError("decorated DAG needs a category")
     norm = Normalizer(d.category)
     for v in d.topo_order():
         norm.add_original(v, d.obj[v], d.edges[v], v in d.targets)
-    return EnumIndex(norm)
+    return norm
 
 
 class PathSession:
-    """One enumeration of ⟨target, morphism⟩ pairs; persistent over the index.
+    """One enumeration of ⟨target, morphism⟩ pairs; persistent over the normalizer.
 
     ``next`` returns the next pair or None once exhausted.  ``last_steps``
     counts loop iterations of the most recent call (at most 2), ``steps``
     their running total.
     """
 
-    __slots__ = ("idx", "v", "gamma", "stack", "flag", "exhausted", "steps", "last_steps")
+    __slots__ = ("norm", "v", "gamma", "stack", "flag", "exhausted", "steps", "last_steps")
 
-    def __init__(self, idx: EnumIndex, source):
-        self.idx = idx
-        norm = idx.norm
-        disp = idx.disposition(source)
+    def __init__(self, norm: Normalizer, source):
+        self.norm = norm
+        disp = norm.source.get(source)
+        if disp is None:
+            raise ValueError(f"unknown vertex {source!r}")
         self.stack: list[tuple] = []
         self.flag = 1
         self.steps = 0
@@ -242,7 +230,7 @@ class PathSession:
         if self.exhausted:
             self.last_steps = 0
             return None
-        norm = self.idx.norm
+        norm = self.norm
         compose = norm.category.compose
         it = 0
         emit = None
@@ -267,10 +255,6 @@ class PathSession:
                 self.steps += it
                 self.last_steps = it
                 return emit
-
-
-def open_session(idx: EnumIndex, source) -> PathSession:
-    return PathSession(idx, source)
 
 
 # ---------------------------------------------------------------------------
@@ -535,7 +519,3 @@ class FMSession:
                 self.exhausted = True
             if emit is not None or self.exhausted:
                 return emit
-
-
-def fm_open_session(idx: FMIndex, source: int) -> FMSession:
-    return FMSession(idx, source)

@@ -88,9 +88,6 @@ class Effect:
             return "M11a"
         return "M11b" if self.eps else "M11c"
 
-    def is_identity(self) -> bool:
-        return self == Effect.identity(self.dom) and self.dom == self.cod
-
     def compose(self, other: "Effect") -> "Effect":
         """This effect applied first, then ``other``."""
         if self.cod != other.dom:
@@ -128,10 +125,6 @@ class Effect:
         if self.dom != 0:
             raise ValueError("preorder is defined for effects from object 0")
         return self.c
-
-
-def compose(f: Effect, g: Effect) -> Effect:
-    return f.compose(g)
 
 
 class Category:

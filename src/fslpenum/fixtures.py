@@ -1,12 +1,13 @@
 """Shared worked examples: a small weighted DAG with a known path multiset,
-an f-SLP with heavy subtree sharing, standard query automata, and an
-annotation-transducer product builder.  Used by the test suite and the
-bench command.
+an f-SLP with heavy subtree sharing, a random forest generator, standard
+query automata, and an annotation-transducer product builder.  Used by the
+test suite and the bench command.
 """
 
 from __future__ import annotations
 
 import operator
+import random
 from typing import Iterable, Optional, Sequence
 
 from .automata import NSTA
@@ -70,6 +71,29 @@ def shared_subtree_fslp() -> FSLP:
 
 SHARED_FSLP_GREEN_PATH = "rrrlr"
 SHARED_FSLP_GREEN_PREORDER = 14
+
+
+def random_term(rng: random.Random, n: int, labels: str = "ab") -> str:
+    """Term text of a random forest with exactly ``n`` vertices, in preorder.
+
+    Each vertex after the first is, with equal odds, the first child of its
+    predecessor or a sibling after closing a geometric number of subtrees.
+    """
+    if n < 1:
+        raise ValueError("a random forest needs at least one vertex")
+    out = [rng.choice(labels)]
+    depth = 0
+    for _ in range(n - 1):
+        if rng.random() < 0.5:
+            out.append("(")
+            depth += 1
+        else:
+            while depth and rng.random() < 0.5:
+                out.append(")")
+                depth -= 1
+        out.append(rng.choice(labels))
+    out.append(")" * depth)
+    return "".join(out)
 
 
 def adversarial_path_dag(n: int) -> tuple[DecoratedDAG, int]:

@@ -52,26 +52,28 @@ class Forest:
             if not lbl:
                 raise ValueError("empty label")
         seen = [False] * n
+        above: list[Optional[int]] = [None] * n  # the list holding v: a parent or the roots
         # Depth-first left-to-right walk must visit vertex i as the i-th vertex.
-        stack = list(reversed(self.roots))
+        stack: list[tuple[int, Optional[int]]] = [(v, None) for v in reversed(self.roots)]
         expect = 0
         while stack:
-            v = stack.pop()
+            v, p = stack.pop()
             if not (0 <= v < n) or seen[v]:
                 raise ValueError("root/child lists are not a valid traversal")
             seen[v] = True
             if v != expect:
                 raise ValueError(f"vertex {v} is not stored at its preorder position")
             expect += 1
-            stack.extend(reversed(self.children[v]))
+            above[v] = p
+            stack.extend((c, v) for c in reversed(self.children[v]))
         if expect != n:
             raise ValueError("traversal does not reach every vertex")
+        # each vertex sits in exactly one list, so its parent must name that list
         for v in range(n):
             p = self.parents[v]
-            if p is None:
-                if v not in self.roots:
+            if p != above[v]:
+                if p is None:
                     raise ValueError(f"vertex {v} has no parent and is not a root")
-            elif v not in self.children[p]:
                 raise ValueError(f"vertex {v} missing from parent's child list")
 
     def __len__(self) -> int:
@@ -523,18 +525,6 @@ def expr_leaves(e: Expr) -> list[ExprLeaf]:
             stack.append(node.right)
             stack.append(node.left)
     return out
-
-
-def expr_size(e: Expr) -> int:
-    n = 0
-    stack = [e]
-    while stack:
-        node = stack.pop()
-        n += 1
-        if isinstance(node, ExprNode):
-            stack.append(node.left)
-            stack.append(node.right)
-    return n
 
 
 def iter_subexprs(e: Expr) -> Iterator[Expr]:

@@ -30,7 +30,14 @@ from .forest import (
 LEAF = "leaf"
 LEAFCTX = "leafctx"
 
-DEFAULT_BUDGET = int(os.environ.get("FSLPENUM_BUDGET", 10**6))
+
+def default_budget() -> int:
+    """Decompression budget: ``FSLPENUM_BUDGET`` if set, else 10**6."""
+    text = os.environ.get("FSLPENUM_BUDGET", "1000000")
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"FSLPENUM_BUDGET must be an integer, got {text!r}") from None
 
 
 class InvalidFSLP(ValueError):
@@ -106,6 +113,17 @@ class FSLP:
         return {l for l in self.labels if l is not None}
 
 
+def node_type(i: int, kind: str, tl: int, tr: int) -> int:
+    """Type of inner node ``i`` from its children's types; raises on ill-typed nodes."""
+    if kind == HC:
+        if tl + tr > 1:
+            raise InvalidFSLP(i, "hc requires at most one context operand")
+        return tl + tr
+    if tl != 1:
+        raise InvalidFSLP(i, "vc requires a context left operand")
+    return tr
+
+
 @dataclass
 class VertexStats:
     """Per-node type, leaf size, left size, vertex count and height."""
@@ -128,10 +146,8 @@ class VertexStats:
         else:
             l, r = g.lefts[i], g.rights[i]
             tl, tr = self.tau[l], self.tau[r]
+            tau = node_type(i, kind, tl, tr)
             if kind == HC:
-                if tl + tr > 1:
-                    raise InvalidFSLP(i, "hc requires at most one context operand")
-                tau = tl + tr
                 if tau == 0:
                     ell = None
                 elif tl == 0:
@@ -139,9 +155,6 @@ class VertexStats:
                 else:
                     ell = self.ell[l]
             else:  # VC
-                if tl != 1:
-                    raise InvalidFSLP(i, "vc requires a context left operand")
-                tau = tr
                 ell = None if tau == 0 else self.ell[l] + self.ell[r]
             s = self.s[l] + self.s[r]
             h = 1 + max(self.height[l], self.height[r])
@@ -264,10 +277,12 @@ def preorder_to_path(g: FSLP, stats: VertexStats, start: int, k: int) -> str:
 # unfold / evaluate / fold
 # ---------------------------------------------------------------------------
 
-def unfold(g: FSLP, node: int, budget: int = DEFAULT_BUDGET, stats: Optional[VertexStats] = None) -> Expr:
+def unfold(g: FSLP, node: int, budget: Optional[int] = None, stats: Optional[VertexStats] = None) -> Expr:
     """Explicit expression tree for ``node`` (exponential in general)."""
     if stats is None:
         stats = compute_stats(g)
+    if budget is None:
+        budget = default_budget()
     size = 2 * stats.s[node] - 1
     if size > budget:
         raise BudgetExceeded(f"unfolded expression has {size} nodes > budget {budget}")
@@ -291,10 +306,12 @@ def unfold(g: FSLP, node: int, budget: int = DEFAULT_BUDGET, stats: Optional[Ver
     return out[0]
 
 
-def evaluate(g: FSLP, node: int, budget: int = DEFAULT_BUDGET, stats: Optional[VertexStats] = None) -> Forest:
+def evaluate(g: FSLP, node: int, budget: Optional[int] = None, stats: Optional[VertexStats] = None) -> Forest:
     """Decompress the forest / forest context produced by ``node``."""
     if stats is None:
         stats = compute_stats(g)
+    if budget is None:
+        budget = default_budget()
     if stats.nverts[node] > budget:
         raise BudgetExceeded(
             f"decompressed size {stats.nverts[node]} > budget {budget}"

@@ -1,11 +1,14 @@
 """Answer-set enumeration for automaton queries over f-SLP-compressed forests.
 
-The preprocessing classifies per DAG node and automaton state which
-configurations are reachable with a nonempty selection (active), with
-both children selecting (useful), or with the empty selection; builds the
-product DAG over active configurations whose edges skip an empty-selection
-sibling; and hands that DAG to the path-enumeration index with the useful
-configurations as targets.
+The preprocessing is one bottom-up sweep over the f-SLP.  Each node's
+state pairs (left child's active/empty states x right child's) are
+evaluated once, and that one walk yields both the node's configuration
+rows -- the states reachable with a nonempty selection (active), with
+both children selecting (useful), or with the empty selection -- and its
+part of the product DAG: the successor tuples of the useful states and
+the edges of the active states that skip an empty-selection sibling.  The
+product DAG goes straight into the path-enumeration normalizer with the
+useful configurations as targets.
 
 Enumeration then walks witness trees: unary nodes draw (useful config,
 composed effect) pairs from frozen path sessions, binary nodes step
@@ -20,10 +23,10 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from .automata import DBUTA
-from .dagenum import EnumIndex, Normalizer, PathSession, open_session
+from .dagenum import Normalizer, PathSession
 from .effects import PRE_CATEGORY, Effect
 from .forest import Expr, _Flat, leaf_preorders
-from .fslp import FSLP, VertexStats, compute_stats, edge_effect
+from .fslp import FSLP, compute_stats, edge_effect
 
 
 @dataclass
@@ -33,123 +36,84 @@ class ConfSets:
     active: list[tuple[int, ...]] = field(default_factory=list)
     useful: list[tuple[int, ...]] = field(default_factory=list)
     empty: list[tuple[int, ...]] = field(default_factory=list)
-    useful_sets: list[frozenset] = field(default_factory=list)
-
-    def append_node(self, g: FSLP, b: DBUTA, i: int) -> None:
-        if g.is_leaf_node(i):
-            label, ctx = g.labels[i], g.kinds[i] == "leafctx"
-            qa = b.delta0(label, ctx, 1)
-            qe = b.delta0(label, ctx, 0)
-            act, use, emp = (qa,), (qa,), (qe,)
-        else:
-            l, r = g.lefts[i], g.rights[i]
-            op = g.kinds[i]
-            emp_s = {
-                b.delta2(q1, q2, op)
-                for q1 in self.empty[l]
-                for q2 in self.empty[r]
-            }
-            use_s = {
-                b.delta2(q1, q2, op)
-                for q1 in self.active[l]
-                for q2 in self.active[r]
-            }
-            act_s = set(use_s)
-            act_s.update(
-                b.delta2(q1, q2, op)
-                for q1 in self.active[l]
-                for q2 in self.empty[r]
-            )
-            act_s.update(
-                b.delta2(q1, q2, op)
-                for q1 in self.empty[l]
-                for q2 in self.active[r]
-            )
-            act = tuple(sorted(act_s))
-            use = tuple(sorted(use_s))
-            emp = tuple(sorted(emp_s))
-        self.active.append(act)
-        self.useful.append(use)
-        self.empty.append(emp)
-        self.useful_sets.append(frozenset(use))
-
-    def extend_for(self, g: FSLP, b: DBUTA) -> None:
-        for i in range(len(self.active), len(g)):
-            self.append_node(g, b, i)
 
 
 def build_conf_sets(g: FSLP, b: DBUTA) -> ConfSets:
-    conf = ConfSets()
-    conf.extend_for(g, b)
-    return conf
+    return ProductIndex(g, b).conf
 
 
 class ProductIndex:
     """Preprocessed bundle: configuration sets, ordered successor tuples,
     per-edge effects, and the normalized product DAG with its path index."""
 
-    def __init__(self, g: FSLP, b: DBUTA, conf: ConfSets, stats: Optional[VertexStats] = None):
+    def __init__(self, g: FSLP, b: DBUTA):
         self.g = g
         self.b = b
-        self.conf = conf
-        self.stats = stats if stats is not None else compute_stats(g)
+        self.conf = ConfSets()
+        self.stats = compute_stats(g)
         self.pair_id: dict[tuple[int, int], int] = {}
         self.pairs: list[tuple[int, int]] = []
         self.succ_a: dict[int, list[tuple[int, int]]] = {}
         self.eff: dict[tuple[int, str], Effect] = {}
         self.raw_edges: dict[int, list[tuple[str, int]]] = {}  # pid -> [(side, child pid)]
         self.norm = Normalizer(PRE_CATEGORY)
-        self.enum = EnumIndex(self.norm)
         self.work = 0  # state-pair iterations, for maintenance-cost checks
         self._built = 0
         self.extend_for(len(g))
 
     def extend_for(self, upto: int) -> None:
-        """Feed nodes [built, upto) into the product (children come first).
+        """Feed nodes [built, upto) into every table (children come first).
 
-        One pass over realized state pairs per node: successor tuples from
-        active x active, product edges from active x empty (and mirrored).
+        One walk over the state pairs per node: active x active gives the
+        useful states and their successor tuples, active x empty (and
+        mirrored) the remaining active states and the product edges, and
+        empty x empty the empty states.
         """
         g, b, conf = self.g, self.b, self.conf
+        self.stats.extend_for(g)
         for i in range(self._built, upto):
-            internal = not g.is_leaf_node(i)
             ledges: dict[int, set[int]] = {}
             redges: dict[int, set[int]] = {}
-            if internal:
+            if g.is_leaf_node(i):
+                label, ctx = g.labels[i], g.kinds[i] == "leafctx"
+                qa = b.delta0(label, ctx, 1)
+                succ: dict[int, list[tuple[int, int]]] = {qa: []}  # useful, no successor tuples
+                act, emp = (qa,), (b.delta0(label, ctx, 0),)
+            else:
                 l, r = g.lefts[i], g.rights[i]
                 op = g.kinds[i]
+                al, el, ar, er = conf.active[l], conf.empty[l], conf.active[r], conf.empty[r]
+                succ = {}
+                for q1 in al:
+                    for q2 in ar:
+                        succ.setdefault(b.delta2(q1, q2, op), []).append((q1, q2))
+                    for qe in er:
+                        ledges.setdefault(b.delta2(q1, qe, op), set()).add(q1)
+                emp_s = set()
+                for qe in el:
+                    for q2 in ar:
+                        redges.setdefault(b.delta2(qe, q2, op), set()).add(q2)
+                    for qf in er:
+                        emp_s.add(b.delta2(qe, qf, op))
+                act = tuple(sorted(succ.keys() | ledges.keys() | redges.keys()))
+                emp = tuple(sorted(emp_s))
                 self.eff[(i, "l")] = edge_effect(g, self.stats, i, "l")
                 self.eff[(i, "r")] = edge_effect(g, self.stats, i, "r")
-                for q1 in conf.active[l]:
-                    for q2 in conf.active[r]:
-                        q = b.delta2(q1, q2, op)
-                        pid = self._pid(i, q)
-                        self.succ_a.setdefault(pid, []).append((q1, q2))
-                for q1 in conf.active[l]:
-                    for qe in conf.empty[r]:
-                        ledges.setdefault(b.delta2(q1, qe, op), set()).add(q1)
-                for qe in conf.empty[l]:
-                    for q2 in conf.active[r]:
-                        redges.setdefault(b.delta2(qe, q2, op), set()).add(q2)
-                self.work += (len(conf.active[l]) + len(conf.empty[l])) * (
-                    len(conf.active[r]) + len(conf.empty[r])
-                )
+                self.work += (len(al) + len(el)) * (len(ar) + len(er))
+                for q, tuples in succ.items():  # useful states take the first pids, in loop order
+                    self.succ_a[self._pid(i, q)] = tuples
+            conf.active.append(act)
+            conf.useful.append(tuple(sorted(succ)))
+            conf.empty.append(emp)
             obj = self.stats.tau[i]
-            for q in conf.active[i]:
+            for q in act:  # leaves have no edges: ledges and redges stay empty
                 pid = self._pid(i, q)
-                edges: list[tuple] = []
-                raw: list[tuple[str, int]] = []
-                if internal:
-                    el, er = self.eff[(i, "l")], self.eff[(i, "r")]
-                    for q1 in sorted(ledges.get(q, ())):
-                        edges.append((el, self.pair_id[(l, q1)]))
-                        raw.append(("l", self.pair_id[(l, q1)]))
-                    for q2 in sorted(redges.get(q, ())):
-                        edges.append((er, self.pair_id[(r, q2)]))
-                        raw.append(("r", self.pair_id[(r, q2)]))
+                raw = [("l", self.pair_id[(l, q1)]) for q1 in sorted(ledges.get(q, ()))]
+                raw += [("r", self.pair_id[(r, q2)]) for q2 in sorted(redges.get(q, ()))]
                 self.raw_edges[pid] = raw
-                self.work += 1 + len(edges)
-                self.norm.add_original(pid, obj, edges, q in conf.useful_sets[i])
+                self.work += 1 + len(raw)
+                edges = [(self.eff[(i, side)], child) for side, child in raw]
+                self.norm.add_original(pid, obj, edges, q in succ)
         self._built = upto
 
     def _pid(self, node: int, q: int) -> int:
@@ -159,17 +123,6 @@ class ProductIndex:
             self.pair_id[(node, q)] = pid
             self.pairs.append((node, q))
         return pid
-
-    def open_path_session(self, node: int, q: int) -> PathSession:
-        return open_session(self.enum, self.pair_id[(node, q)])
-
-
-def build_product(g: FSLP, b: DBUTA, conf: ConfSets, stats: Optional[VertexStats] = None) -> ProductIndex:
-    return ProductIndex(g, b, conf, stats)
-
-
-def check_empty_solution(conf: ConfSets, node: int, b: DBUTA) -> bool:
-    return any(b.is_final(q) for q in conf.empty[node])
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +189,7 @@ class AnswerStream:
         self.node = node
         b = idx.b
         self._finals = [q for q in idx.conf.active[node] if b.is_final(q)]
-        self._emit_empty = check_empty_solution(idx.conf, node, b)
+        self._emit_empty = any(b.is_final(q) for q in idx.conf.empty[node])
         self._state_pos = -1
         self._root: Optional[_WNode] = None
         self._pre: list[_WNode] = []
@@ -261,7 +214,7 @@ class AnswerStream:
         if self.idx.g.is_leaf_node(node):
             return _WNode(_LEAF, node, state, cum)
         w = _WNode(_UNARY, node, state, cum)
-        w.session = _Peek(self.idx.open_path_session(node, state))
+        w.session = _Peek(PathSession(self.idx.norm, self.idx.pair_id[(node, state)]))
         self._tick(w.session.init_steps)
         return w
 
@@ -403,11 +356,6 @@ class AnswerStream:
             if item is None:
                 return
             yield item
-
-
-def enumerate_select(idx: ProductIndex, node: int, record_steps: bool = False) -> AnswerStream:
-    """Stream of answer sets (preorder-number lists) for queries on ⟦node⟧."""
-    return AnswerStream(idx, node, record_steps=record_steps)
 
 
 # ---------------------------------------------------------------------------

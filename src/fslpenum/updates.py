@@ -16,23 +16,36 @@ from typing import Iterable, Union
 
 from .automata import DBUTA, NSTA, nsta_to_dbuta
 from .dagenum import NODE, PRUNED, SHORTCUT
-from .fslp import FSLP, preorder_to_path
-from .msoenum import AnswerStream, ConfSets, ProductIndex, build_conf_sets
+from .fslp import FSLP, VertexStats, node_type, preorder_to_path
+from .msoenum import AnswerStream, ConfSets, ProductIndex
 
 
 @dataclass
 class EnumDataStructure:
-    """Everything the enumeration needs, bundled with its f-SLP."""
+    """Everything the enumeration needs; every table lives in ``product``."""
 
-    fslp: FSLP
-    dbuta: DBUTA
-    conf: ConfSets
     product: ProductIndex
-    ops: int = 0  # instrumented maintenance work (per-state/per-edge units)
 
     @property
-    def stats(self):
+    def fslp(self) -> FSLP:
+        return self.product.g
+
+    @property
+    def dbuta(self) -> DBUTA:
+        return self.product.b
+
+    @property
+    def conf(self) -> ConfSets:
+        return self.product.conf
+
+    @property
+    def stats(self) -> VertexStats:
         return self.product.stats
+
+    @property
+    def ops(self) -> int:
+        """Instrumented build and maintenance work (per-pair/per-edge units)."""
+        return self.product.work
 
     def enumerate(self, node: int, record_steps: bool = False) -> AnswerStream:
         return AnswerStream(self.product, node, record_steps=record_steps)
@@ -112,9 +125,7 @@ NodeDef = tuple
 def build_enum_structure(g: FSLP, query: Union[NSTA, DBUTA]) -> EnumDataStructure:
     """Full preprocessing for an f-SLP and a query automaton."""
     b = query if isinstance(query, DBUTA) else nsta_to_dbuta(query)
-    conf = build_conf_sets(g, b)
-    product = ProductIndex(g, b, conf)
-    return EnumDataStructure(g, b, conf, product)
+    return EnumDataStructure(ProductIndex(g, b))
 
 
 def extend(eds: EnumDataStructure, defs: Iterable[NodeDef]) -> tuple[EnumDataStructure, list[int]]:
@@ -122,34 +133,25 @@ def extend(eds: EnumDataStructure, defs: Iterable[NodeDef]) -> tuple[EnumDataStr
 
     Each definition is ("leaf", label), ("leafctx", label), ("hc", i, j)
     or ("vc", i, j) referencing old or earlier-new nodes.  Old nodes are
-    never touched.
+    never touched, and a rejected batch changes nothing.
     """
     g = eds.fslp
     before = len(g)
     defs = [tuple(d) for d in defs]
-    for offset, d in enumerate(defs):  # validate before touching the structure
-        if d[0] in ("hc", "vc"):
+    tau, new_tau = eds.stats.tau, []
+    for offset, d in enumerate(defs):  # validate and type before touching the structure
+        kind = d[0] if d else None
+        if kind in ("hc", "vc") and len(d) == 3:
             if not all(isinstance(c, int) and 0 <= c < before + offset for c in d[1:]):
                 raise ValueError(f"definition {offset} references an undeclared node")
-        elif d[0] not in ("leaf", "leafctx"):
-            raise ValueError(f"definition {offset} has unknown kind {d[0]!r}")
-    new_ids: list[int] = []
-    for d in defs:
-        new_ids.append(g.add_node(d))
-    work_before = eds.product.work
-    conf = eds.conf
-    for i in range(before, len(g)):
-        eds.product.stats.append_node(g, i)
-        conf.append_node(g, eds.dbuta, i)
-        if g.is_leaf_node(i):
-            eds.ops += 1
+            tl, tr = (tau[c] if c < before else new_tau[c - before] for c in d[1:])
+            new_tau.append(node_type(before + offset, kind, tl, tr))
+        elif kind in ("leaf", "leafctx") and len(d) == 2:
+            new_tau.append(int(kind == "leafctx"))
         else:
-            l, r = g.lefts[i], g.rights[i]
-            eds.ops += (len(conf.active[l]) + len(conf.empty[l])) * (
-                len(conf.active[r]) + len(conf.empty[r])
-            ) * 2
+            raise ValueError(f"definition {offset} is not a node definition: {d!r}")
+    new_ids = [g.add_node(d) for d in defs]
     eds.product.extend_for(len(g))
-    eds.ops += eds.product.work - work_before
     return eds, new_ids
 
 

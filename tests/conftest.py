@@ -14,30 +14,12 @@ from fslpenum import (
     Forest,
     parse_term,
 )
-from fslpenum.fixtures import INT_SUM
+from fslpenum.fixtures import INT_SUM, random_term
 
 
 def random_forest(rng: random.Random, max_n: int, labels: str = "ab") -> Forest:
     """Random non-empty forest with at most max_n vertices."""
-
-    def grow(budget: list[int]) -> list:
-        out = []
-        while budget[0] > 0 and (not out or rng.random() < 0.6):
-            budget[0] -= 1
-            label = rng.choice(labels)
-            kids = grow(budget) if rng.random() < 0.5 else []
-            out.append((label, kids))
-        return out
-
-    budget = [rng.randint(1, max_n)]
-    trees = grow(budget)
-    if not trees:
-        trees = [(rng.choice(labels), [])]
-
-    def emit(trees: list) -> str:
-        return "".join(l + (f"({emit(k)})" if k else "") for l, k in trees)
-
-    return parse_term(emit(trees))
+    return parse_term(random_term(rng, rng.randint(1, max_n), labels))
 
 
 def random_expr(rng: random.Random, depth: int, labels: str = "ab", typ: int = 0):

@@ -12,19 +12,18 @@ from collections import Counter
 
 from fslpenum import (
     Effect,
+    FMSession,
     FSLP,
+    PathSession,
     compute_stats,
     compress_forest,
     edge_effect,
-    enumerate_select,
     evaluate,
-    fm_open_session,
     fm_preprocess,
     fold_expr,
     leaf_preorders,
     nsta_accepts,
     nsta_to_dbuta,
-    open_session,
     parse_term,
     path_preorder,
     preorder_to_path,
@@ -71,7 +70,7 @@ def test_criterion_01_term_fixture():
 def test_criterion_02_path_enumeration_fixture():
     d = sample_weighted_dag()
     idx = preprocess(d)
-    got = Counter(open_session(idx, SAMPLE_DAG_SOURCE))
+    got = Counter(PathSession(idx, SAMPLE_DAG_SOURCE))
     want = Counter(SAMPLE_DAG_PAIRS)
     assert got == want
     assert got[(12, 13)] == 2
@@ -143,7 +142,7 @@ def test_criterion_06_constant_delay_instrumentation():
     for n in (10**3, 10**4, 10**5):
         d, src = adversarial_path_dag(n)
         idx = preprocess(d)
-        sess = open_session(idx, src)
+        sess = PathSession(idx, src)
         outputs = 0
         worst = 0
         while True:
@@ -245,7 +244,7 @@ def test_criterion_11_free_monoid_fixture():
     dag, source, expected = sample_annotation_case()
     idx = fm_preprocess(dag)
     got = Counter()
-    sess = fm_open_session(idx, source)
+    sess = FMSession(idx, source)
     for tgt, word in sess:
         got[word] += 1
     assert expected <= set(got)

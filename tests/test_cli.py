@@ -1,4 +1,6 @@
 import json
+import os
+import re
 import subprocess
 import sys
 
@@ -50,6 +52,16 @@ class TestCompressDecompress:
     def test_budget_exceeded(self, workdir, capsys):
         code, _, err = run(capsys, "decompress", workdir / "shared.fslp", "--budget", "3")
         assert code == 1 and "budget" in err.lower()
+
+    def test_malformed_budget_variable(self, workdir, capsys, monkeypatch):
+        monkeypatch.setenv("FSLPENUM_BUDGET", "abc")
+        code, _, err = run(capsys, "decompress", workdir / "shared.fslp")
+        assert code == 1 and err == "error: FSLPENUM_BUDGET must be an integer, got 'abc'\n"
+        code, text, _ = run(capsys, "decompress", workdir / "shared.fslp", "--budget", "100")
+        assert code == 0 and text.startswith("a(")  # an explicit --budget never reads it
+        monkeypatch.setenv("FSLPENUM_BUDGET", "3")
+        code, _, err = run(capsys, "decompress", workdir / "shared.fslp")
+        assert code == 1 and "budget 3" in err
 
 
 class TestStatsValidate:
@@ -196,6 +208,14 @@ class TestBench:
         )
         assert code == 0
 
+    def test_random_family_has_exactly_size_vertices(self, workdir, capsys):
+        for seed in range(1, 7):
+            code, out, _ = run(
+                capsys, "bench", "--family", "random", "--size", "5000", "--seed", seed, "--limit", "1"
+            )
+            assert code == 0
+            assert re.search(r"\bdecompressed=(\d+)\b", out).group(1) == "5000", (seed, out)
+
     def test_seed_determinism(self, workdir, capsys):
         outs = []
         for _ in range(2):
@@ -215,3 +235,18 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert "outputs=16" in proc.stdout
+
+    def test_import_ignores_malformed_budget_variable(self, workdir):
+        env = {**os.environ, "FSLPENUM_BUDGET": "abc"}
+        proc = subprocess.run(
+            [sys.executable, "-c", "import fslpenum"], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        proc = subprocess.run(
+            [sys.executable, "-m", "fslpenum.cli", "decompress", str(workdir / "shared.fslp")],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == "error: FSLPENUM_BUDGET must be an integer, got 'abc'\n"

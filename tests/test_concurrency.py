@@ -5,25 +5,25 @@ import threading
 
 from fslpenum import (
     compress_forest,
+    AnswerStream,
+    PathSession,
+    ProductIndex,
     dbuta_run,
-    enumerate_select,
     nsta_to_dbuta,
-    open_session,
     parse_term,
     preprocess,
     unfold,
 )
 from fslpenum.fixtures import exactly_one_nsta, sample_weighted_dag
-from fslpenum.msoenum import build_conf_sets, build_product
 
 
 def test_concurrent_path_sessions_share_an_index():
     d = sample_weighted_dag()
     idx = preprocess(d)
-    expected = sorted(open_session(idx, 3))
+    expected = sorted(PathSession(idx, 3))
     results = [None] * 8
     def worker(i):
-        results[i] = sorted(open_session(idx, 3))
+        results[i] = sorted(PathSession(idx, 3))
     threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
     for t in threads:
         t.start()
@@ -55,11 +55,11 @@ def test_concurrent_answer_streams_on_one_product():
     a = exactly_one_nsta("ab")
     g = compress_forest(parse_term("a(bab)ab(aa)"))
     b = nsta_to_dbuta(a)
-    idx = build_product(g, b, build_conf_sets(g, b))
-    expected = {frozenset(ans) for ans in enumerate_select(idx, g.root)}
+    idx = ProductIndex(g, b)
+    expected = {frozenset(ans) for ans in AnswerStream(idx, g.root)}
     results = [None] * 6
     def worker(i):
-        results[i] = {frozenset(ans) for ans in enumerate_select(idx, g.root)}
+        results[i] = {frozenset(ans) for ans in AnswerStream(idx, g.root)}
     threads = [threading.Thread(target=worker, args=(i,)) for i in range(6)]
     for t in threads:
         t.start()

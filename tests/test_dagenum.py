@@ -7,9 +7,9 @@ from fslpenum import (
     Effect,
     MonoidCategory,
     PRE_CATEGORY,
-    fm_open_session,
+    FMSession,
+    PathSession,
     fm_preprocess,
-    open_session,
     preprocess,
 )
 from fslpenum.fixtures import (
@@ -27,7 +27,7 @@ from conftest import random_labelled_dag, random_weighted_dag
 
 def session_multiset(idx, source):
     out = Counter()
-    sess = open_session(idx, source)
+    sess = PathSession(idx, source)
     for item in sess:
         out[item] += 1
         assert sess.last_steps <= 2
@@ -52,8 +52,8 @@ class TestPreprocess:
             d.add_edge(0, w + 1, v)
         idx = preprocess(d)
         # 4 outgoing edges become a 3-vertex right spine
-        disp = idx.disposition(0)
-        norm = idx.norm
+        disp = idx.source[0]
+        norm = idx
         spine = []
         cur = disp[1]
         while not norm.is_leaf(cur):
@@ -77,7 +77,7 @@ class TestPreprocess:
         idx = preprocess(d)
         # the whole chain is a shortcut: one output with the composed weight
         assert session_multiset(idx, s) == Counter({(t, 7): 1})
-        assert idx.disposition(s)[0] == "shortcut"
+        assert idx.source[s][0] == "shortcut"
 
     def test_prune_cascades(self):
         d = DecoratedDAG(INT_SUM)
@@ -89,7 +89,7 @@ class TestPreprocess:
         d.add_edge(s, 2, t)
         d.add_edge(dead1, 1, dead2)
         idx = preprocess(d)
-        assert idx.disposition(dead1)[0] == "pruned"
+        assert idx.source[dead1][0] == "pruned"
         assert session_multiset(idx, s) == Counter({(t, 2): 1})
 
     def test_cycle_rejected(self):
@@ -119,7 +119,7 @@ class TestSessions:
     def test_target_leaf_source(self):
         d = sample_weighted_dag()
         idx = preprocess(d)
-        s = open_session(idx, 11)
+        s = PathSession(idx, 11)
         assert s.next() == (11, 0)
         assert s.next() is None
         assert s.next() is None  # stays exhausted
@@ -127,14 +127,14 @@ class TestSessions:
     def test_pruned_source_empty(self):
         d = sample_weighted_dag()
         idx = preprocess(d)
-        s = open_session(idx, 0)
+        s = PathSession(idx, 0)
         assert s.next() is None
 
     def test_unknown_vertex(self):
         d = sample_weighted_dag()
         idx = preprocess(d)
         with pytest.raises(ValueError):
-            open_session(idx, 99)
+            PathSession(idx, 99)
 
     def test_multisets_match_oracle(self, rng):
         for _ in range(150):
@@ -146,10 +146,10 @@ class TestSessions:
     def test_persistence_across_interleaved_sessions(self, rng):
         d = sample_weighted_dag()
         idx = preprocess(d)
-        seq1 = list(open_session(idx, SAMPLE_DAG_SOURCE))
-        seq2 = list(open_session(idx, 7))
-        a = open_session(idx, SAMPLE_DAG_SOURCE)
-        b = open_session(idx, 7)
+        seq1 = list(PathSession(idx, SAMPLE_DAG_SOURCE))
+        seq2 = list(PathSession(idx, 7))
+        a = PathSession(idx, SAMPLE_DAG_SOURCE)
+        b = PathSession(idx, 7)
         got1, got2 = [], []
         while True:
             x = a.next()
@@ -212,7 +212,7 @@ class TestConstantDelay:
     def test_adversarial_family(self, n):
         d, src = adversarial_path_dag(n)
         idx = preprocess(d)
-        sess = open_session(idx, src)
+        sess = PathSession(idx, src)
         outputs = 0
         max_steps = 0
         while True:
@@ -230,7 +230,7 @@ class TestFreeMonoid:
         dag, source, expected = sample_annotation_case()
         idx = fm_preprocess(dag)
         words = Counter()
-        sess = fm_open_session(idx, source)
+        sess = FMSession(idx, source)
         for _, word in sess:
             words[word] += 1
         assert set(words) == expected
@@ -245,7 +245,7 @@ class TestFreeMonoid:
         d.add_edge(v[1], None, v[3])
         d.add_edge(v[2], None, v[3])
         idx = fm_preprocess(d)
-        words = Counter(w for _, w in fm_open_session(idx, v[0]))
+        words = Counter(w for _, w in FMSession(idx, v[0]))
         assert words == Counter({(): 2})
 
     def test_matches_oracle_random(self, rng):
@@ -254,7 +254,7 @@ class TestFreeMonoid:
             idx = fm_preprocess(d)
             for s in range(len(d)):
                 got = Counter()
-                sess = fm_open_session(idx, s)
+                sess = FMSession(idx, s)
                 for tgt, word in sess:
                     got[(tgt, word)] += 1
                 assert got == brute_word_paths(d, s)
@@ -265,6 +265,6 @@ class TestFreeMonoid:
             d = random_labelled_dag(rng, 12)
             idx = fm_preprocess(d)
             for s in range(len(d)):
-                sess = fm_open_session(idx, s)
+                sess = FMSession(idx, s)
                 for _, word in sess:
                     assert sess.last_steps <= 6 * (1 + len(word))

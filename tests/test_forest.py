@@ -1,3 +1,6 @@
+import gc
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -62,6 +65,44 @@ class TestParse:
     def test_double_group_rejected(self):
         with pytest.raises(ParseError):
             parse_term("a(b)(c)")
+
+
+class TestForestCheck:
+    @pytest.mark.parametrize(
+        "parents, children, roots, message",
+        [
+            ((None, None), ((1,), ()), (0,), "vertex 1 has no parent and is not a root"),
+            ((None, 0), ((), ()), (0, 1), "vertex 1 missing from parent's child list"),
+            ((None, 0, 1), ((1, 2), (), ()), (0,), "vertex 2 missing from parent's child list"),
+            ((None, 0, 0), ((1,), (2,), ()), (0,), "vertex 2 missing from parent's child list"),
+            ((None, 0, 0), ((2, 1), (), ()), (0,), "not stored at its preorder position"),
+            ((None, 0, 0), ((1,), (), ()), (0,), "does not reach every vertex"),
+            ((None, 0), ((1, 1), ()), (0,), "not a valid traversal"),
+        ],
+    )
+    def test_inconsistent_links_rejected(self, parents, children, roots, message):
+        with pytest.raises(ValueError, match=message):
+            Forest("a" * len(parents), parents, children, roots)
+
+    def test_consistent_links_accepted(self):
+        f = Forest("abc", (None, 0, None), ((1,), (), ()), (0, 2))
+        assert serialize_term(f) == "a(b)c"
+
+    def test_parse_time_doubles_with_size(self):
+        # a row of n roots was quadratic in the consistency check; each
+        # doubling must now cost at most 3x (interleaved, best of three)
+        sizes = [50000, 100000, 200000]
+        texts = {n: "a" * n for n in sizes}
+        best = dict.fromkeys(sizes, float("inf"))
+        for _ in range(3):
+            for n in sizes:
+                gc.disable()
+                t0 = time.perf_counter()
+                parse_term(texts[n])
+                best[n] = min(best[n], time.perf_counter() - t0)
+                gc.enable()
+        ratios = [best[sizes[i]] / best[sizes[i - 1]] for i in range(1, len(sizes))]
+        assert all(1.0 <= r <= 3.0 for r in ratios), ratios
 
 
 class TestSerialize:

@@ -2,12 +2,12 @@ import pytest
 
 from fslpenum import (
     FSLP,
+    AnswerStream,
+    PathSession,
+    ProductIndex,
     build_conf_sets,
-    build_product,
-    check_empty_solution,
     compress_forest,
     compute_stats,
-    enumerate_select,
     enumerate_select_uncompressed,
     evaluate,
     fold_expr,
@@ -34,7 +34,7 @@ from conftest import random_expr, random_forest, random_nsta
 
 def answer_family(idx, node, **kw):
     got = set()
-    for ans in enumerate_select(idx, node, **kw):
+    for ans in AnswerStream(idx, node, **kw):
         fz = frozenset(ans)
         assert fz not in got, "duplicate answer emitted"
         assert len(set(ans)) == len(ans), "repeated preorder within one answer"
@@ -43,9 +43,12 @@ def answer_family(idx, node, **kw):
 
 
 def build(g, a):
-    b = nsta_to_dbuta(a)
-    conf = build_conf_sets(g, b)
-    return build_product(g, b, conf)
+    return ProductIndex(g, nsta_to_dbuta(a))
+
+
+def empty_solution(idx, node):
+    # the stream emits the empty answer first exactly when it is an answer
+    return AnswerStream(idx, node).next() == []
 
 
 class TestConfSets:
@@ -111,7 +114,7 @@ class TestProduct:
             g = compress_forest(random_forest(rng, 8))
             idx = build(g, a)
             for pid, (node, q) in enumerate(idx.pairs):
-                sess = idx.open_path_session(node, q)
+                sess = PathSession(idx.norm, idx.pair_id[(node, q)])
                 first = sess.next()
                 assert first is not None, (node, q)
                 tnode, tq = idx.pairs[first[0]]
@@ -174,13 +177,13 @@ class TestEmptySolution:
         g = compress_forest(parse_term("ab"))
         a = accept_all_nsta("ab")
         idx = build(g, a)
-        assert check_empty_solution(idx.conf, g.root, idx.b)
+        assert empty_solution(idx, g.root)
 
     def test_requires_selection(self):
         g = compress_forest(parse_term("ab"))
         a = at_least_one_nsta("ab")
         idx = build(g, a)
-        assert not check_empty_solution(idx.conf, g.root, idx.b)
+        assert not empty_solution(idx, g.root)
 
     def test_agrees_with_oracle(self, rng):
         for _ in range(60):
@@ -188,20 +191,20 @@ class TestEmptySolution:
             f = random_forest(rng, 8)
             g = compress_forest(f)
             idx = build(g, a)
-            assert check_empty_solution(idx.conf, g.root, idx.b) == nsta_accepts(a, f, [])
+            assert empty_solution(idx, g.root) == nsta_accepts(a, f, [])
 
 
 class TestEnumerate:
     def test_reject_all_is_immediately_exhausted(self):
         g = compress_forest(parse_term("ab"))
         idx = build(g, reject_all_nsta("ab"))
-        stream = enumerate_select(idx, g.root)
+        stream = AnswerStream(idx, g.root)
         assert stream.next() is None
 
     def test_only_empty(self):
         g = compress_forest(parse_term("ab"))
         idx = build(g, only_empty_nsta("ab"))
-        stream = enumerate_select(idx, g.root)
+        stream = AnswerStream(idx, g.root)
         assert stream.next() == []
         assert stream.next() is None
 
@@ -210,13 +213,13 @@ class TestEnumerate:
         g.add_leafctx("a")
         idx = build(g, accept_all_nsta("a"))
         with pytest.raises(ValueError):
-            enumerate_select(idx, 0)
+            AnswerStream(idx, 0)
 
     def test_singletons_on_wide_row(self):
         k = 20
         g = row_fslp("a", 2**k)
         idx = build(g, exactly_one_nsta("a"))
-        stream = enumerate_select(idx, g.root, record_steps=True)
+        stream = AnswerStream(idx, g.root, record_steps=True)
         seen = set()
         for i, ans in enumerate(stream):
             if i >= 1000:
@@ -260,7 +263,7 @@ class TestUncompressedReference:
             got_tree = set(emitted)
             assert len(emitted) == len(got_tree), "tree-level stream emitted a duplicate"
             g = fold_expr(e)
-            idx = build_product(g, b, build_conf_sets(g, b))
+            idx = ProductIndex(g, b)
             got_dag = answer_family(idx, g.root)
             assert got_tree == got_dag
 
@@ -299,7 +302,7 @@ class TestDelayAtScale:
         for k in (16, 20):
             g = row_fslp("a", 2**k)
             idx = build(g, exactly_one_nsta("a"))
-            stream = enumerate_select(idx, g.root, record_steps=True)
+            stream = AnswerStream(idx, g.root, record_steps=True)
             for i, _ in enumerate(stream):
                 if i >= 500:
                     break
@@ -313,6 +316,6 @@ class TestDelayAtScale:
             a = random_nsta(rng, 2)
             g = compress_forest(random_forest(rng, 10))
             idx = build(g, a)
-            stream = enumerate_select(idx, g.root, record_steps=True)
+            stream = AnswerStream(idx, g.root, record_steps=True)
             for ans in stream:
                 assert stream.last_steps <= 40 * max(1, len(ans))

@@ -65,6 +65,22 @@ class TestExtend:
             extend(eds, [("frob", 0, 0)])  # unknown kind
         # a rejected extension leaves the structure untouched
         assert eds.canonical_form() == before
+        # ill-typed definitions are rejected before anything is appended
+        g = compress_forest(parse_term("ab"))
+        a = exactly_one_nsta("ab")
+        eds = build_enum_structure(g, a)
+        leaf_a = next(i for i in range(len(g)) if g.node_def(i) == ("leaf", "a"))
+        leaf_b = next(i for i in range(len(g)) if g.node_def(i) == ("leaf", "b"))
+        before, n = eds.canonical_form(), len(g)
+        with pytest.raises(ValueError):
+            extend(eds, [("vc", leaf_a, leaf_a)])  # vc needs a context on the left
+        with pytest.raises(ValueError):
+            extend(eds, [("leafctx", "a"), ("hc", n, n)])  # two holes, later in the batch
+        assert len(eds.fslp) == n and eds.canonical_form() == before
+        # and the structure stays usable
+        eds, ids = extend(eds, [("hc", leaf_a, leaf_b)])
+        assert eds.canonical_form() == build_enum_structure(eds.fslp, a).canonical_form()
+        assert family(eds, ids[0]) == brute_select(a, parse_term("ab"))
 
     def test_old_views_survive_extension(self):
         g = compress_forest(parse_term("ab"))
