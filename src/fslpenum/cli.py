@@ -26,7 +26,6 @@ from .fslp import (
     compute_stats,
     evaluate,
     row_fslp,
-    unfold,
 )
 from .oracle import OracleBudget, brute_select
 from .updates import build_enum_structure, relabel
@@ -164,17 +163,24 @@ def cmd_relabel(args) -> int:
 def cmd_validate(args) -> int:
     g = _load_fslp(args.input)
     try:
-        stats = compute_stats(g)
+        compute_stats(g)
     except InvalidFSLP as exc:
         print(f"invalid: {exc}", file=sys.stderr)
         return 1
     if args.via_btau:
+        # one bottom-up run over the DAG: node i's state is the automaton's
+        # state on its unfolded expression, at one transition per node
         btau = automata.build_btau()
+        state: list[int] = []
         for i in range(len(g)):
-            e = unfold(g, i, budget=args.budget, stats=stats)
-            if not automata.dbuta_accepts(btau, e, ()):
+            if g.is_leaf_node(i):
+                q = btau.delta0(g.labels[i], g.kinds[i] == fslp.LEAFCTX, 0)
+            else:
+                q = btau.delta2(state[g.lefts[i]], state[g.rights[i]], g.kinds[i])
+            if not btau.is_final(q):
                 print(f"invalid: node {i} rejected by the validity automaton", file=sys.stderr)
                 return 1
+            state.append(q)
     print(f"valid nodes={len(g)}")
     return 0
 
@@ -305,7 +311,6 @@ def make_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("validate", help="check f-SLP well-formedness")
     c.add_argument("input")
     c.add_argument("--via-btau", action="store_true")
-    c.add_argument("--budget", type=int)
     c.set_defaults(func=cmd_validate)
     return p
 

@@ -240,9 +240,9 @@ class PathSession:
                 w = norm.omega[self.v]
                 emit = (norm.leaf_orig[w], compose(self.gamma, norm.gam[self.v]))
             self.flag = 1
-            if not norm.is_leaf(self.v):
+            if norm.left[self.v] >= 0:
                 r = norm.right[self.v]
-                if not norm.is_leaf(r):
+                if norm.left[r] >= 0:
                     self.stack.append((r, compose(self.gamma, norm.rm[self.v])))
                 self.gamma = compose(self.gamma, norm.lm[self.v])
                 self.v = norm.left[self.v]

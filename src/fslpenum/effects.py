@@ -14,6 +14,14 @@ with eps, kappa in {0,1} and eps*kappa = 0.  Composition stays in this
 family, which yields seven concrete shapes; six of them are the edge
 shapes (M00, M01, M10a, M10b, M11a, M11b) and M11c = (x,y) -> (x+c, d)
 arises only through composition across a type-0 node.
+
+Two representations share these rules.  ``Effect`` is the public,
+validated form: it carries its objects, checks every field when built,
+and names its shape.  The engine carries the bare ``(eps, c, kappa, d)``
+int 4-tuple (``Effect.as_tuple``), composed by ``compose`` under
+``PRE_CATEGORY``; the objects are implied by where a tuple sits in the
+DAG.  A witness tree's cumulative effect always starts at object 0, so
+the answer stream keeps only its two ints c and d (see ``msoenum``).
 """
 
 from __future__ import annotations
@@ -119,6 +127,10 @@ class Effect:
             return out
         return (out, self.kappa * y + self.d)
 
+    def as_tuple(self) -> tuple[int, int, int, int]:
+        """The engine's form ``(eps, c, kappa, d)``; the objects are dropped."""
+        return (self.eps, self.c, self.kappa, self.d)
+
     @property
     def preorder(self) -> int:
         """Preorder number encoded by a root-to-leaf composite (domain 0)."""
@@ -137,12 +149,35 @@ class Category:
         raise NotImplementedError
 
 
-class PreorderCategory(Category):
-    def identity(self, obj):
-        return Effect.identity(obj)
+ID0 = (0, 0, 0, 0)
+"""Identity on object 0 as a 4-tuple (M00 with c = 0)."""
+ID1 = (0, 0, 1, 0)
+"""Identity on object 1 as a 4-tuple (M11a with c = d = 0)."""
 
-    def compose(self, f: Effect, g: Effect) -> Effect:
-        return f.compose(g)
+
+def compose(f: tuple, g: tuple) -> tuple:
+    """``f`` applied first, then ``g``, on ``(eps, c, kappa, d)`` tuples.
+
+    The objects are not carried, so a mismatch is not seen; a composite
+    outside the family (eps or kappa not in {0,1}, both set, or a negative
+    constant) raises ``ValueError``.
+    """
+    e1, c1, k1, d1 = f
+    e2, c2, k2, d2 = g
+    eps, kappa = e1 + e2 * k1, k1 * k2
+    c, d = c1 + e2 * d1 + c2, k2 * d1 + d2
+    if eps < 0 or kappa < 0 or eps + kappa > 1 or c < 0 or d < 0:
+        raise ValueError(f"composite {(eps, c, kappa, d)} leaves the effect family")
+    return (eps, c, kappa, d)
+
+
+class PreorderCategory(Category):
+    """Preorder effects as ``(eps, c, kappa, d)`` tuples."""
+
+    compose = staticmethod(compose)
+
+    def identity(self, obj):
+        return ID1 if obj else ID0
 
 
 class MonoidCategory(Category):

@@ -24,7 +24,7 @@ from typing import Iterator, Optional
 
 from .automata import DBUTA
 from .dagenum import Normalizer, PathSession
-from .effects import PRE_CATEGORY, Effect
+from .effects import PRE_CATEGORY
 from .forest import Expr, _Flat, leaf_preorders
 from .fslp import FSLP, compute_stats, edge_effect
 
@@ -44,7 +44,10 @@ def build_conf_sets(g: FSLP, b: DBUTA) -> ConfSets:
 
 class ProductIndex:
     """Preprocessed bundle: configuration sets, ordered successor tuples,
-    per-edge effects, and the normalized product DAG with its path index."""
+    per-edge effects, and the normalized product DAG with its path index.
+
+    ``eff_l[i]`` / ``eff_r[i]`` hold the effects of node i's edges as
+    ``(eps, c, kappa, d)`` tuples (None for leaves)."""
 
     def __init__(self, g: FSLP, b: DBUTA):
         self.g = g
@@ -54,7 +57,8 @@ class ProductIndex:
         self.pair_id: dict[tuple[int, int], int] = {}
         self.pairs: list[tuple[int, int]] = []
         self.succ_a: dict[int, list[tuple[int, int]]] = {}
-        self.eff: dict[tuple[int, str], Effect] = {}
+        self.eff_l: list[Optional[tuple]] = []
+        self.eff_r: list[Optional[tuple]] = []
         self.raw_edges: dict[int, list[tuple[str, int]]] = {}  # pid -> [(side, child pid)]
         self.norm = Normalizer(PRE_CATEGORY)
         self.work = 0  # state-pair iterations, for maintenance-cost checks
@@ -79,6 +83,7 @@ class ProductIndex:
                 qa = b.delta0(label, ctx, 1)
                 succ: dict[int, list[tuple[int, int]]] = {qa: []}  # useful, no successor tuples
                 act, emp = (qa,), (b.delta0(label, ctx, 0),)
+                eff_l = eff_r = None
             else:
                 l, r = g.lefts[i], g.rights[i]
                 op = g.kinds[i]
@@ -97,14 +102,16 @@ class ProductIndex:
                         emp_s.add(b.delta2(qe, qf, op))
                 act = tuple(sorted(succ.keys() | ledges.keys() | redges.keys()))
                 emp = tuple(sorted(emp_s))
-                self.eff[(i, "l")] = edge_effect(g, self.stats, i, "l")
-                self.eff[(i, "r")] = edge_effect(g, self.stats, i, "r")
+                eff_l = edge_effect(g, self.stats, i, "l").as_tuple()
+                eff_r = edge_effect(g, self.stats, i, "r").as_tuple()
                 self.work += (len(al) + len(el)) * (len(ar) + len(er))
                 for q, tuples in succ.items():  # useful states take the first pids, in loop order
                     self.succ_a[self._pid(i, q)] = tuples
             conf.active.append(act)
             conf.useful.append(tuple(sorted(succ)))
             conf.empty.append(emp)
+            self.eff_l.append(eff_l)
+            self.eff_r.append(eff_r)
             obj = self.stats.tau[i]
             for q in act:  # leaves have no edges: ledges and redges stay empty
                 pid = self._pid(i, q)
@@ -112,7 +119,7 @@ class ProductIndex:
                 raw += [("r", self.pair_id[(r, q2)]) for q2 in sorted(redges.get(q, ()))]
                 self.raw_edges[pid] = raw
                 self.work += 1 + len(raw)
-                edges = [(self.eff[(i, side)], child) for side, child in raw]
+                edges = [(eff_l if side == "l" else eff_r, child) for side, child in raw]
                 self.norm.add_original(pid, obj, edges, q in succ)
         self._built = upto
 
@@ -129,43 +136,35 @@ class ProductIndex:
 # witness trees over the product DAG
 # ---------------------------------------------------------------------------
 
-class _Peek:
-    """One-item lookahead over a path session, for maximality tests."""
-
-    __slots__ = ("session", "buf", "init_steps")
-
-    def __init__(self, session: PathSession):
-        self.session = session
-        self.buf = session.next()
-        self.init_steps = session.last_steps
-
-    def has_next(self) -> bool:
-        return self.buf is not None
-
-    def next(self):
-        item = self.buf
-        self.buf = self.session.next()
-        return item
-
-
 _LEAF, _UNARY, _BINARY = 0, 1, 2
 
 
 class _WNode:
+    """A witness-tree node.
+
+    Its cumulative effect from the stream's type-0 root is x -> x + c, or
+    x -> (x + c, d) below a context, so two ints hold it: composed with an
+    edge or path effect (eps, c_e, kappa, d_e) it becomes
+    (c + eps*d + c_e, kappa*d + d_e).  A unary node keeps its path session
+    and the session's next pair in ``buf``, for the maximality test.
+    """
+
     __slots__ = (
-        "kind", "node", "state", "cum", "child", "left", "right",
-        "session", "succ", "succ_idx", "maximal", "pos",
+        "kind", "node", "state", "c", "d", "child", "left", "right",
+        "session", "buf", "succ", "succ_idx", "maximal", "pos",
     )
 
-    def __init__(self, kind: int, node: int, state: int, cum: Effect):
+    def __init__(self, kind: int, node: int, state: int, c: int, d: int):
         self.kind = kind
         self.node = node
         self.state = state
-        self.cum = cum
+        self.c = c
+        self.d = d
         self.child: Optional[_WNode] = None
         self.left: Optional[_WNode] = None
         self.right: Optional[_WNode] = None
-        self.session: Optional[_Peek] = None
+        self.session: Optional[PathSession] = None
+        self.buf: Optional[tuple] = None
         self.succ: Optional[list] = None
         self.succ_idx = 0
         self.maximal = True
@@ -200,49 +199,45 @@ class AnswerStream:
 
     # -- construction -----------------------------------------------------
 
-    def _tick(self, n: int = 1) -> None:
-        self.last_steps += n
-
-    def _make_active(self, node: int, state: int, cum: Effect) -> _WNode:
-        """Minimal witness subtree for an active configuration."""
-        root = self._start_active(node, state, cum)
-        self._complete_below(root)
-        return root
-
-    def _start_active(self, node: int, state: int, cum: Effect) -> _WNode:
-        self._tick()
-        if self.idx.g.is_leaf_node(node):
-            return _WNode(_LEAF, node, state, cum)
-        w = _WNode(_UNARY, node, state, cum)
-        w.session = _Peek(PathSession(self.idx.norm, self.idx.pair_id[(node, state)]))
-        self._tick(w.session.init_steps)
-        return w
-
-    def _start_useful(self, node: int, state: int, cum: Effect) -> _WNode:
-        self._tick()
-        if self.idx.g.is_leaf_node(node):
-            return _WNode(_LEAF, node, state, cum)
-        w = _WNode(_BINARY, node, state, cum)
-        w.succ = self.idx.succ_a[self.idx.pair_id[(node, state)]]
-        w.succ_idx = 0
-        w.maximal = len(w.succ) == 1
+    def _start_active(self, node: int, state: int, c: int, d: int) -> _WNode:
+        """Fresh node for an active configuration; its choice is not drawn yet."""
+        self.last_steps += 1
+        idx = self.idx
+        if idx.g.lefts[node] is None:
+            return _WNode(_LEAF, node, state, c, d)
+        w = _WNode(_UNARY, node, state, c, d)
+        session = w.session = PathSession(idx.norm, idx.pair_id[(node, state)])
+        w.buf = session.next()
+        self.last_steps += session.last_steps
         return w
 
     def _draw_unary(self, w: _WNode) -> None:
-        """Draw the next (useful config, effect) pair for a unary node."""
-        tpid, eff = w.session.next()
-        tnode, tq = self.idx.pairs[tpid]
-        self._tick(w.session.session.last_steps)
-        w.maximal = not w.session.has_next()
-        w.child = self._start_useful(tnode, tq, w.cum.compose(eff))
+        """Draw the next (useful config, effect) pair for a unary node and
+        start its child at that useful configuration."""
+        pid, (eps, ce, kappa, de) = w.buf
+        session = w.session
+        w.buf = session.next()
+        w.maximal = w.buf is None
+        self.last_steps += session.last_steps + 1
+        idx = self.idx
+        node, state = idx.pairs[pid]
+        c, d = w.c + eps * w.d + ce, kappa * w.d + de
+        if idx.g.lefts[node] is None:
+            w.child = _WNode(_LEAF, node, state, c, d)
+        else:
+            x = w.child = _WNode(_BINARY, node, state, c, d)
+            x.succ = idx.succ_a[pid]
+            x.maximal = len(x.succ) == 1
 
     def _set_binary_children(self, w: _WNode) -> None:
         """(Re)create the children named by the current successor tuple."""
         q1, q2 = w.succ[w.succ_idx]
-        g = self.idx.g
-        l, r = g.lefts[w.node], g.rights[w.node]
-        w.left = self._start_active(l, q1, w.cum.compose(self.idx.eff[(w.node, "l")]))
-        w.right = self._start_active(r, q2, w.cum.compose(self.idx.eff[(w.node, "r")]))
+        idx = self.idx
+        c, d = w.c, w.d
+        eps, ce, kappa, de = idx.eff_l[w.node]
+        w.left = self._start_active(idx.g.lefts[w.node], q1, c + eps * d + ce, kappa * d + de)
+        eps, ce, kappa, de = idx.eff_r[w.node]
+        w.right = self._start_active(idx.g.rights[w.node], q2, c + eps * d + ce, kappa * d + de)
 
     def _complete_below(self, w: _WNode) -> None:
         """Minimal completion of a fresh node whose choice is not yet drawn."""
@@ -270,16 +265,16 @@ class AnswerStream:
             w = stack.pop()
             w.pos = len(pre)
             pre.append(w)
-            self._tick()
             if not w.maximal:
                 last_nonmax = w.pos
             if w.kind == _LEAF:
-                answer.append(w.cum.preorder)
+                answer.append(w.c)
             elif w.kind == _UNARY:
                 stack.append(w.child)
             else:
                 stack.append(w.right)
                 stack.append(w.left)
+        self.last_steps += len(pre)  # one step per visited node
         if len(pre) > 4 * len(answer) - 2:
             raise AssertionError(
                 f"witness tree has {len(pre)} nodes for {len(answer)} leaves"
@@ -295,8 +290,9 @@ class AnswerStream:
     def _advance(self) -> None:
         i = self._last_nonmax
         w = self._pre[i]
+        # one step for the advance, one per kept node scanned below
+        self.last_steps += 1 + i
         # advance the last non-maximal node, then complete minimally below it
-        self._tick()
         if w.kind == _UNARY:
             self._draw_unary(w)
             self._complete_below(w.child)
@@ -308,14 +304,14 @@ class AnswerStream:
             self._complete_below(w.right)
         # children of kept nodes that fell into the discarded suffix are
         # rebuilt minimally (their labels are fixed by the kept choice)
+        idx = self.idx
         for j in range(i):
             x = self._pre[j]
-            self._tick()
             if x.kind == _BINARY and x.right is not None and x.right.pos > i:
-                q2 = x.succ[x.succ_idx][1]
-                r = self.idx.g.rights[x.node]
+                eps, ce, kappa, de = idx.eff_r[x.node]
                 x.right = self._start_active(
-                    r, q2, x.cum.compose(self.idx.eff[(x.node, "r")])
+                    idx.g.rights[x.node], x.succ[x.succ_idx][1],
+                    x.c + eps * x.d + ce, kappa * x.d + de,
                 )
                 self._complete_below(x.right)
 
@@ -323,32 +319,31 @@ class AnswerStream:
 
     def next(self) -> Optional[list[int]]:
         self.last_steps = 0
-        out = self._next_inner()
-        if self.step_log is not None and out is not None:
-            self.step_log.append(self.last_steps)
-        return out
-
-    def _next_inner(self) -> Optional[list[int]]:
         if self.exhausted:
             return None
         if self._emit_empty:
             self._emit_empty = False
-            self._tick()
-            return []
-        while True:
-            if self._root is None:
-                self._state_pos += 1
-                if self._state_pos >= len(self._finals):
-                    self.exhausted = True
-                    return None
-                q = self._finals[self._state_pos]
-                self._root = self._make_active(self.node, q, Effect.identity(0))
-                return self._walk()
-            if self._last_nonmax is None:
+            self.last_steps = 1
+            out = []
+        else:
+            while True:
+                if self._root is None:
+                    self._state_pos += 1
+                    if self._state_pos >= len(self._finals):
+                        self.exhausted = True
+                        return None
+                    q = self._finals[self._state_pos]
+                    self._root = self._start_active(self.node, q, 0, 0)
+                    self._complete_below(self._root)
+                    break
+                if self._last_nonmax is not None:
+                    self._advance()
+                    break
                 self._root = None
-                continue
-            self._advance()
-            return self._walk()
+            out = self._walk()
+        if self.step_log is not None:
+            self.step_log.append(self.last_steps)
+        return out
 
     def __iter__(self) -> Iterator[list[int]]:
         while True:

@@ -82,7 +82,7 @@ class EnumDataStructure:
                 for pid, tuples in self.product.succ_a.items()
             )
         )
-        eff_part = tuple(sorted(self.product.eff.items()))
+        eff_part = tuple(zip(self.product.eff_l, self.product.eff_r))
 
         def pairval(pid: int):
             node, q = pairs[pid]
@@ -147,6 +147,8 @@ def extend(eds: EnumDataStructure, defs: Iterable[NodeDef]) -> tuple[EnumDataStr
             tl, tr = (tau[c] if c < before else new_tau[c - before] for c in d[1:])
             new_tau.append(node_type(before + offset, kind, tl, tr))
         elif kind in ("leaf", "leafctx") and len(d) == 2:
+            if not (isinstance(d[1], str) and d[1]):
+                raise ValueError(f"definition {offset} needs a non-empty string label: {d!r}")
             new_tau.append(int(kind == "leafctx"))
         else:
             raise ValueError(f"definition {offset} is not a node definition: {d!r}")

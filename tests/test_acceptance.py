@@ -198,18 +198,22 @@ def _chain_fslp_row(n: int) -> FSLP:
 
 def test_criterion_08_preprocessing_linearity():
     def measure(n: int) -> float:
-        times = []
-        for _ in range(3):
-            g = _chain_fslp_row(n)
-            gc.disable()
-            t0 = time.perf_counter()
-            build_enum_structure(g, exactly_one_nsta({"a"}))
-            times.append(time.perf_counter() - t0)
-            gc.enable()
-        return sorted(times)[1]
+        g = _chain_fslp_row(n)
+        gc.collect()
+        gc.disable()
+        t0 = time.perf_counter()
+        eds = build_enum_structure(g, exactly_one_nsta({"a"}))
+        elapsed = time.perf_counter() - t0  # freeing eds is not preprocessing
+        gc.enable()
+        del eds
+        return elapsed
 
+    # the sizes take turns, so a slow spell of a shared machine reaches all
+    # of them, and each size keeps its best time
     sizes = [5000, 10000, 20000, 40000]
-    ts = [measure(n) for n in sizes]
+    ts = [float("inf")] * len(sizes)
+    for _ in range(5):
+        ts = [min(t, measure(n)) for t, n in zip(ts, sizes)]
     ratios = [ts[i] / ts[i - 1] for i in range(1, len(ts))]
     assert all(1.5 <= r <= 3.0 for r in ratios), ratios
     ok(8, "chain preprocessing ratios across 3 doublings: " + ", ".join(f"{r:.2f}" for r in ratios))

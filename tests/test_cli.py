@@ -75,6 +75,16 @@ class TestStatsValidate:
         for flags in ([], ["--via-btau"]):
             code, out, _ = run(capsys, "validate", workdir / "shared.fslp", *flags)
             assert code == 0 and "valid" in out
+        # a row of 2^22 vertices from 23 nodes: the check runs on the DAG,
+        # never on the unfolded expression
+        row = workdir / "row22.fslp"
+        row.write_text(
+            "fslp v1\nnode 0 leaf a\n"
+            + "".join(f"node {i} hc {i - 1} {i - 1}\n" for i in range(1, 23))
+            + "root 22\n"
+        )
+        code, out, err = run(capsys, "validate", row, "--via-btau")
+        assert (code, out, err) == (0, "valid nodes=23\n", "")
 
     def test_validate_corrupt(self, workdir, capsys):
         bad = workdir / "bad.fslp"

@@ -163,15 +163,17 @@ class TestSessions:
         assert got1 == seq1 and got2 == seq2
 
     def test_preorder_effect_morphisms(self):
-        # the same engine drives preorder effects over an f-SLP-shaped DAG
+        # the same engine drives preorder effects over an f-SLP-shaped DAG;
+        # PRE_CATEGORY morphisms are (eps, c, kappa, d) tuples
+        first, second = Effect.m00(0).as_tuple(), Effect.m00(1).as_tuple()
         d = DecoratedDAG(PRE_CATEGORY)
         d.add_vertex(0)  # hc of two leaves
         d.add_vertex(0, target=True)
-        d.add_edge(0, Effect.m00(0), 1)
-        d.add_edge(0, Effect.m00(1), 1)
+        d.add_edge(0, first, 1)
+        d.add_edge(0, second, 1)
         idx = preprocess(d)
         got = session_multiset(idx, 0)
-        assert got == Counter({(1, Effect.m00(0)): 1, (1, Effect.m00(1)): 1})
+        assert got == Counter({(1, first): 1, (1, second): 1})
 
 
 class TestPreprocessLinearity:

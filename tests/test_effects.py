@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fslpenum import Effect
+from fslpenum import PRE_CATEGORY, Effect
+from fslpenum.effects import ID0, ID1, compose
 
 
 def all_edge_shapes(c=3, d=5):
@@ -112,3 +113,31 @@ class TestComposition:
             mid = f.apply(*args)
             want = g.apply(mid) if g.dom == 0 else g.apply(*mid)
             assert f.compose(g).apply(*args) == want
+
+
+class TestTupleCompose:
+    """The engine's (eps, c, kappa, d) form against the validated ``Effect``."""
+
+    @given(shape_strategy, shape_strategy)
+    @settings(max_examples=400, deadline=None)
+    def test_matches_effect_compose(self, f, g):
+        if f.cod != g.dom:
+            return
+        assert compose(f.as_tuple(), g.as_tuple()) == f.compose(g).as_tuple()
+
+    def test_category_uses_tuples_and_shared_identities(self):
+        assert PRE_CATEGORY.compose is compose
+        assert PRE_CATEGORY.identity(0) is ID0 == Effect.identity(0).as_tuple()
+        assert PRE_CATEGORY.identity(1) is ID1 == Effect.identity(1).as_tuple()
+        for e in all_edge_shapes():
+            t = e.as_tuple()
+            assert compose(PRE_CATEGORY.identity(e.dom), t) == t
+            assert compose(t, PRE_CATEGORY.identity(e.cod)) == t
+
+    def test_family_check_raises(self):
+        with pytest.raises(ValueError, match="leaves the effect family"):
+            compose(ID0, (0, -1, 0, 0))  # negative constant
+        with pytest.raises(ValueError, match="leaves the effect family"):
+            compose(ID1, (1, 0, 1, 0))  # eps and kappa both set
+        with pytest.raises(ValueError, match="leaves the effect family"):
+            compose((2, 0, 0, 0), ID1)  # eps outside {0, 1}

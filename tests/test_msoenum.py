@@ -11,12 +11,16 @@ from fslpenum import (
     enumerate_select_uncompressed,
     evaluate,
     fold_expr,
+    hc,
+    leaf,
     leaf_preorders,
+    leafctx,
     nsta_accepts,
     nsta_to_dbuta,
     parse_term,
     row_fslp,
     unfold,
+    vc,
 )
 from fslpenum.fixtures import (
     accept_all_nsta,
@@ -251,6 +255,18 @@ class TestEnumerate:
                 got = answer_family(idx, node)
                 want = brute_select(a, evaluate(g, node))
                 assert got == want
+
+    def test_hole_size_resets_across_a_forest_node(self):
+        # w is a unary witness node inside a context whose hole holds one
+        # vertex; its drawn path crosses the forest node f into the context
+        # c2, so the witness's hole size must become f's plug (1), not 1 + 1
+        c2 = hc(leafctx("b"), leaf("b"))  # b(·) b
+        f = vc(c2, leaf("c"))  # b(c) b
+        w = hc(f, leafctx("c"))  # b(c) b c(·)
+        e = vc(hc(w, leaf("b")), leaf("c"))  # b(c) b c(c) b
+        g = fold_expr(e)
+        idx = build(g, select_labels_nsta({"b"}, {"b", "c"}))
+        assert answer_family(idx, g.root) == {frozenset({0, 2, 5})}
 
 
 class TestUncompressedReference:

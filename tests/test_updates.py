@@ -76,6 +76,11 @@ class TestExtend:
             extend(eds, [("vc", leaf_a, leaf_a)])  # vc needs a context on the left
         with pytest.raises(ValueError):
             extend(eds, [("leafctx", "a"), ("hc", n, n)])  # two holes, later in the batch
+        for bad in (None, ""):  # a leaf label is a non-empty string
+            with pytest.raises(ValueError, match="non-empty string label"):
+                extend(eds, [("leaf", "a"), ("leaf", bad)])
+        with pytest.raises(ValueError, match="non-empty string label"):
+            relabel(eds, g.root, 0, "")
         assert len(eds.fslp) == n and eds.canonical_form() == before
         # and the structure stays usable
         eds, ids = extend(eds, [("hc", leaf_a, leaf_b)])
