@@ -31,7 +31,6 @@ from .forest import (
     expr_equal,
     hc,
     leaf,
-    leaf_preorders,
     leafctx,
     parse_term,
     serialize_term,
@@ -51,6 +50,7 @@ from .fslp import (
     fold_expr,
     path_preorder,
     preorder_to_path,
+    relabel_defs,
     row_fslp,
     unfold,
 )
@@ -59,7 +59,6 @@ from .msoenum import (
     ConfSets,
     ProductIndex,
     build_conf_sets,
-    enumerate_select_uncompressed,
 )
 from .oracle import (
     OracleBudget,
@@ -67,6 +66,8 @@ from .oracle import (
     brute_paths,
     brute_select,
     brute_word_paths,
+    enumerate_select_uncompressed,
+    leaf_preorders,
 )
 from .updates import EnumDataStructure, build_enum_structure, extend, relabel
 

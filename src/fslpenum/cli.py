@@ -28,7 +28,7 @@ from .fslp import (
     row_fslp,
 )
 from .oracle import OracleBudget, brute_select
-from .updates import build_enum_structure, relabel
+from .updates import build_enum_structure
 
 
 def _read(path: str) -> str:
@@ -140,23 +140,22 @@ def cmd_enumerate(args) -> int:
 def cmd_relabel(args) -> int:
     g = _load_fslp(args.input)
     v = _pick_vertex(g, args.vertex)
-    query = fixtures.accept_all_nsta(sorted(g.alphabet() | {args.symbol}))
-    eds = build_enum_structure(g, query)
-    if eds.stats.tau[v] != 0:
+    stats = compute_stats(g)
+    if stats.tau[v] != 0:
         print(f"vertex {v} is a context (type 1)", file=sys.stderr)
         return 1
-    n = eds.stats.nverts[v]
+    n = stats.nverts[v]
     if not (0 <= args.preorder < n):
         print(f"preorder {args.preorder} out of the valid range [0, {n})", file=sys.stderr)
         return 1
-    eds, new_root, added = relabel(eds, v, args.preorder, args.symbol)
-    out = eds.fslp
-    out.root = new_root
+    defs = fslp.relabel_defs(g, stats, v, args.preorder, args.symbol)
+    for d in defs:
+        g.root = new_root = g.add_node(d)
     if args.gc:
-        out, remap = fslp.gc(out, [new_root])
+        g, remap = fslp.gc(g, [new_root])
         new_root = remap[new_root]
-    _write_out(fslp.dumps(out), args.output)
-    print(f"added={added} root={new_root}", file=sys.stderr)
+    _write_out(fslp.dumps(g), args.output)
+    print(f"added={len(defs)} root={new_root}", file=sys.stderr)
     return 0
 
 

@@ -80,7 +80,9 @@ SHORTCUT = "shortcut"
 
 
 class Normalizer:
-    """Bottom-up construction of the normalized binary DAG with omega/gam tables."""
+    """Bottom-up construction of the normalized binary DAG with omega/gam tables.
+
+    The normalized DAG is the only stored form of the input edges."""
 
     def __init__(self, category: Category):
         self.category = category
@@ -93,9 +95,8 @@ class Normalizer:
         self.leaf_orig: list = []  # original vertex represented, for leaves
         self.omega: list[int] = []
         self.gam: list = []
-        # original-vertex dispositions and their resolved edge lists
+        # original-vertex dispositions (a NODE's edges lie on its right spine)
         self.source: dict[Hashable, tuple] = {}
-        self.resolved: dict[Hashable, list[tuple]] = {}
 
     def _new_vertex(self, obj) -> int:
         self.obj.append(obj)
@@ -131,8 +132,8 @@ class Normalizer:
     def add_original(self, orig, obj, edges: Iterable[tuple], is_target: bool) -> tuple:
         """Feed one original vertex (children must have been fed already).
 
-        ``edges`` is the ordered list of (morphism, original child) pairs.
-        Returns and records the vertex's disposition.
+        ``edges`` is the ordered list of (morphism, original child) pairs,
+        not kept.  Returns and records the vertex's disposition.
         """
         live = []
         for morphism, child in edges:
@@ -143,7 +144,6 @@ class Normalizer:
             disp = (PRUNED,)
         elif not live:
             disp = (NODE, self._new_leaf(obj, orig))
-            self.resolved[orig] = []
         elif not is_target and len(live) == 1:
             disp = (SHORTCUT, live[0][1], live[0][0])
         else:
@@ -151,7 +151,6 @@ class Normalizer:
                 clone = self._new_leaf(obj, orig)
                 live.append((self.category.identity(obj), clone))
             disp = (NODE, self._spine(obj, live))
-            self.resolved[orig] = live
         self.source[orig] = disp
         return disp
 
@@ -191,11 +190,10 @@ class PathSession:
     """One enumeration of ⟨target, morphism⟩ pairs; persistent over the normalizer.
 
     ``next`` returns the next pair or None once exhausted.  ``last_steps``
-    counts loop iterations of the most recent call (at most 2), ``steps``
-    their running total.
+    counts loop iterations of the most recent call (at most 2).
     """
 
-    __slots__ = ("norm", "v", "gamma", "stack", "flag", "exhausted", "steps", "last_steps")
+    __slots__ = ("norm", "v", "gamma", "stack", "flag", "exhausted", "last_steps")
 
     def __init__(self, norm: Normalizer, source):
         self.norm = norm
@@ -204,7 +202,6 @@ class PathSession:
             raise ValueError(f"unknown vertex {source!r}")
         self.stack: list[tuple] = []
         self.flag = 1
-        self.steps = 0
         self.last_steps = 0
         if disp[0] == PRUNED:
             self.exhausted = True
@@ -252,7 +249,6 @@ class PathSession:
             else:
                 self.exhausted = True
             if emit is not None or self.exhausted:
-                self.steps += it
                 self.last_steps = it
                 return emit
 
@@ -437,7 +433,6 @@ class FMSession:
         self.trie: list[tuple[int, object]] = [(-1, None)]  # (parent, label)
         self.stack: list[tuple[int, int]] = []
         self.flag = 1
-        self.steps = 0
         self.last_steps = 0
         self.prefix: Optional[tuple[int, int]] = None  # original chain (u, f)
         if disp[0] == PRUNED:
@@ -480,7 +475,6 @@ class FMSession:
                 break
             k += idx.expand(idx.rlab[cur], word)
             cur = idx.right[cur]
-        self.steps += k
         self.last_steps += k
         return (idx.leaf_orig[cur], tuple(word))
 
@@ -500,7 +494,6 @@ class FMSession:
         emit = None
         while True:
             self.last_steps += 1
-            self.steps += 1
             if self.flag:
                 emit = self._assemble()
             self.flag = 1

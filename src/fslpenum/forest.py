@@ -446,73 +446,6 @@ def _records_to_forest(first_root: Optional[_V]) -> Forest:
     return Forest(labels, parents, children, roots)
 
 
-def leaf_preorders(e: Expr) -> list[int]:
-    """Preorder number in ``eval_expr(e)`` of each expression leaf, in leaf order.
-
-    Computed arithmetically from leaf sizes / left sizes, walking the
-    expression top-down; this never materializes the forest.
-    """
-    flat = _Flat(e)
-    tau = _types(flat)
-    if tau is None:
-        raise ValueError("invalid expression")
-    if tau[0] != 0:
-        raise ValueError("expression has type 1 (a context); no preorder numbering")
-    n = len(flat)
-    s = [0] * n
-    ell = [0] * n
-    for pos in range(n - 1, -1, -1):
-        if flat.kind[pos] == "leaf":
-            s[pos] = 1
-            if flat.ctx[pos]:
-                ell[pos] = 1
-        else:
-            l, r = flat.left[pos], flat.right[pos]
-            s[pos] = s[l] + s[r]
-            if flat.kind[pos] == HC:
-                if tau[l] == 0 and tau[r] == 1:
-                    ell[pos] = s[l] + ell[r]
-                elif tau[l] == 1 and tau[r] == 0:
-                    ell[pos] = ell[l]
-            else:  # VC
-                if tau[l] == 1 and tau[r] == 1:
-                    ell[pos] = ell[l] + ell[r]
-    # top-down preorder data: a number for type-0 positions, a pair for type-1
-    pod: list[object] = [None] * n
-    pod[0] = 0
-    out: dict[int, int] = {}
-    for pos in range(n):
-        k = flat.kind[pos]
-        if k == "leaf":
-            p = pod[pos]
-            out[pos] = p[0] if tau[pos] == 1 else p  # type: ignore[index]
-            continue
-        l, r = flat.left[pos], flat.right[pos]
-        if k == HC:
-            if tau[l] == 0 and tau[r] == 0:
-                x = pod[pos]
-                pod[l] = x
-                pod[r] = x + s[l]  # type: ignore[operator]
-            elif tau[l] == 0:
-                x, y = pod[pos]  # type: ignore[misc]
-                pod[l] = x
-                pod[r] = (x + s[l], y)
-            else:
-                x, y = pod[pos]  # type: ignore[misc]
-                pod[l] = (x, y)
-                pod[r] = x + s[l] + y
-        else:  # VC
-            if tau[r] == 0:
-                x = pod[pos]
-                pod[l] = (x, s[r])
-                pod[r] = x + ell[l]  # type: ignore[operator]
-            else:
-                x, y = pod[pos]  # type: ignore[misc]
-                pod[l] = (x, y + s[r])
-                pod[r] = (x + ell[l], y)
-    return [out[p] for p in flat.leaves]
-
-
 def expr_leaves(e: Expr) -> list[ExprLeaf]:
     """Leaves of the expression in left-to-right order."""
     out: list[ExprLeaf] = []

@@ -273,6 +273,27 @@ def preorder_to_path(g: FSLP, stats: VertexStats, start: int, k: int) -> str:
     return "".join(path)
 
 
+def relabel_defs(g: FSLP, stats: VertexStats, node: int, k: int, label: str) -> list[tuple]:
+    """Definitions, to append to ``g``, of a bottom-up copy of the path to vertex
+    ``k`` of ⟦node⟧ with the leaf relabelled; the last one is the new root."""
+    path = preorder_to_path(g, stats, node, k)
+    chain = [node]
+    for side in path:
+        cur = chain[-1]
+        chain.append(g.lefts[cur] if side == "l" else g.rights[cur])
+    defs: list[tuple] = [(g.kinds[chain[-1]], label)]
+    if not (isinstance(label, str) and label):
+        raise ValueError(f"definition 0 needs a non-empty string label: {defs[0]!r}")
+    for depth in range(len(path) - 1, -1, -1):
+        cur = chain[depth]
+        swapped = len(g) + len(defs) - 1  # the copy appended last
+        if path[depth] == "l":
+            defs.append((g.kinds[cur], swapped, g.rights[cur]))
+        else:
+            defs.append((g.kinds[cur], g.lefts[cur], swapped))
+    return defs
+
+
 # ---------------------------------------------------------------------------
 # unfold / evaluate / fold
 # ---------------------------------------------------------------------------
@@ -493,11 +514,17 @@ def chain_fslp(label: str, depth: int) -> FSLP:
 # ---------------------------------------------------------------------------
 
 def dumps(g: FSLP) -> str:
+    """The ``fslp v1`` text of ``g``; raises ValueError on a label that
+    ``loads`` could not read back (empty, or holding whitespace or '#')."""
     lines = ["fslp v1"]
     for i in range(len(g)):
         kind = g.kinds[i]
         if kind in (LEAF, LEAFCTX):
-            lines.append(f"node {i} {kind} {g.labels[i]}")
+            label = g.labels[i]
+            if not isinstance(label, str) or label.split() != [label] or "#" in label:
+                raise ValueError(f"node {i}: label {label!r} cannot be written to an "
+                                 "f-SLP file (empty, or holds whitespace or '#')")
+            lines.append(f"node {i} {kind} {label}")
         else:
             lines.append(f"node {i} {kind} {g.lefts[i]} {g.rights[i]}")
     if g.root is not None:

@@ -8,7 +8,7 @@ both children selecting (useful), or with the empty selection -- and its
 part of the product DAG: the successor tuples of the useful states and
 the edges of the active states that skip an empty-selection sibling.  The
 product DAG goes straight into the path-enumeration normalizer with the
-useful configurations as targets.
+useful configurations as targets, and is stored only in normalized form.
 
 Enumeration then walks witness trees: unary nodes draw (useful config,
 composed effect) pairs from frozen path sessions, binary nodes step
@@ -25,7 +25,6 @@ from typing import Iterator, Optional
 from .automata import DBUTA
 from .dagenum import Normalizer, PathSession
 from .effects import PRE_CATEGORY
-from .forest import Expr, _Flat, leaf_preorders
 from .fslp import FSLP, compute_stats, edge_effect
 
 
@@ -47,7 +46,9 @@ class ProductIndex:
     per-edge effects, and the normalized product DAG with its path index.
 
     ``eff_l[i]`` / ``eff_r[i]`` hold the effects of node i's edges as
-    ``(eps, c, kappa, d)`` tuples (None for leaves)."""
+    ``(eps, c, kappa, d)`` tuples (None for leaves).  ``pairs[pid]`` is the
+    active (node, state) pair ``pid`` and ``pair_id`` its inverse; the product
+    edges between pairs are stored only in the normalizer ``norm``."""
 
     def __init__(self, g: FSLP, b: DBUTA):
         self.g = g
@@ -59,7 +60,6 @@ class ProductIndex:
         self.succ_a: dict[int, list[tuple[int, int]]] = {}
         self.eff_l: list[Optional[tuple]] = []
         self.eff_r: list[Optional[tuple]] = []
-        self.raw_edges: dict[int, list[tuple[str, int]]] = {}  # pid -> [(side, child pid)]
         self.norm = Normalizer(PRE_CATEGORY)
         self.work = 0  # state-pair iterations, for maintenance-cost checks
         self._built = 0
@@ -113,22 +113,22 @@ class ProductIndex:
             self.eff_l.append(eff_l)
             self.eff_r.append(eff_r)
             obj = self.stats.tau[i]
+            pair_id = self.pair_id
             for q in act:  # leaves have no edges: ledges and redges stay empty
                 pid = self._pid(i, q)
-                raw = [("l", self.pair_id[(l, q1)]) for q1 in sorted(ledges.get(q, ()))]
-                raw += [("r", self.pair_id[(r, q2)]) for q2 in sorted(redges.get(q, ()))]
-                self.raw_edges[pid] = raw
-                self.work += 1 + len(raw)
-                edges = [(eff_l if side == "l" else eff_r, child) for side, child in raw]
+                edges = [(eff_l, pair_id[(l, q1)]) for q1 in sorted(ledges.get(q, ()))]
+                edges += [(eff_r, pair_id[(r, q2)]) for q2 in sorted(redges.get(q, ()))]
+                self.work += 1 + len(edges)
                 self.norm.add_original(pid, obj, edges, q in succ)
         self._built = upto
 
     def _pid(self, node: int, q: int) -> int:
-        pid = self.pair_id.get((node, q))
+        key = (node, q)  # one tuple serves both directions
+        pid = self.pair_id.get(key)
         if pid is None:
             pid = len(self.pairs)
-            self.pair_id[(node, q)] = pid
-            self.pairs.append((node, q))
+            self.pair_id[key] = pid
+            self.pairs.append(key)
         return pid
 
 
@@ -351,114 +351,3 @@ class AnswerStream:
             if item is None:
                 return
             yield item
-
-
-# ---------------------------------------------------------------------------
-# tree-level reference implementation on an explicit expression
-# ---------------------------------------------------------------------------
-
-class _TreeEnum:
-    """Witness-tree enumeration directly on an expression tree.
-
-    Self-contained second oracle: configuration sets, the per-position
-    product forest, and reachability lists are recomputed here on the
-    explicit tree, without the DAG machinery above.
-    """
-
-    def __init__(self, e: Expr, b: DBUTA):
-        flat = _Flat(e)
-        self.flat = flat
-        self.b = b
-        n = len(flat)
-        act: list[tuple[int, ...]] = [()] * n
-        use: list[tuple[int, ...]] = [()] * n
-        emp: list[tuple[int, ...]] = [()] * n
-        for pos in range(n - 1, -1, -1):
-            if flat.kind[pos] == "leaf":
-                qa = b.delta0(flat.label[pos], flat.ctx[pos], 1)
-                qe = b.delta0(flat.label[pos], flat.ctx[pos], 0)
-                act[pos], use[pos], emp[pos] = (qa,), (qa,), (qe,)
-            else:
-                l, r = flat.left[pos], flat.right[pos]
-                op = flat.kind[pos]
-                e_s = {b.delta2(x, y, op) for x in emp[l] for y in emp[r]}
-                u_s = {b.delta2(x, y, op) for x in act[l] for y in act[r]}
-                a_s = set(u_s)
-                a_s.update(b.delta2(x, y, op) for x in act[l] for y in emp[r])
-                a_s.update(b.delta2(x, y, op) for x in emp[l] for y in act[r])
-                act[pos] = tuple(sorted(a_s))
-                use[pos] = tuple(sorted(u_s))
-                emp[pos] = tuple(sorted(e_s))
-        self.act, self.use, self.emp = act, use, emp
-        self.use_sets = [frozenset(u) for u in use]
-        # product forest edges per active configuration
-        self.adj: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        self.succ_a: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        for pos in range(n):
-            if flat.kind[pos] == "leaf":
-                continue
-            l, r = flat.left[pos], flat.right[pos]
-            op = flat.kind[pos]
-            for q1 in act[l]:
-                for q2 in act[r]:
-                    self.succ_a.setdefault((pos, b.delta2(q1, q2, op)), []).append((q1, q2))
-            for p in act[pos]:
-                edges = []
-                for q1 in act[l]:
-                    if any(b.delta2(q1, qe, op) == p for qe in emp[r]):
-                        edges.append((l, q1))
-                for q2 in act[r]:
-                    if any(b.delta2(qe, q2, op) == p for qe in emp[l]):
-                        edges.append((r, q2))
-                self.adj[(pos, p)] = edges
-        self._succ_u: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        self.leaf_no = {pos: i for i, pos in enumerate(flat.leaves)}
-
-    def succ_u(self, conf: tuple[int, int]) -> list[tuple[int, int]]:
-        out = self._succ_u.get(conf)
-        if out is None:
-            out = []
-            seen = set()
-            stack = [conf]
-            while stack:
-                c = stack.pop()
-                if c in seen:
-                    continue
-                seen.add(c)
-                if c[1] in self.use_sets[c[0]]:
-                    out.append(c)
-                stack.extend(reversed(self.adj.get(c, ())))
-            self._succ_u[conf] = out
-        return out
-
-    def answers(self, root_states: list[int]) -> Iterator[frozenset]:
-        """All answer leaf-index sets, one witness tree at a time."""
-        for q in root_states:
-            yield from self._answers_from((0, q))
-
-    def _answers_from(self, conf: tuple[int, int]) -> Iterator[frozenset]:
-        # recursive witness construction; oracle sizes are small
-        pos, q = conf
-        if self.flat.kind[pos] == "leaf":
-            yield frozenset((self.leaf_no[pos],))
-            return
-        for upos, uq in self.succ_u(conf):
-            if self.flat.kind[upos] == "leaf":
-                yield frozenset((self.leaf_no[upos],))
-                continue
-            l, r = self.flat.left[upos], self.flat.right[upos]
-            for q1, q2 in self.succ_a[(upos, uq)]:
-                for s1 in self._answers_from((l, q1)):
-                    for s2 in self._answers_from((r, q2)):
-                        yield s1 | s2
-
-
-def enumerate_select_uncompressed(e: Expr, b: DBUTA) -> Iterator[frozenset]:
-    """Reference answer stream on the explicit tree; emits preorder-number sets."""
-    po = leaf_preorders(e)
-    te = _TreeEnum(e, b)
-    if any(b.is_final(q) for q in te.emp[0]):
-        yield frozenset()
-    finals = [q for q in te.act[0] if b.is_final(q)]
-    for leaf_set in te.answers(finals):
-        yield frozenset(po[i] for i in leaf_set)

@@ -1,8 +1,9 @@
 """Brute-force reference implementations, used as correctness anchors.
 
-Everything here enumerates exhaustively and is budget-guarded; none of it
-shares configuration/product code with the main engine, so agreement in
-tests is evidence rather than tautology.
+The subset and path oracles enumerate exhaustively and are budget-guarded;
+the tree-level witness enumeration and the leaf preorder numbering work on
+an explicit expression.  None of it shares configuration/product code with
+the main engine, so agreement in tests is evidence rather than tautology.
 """
 
 from __future__ import annotations
@@ -10,10 +11,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Iterator
 
 from .automata import DBUTA, NSTA, dbuta_run, nsta_accepts
 from .dagenum import DecoratedDAG
-from .forest import Expr, Forest, _Flat
+from .forest import HC, Expr, Forest, _Flat, _types
 
 
 @dataclass(frozen=True)
@@ -93,3 +95,177 @@ def brute_dbuta_select(b: DBUTA, e: Expr, budget: OracleBudget = DEFAULT_BUDGET)
             if b.is_final(dbuta_run(b, e, sel)):
                 out.add(frozenset(sel))
     return out
+
+
+def leaf_preorders(e: Expr) -> list[int]:
+    """Preorder number in ``eval_expr(e)`` of each expression leaf, in leaf order.
+
+    Computed arithmetically from leaf sizes / left sizes, walking the
+    expression top-down; this never materializes the forest.
+    """
+    flat = _Flat(e)
+    tau = _types(flat)
+    if tau is None:
+        raise ValueError("invalid expression")
+    if tau[0] != 0:
+        raise ValueError("expression has type 1 (a context); no preorder numbering")
+    n = len(flat)
+    s = [0] * n
+    ell = [0] * n
+    for pos in range(n - 1, -1, -1):
+        if flat.kind[pos] == "leaf":
+            s[pos] = 1
+            if flat.ctx[pos]:
+                ell[pos] = 1
+        else:
+            l, r = flat.left[pos], flat.right[pos]
+            s[pos] = s[l] + s[r]
+            if flat.kind[pos] == HC:
+                if tau[l] == 0 and tau[r] == 1:
+                    ell[pos] = s[l] + ell[r]
+                elif tau[l] == 1 and tau[r] == 0:
+                    ell[pos] = ell[l]
+            else:  # VC
+                if tau[l] == 1 and tau[r] == 1:
+                    ell[pos] = ell[l] + ell[r]
+    # top-down preorder data: a number for type-0 positions, a pair for type-1
+    pod: list[object] = [None] * n
+    pod[0] = 0
+    out: dict[int, int] = {}
+    for pos in range(n):
+        k = flat.kind[pos]
+        if k == "leaf":
+            p = pod[pos]
+            out[pos] = p[0] if tau[pos] == 1 else p  # type: ignore[index]
+            continue
+        l, r = flat.left[pos], flat.right[pos]
+        if k == HC:
+            if tau[l] == 0 and tau[r] == 0:
+                x = pod[pos]
+                pod[l] = x
+                pod[r] = x + s[l]  # type: ignore[operator]
+            elif tau[l] == 0:
+                x, y = pod[pos]  # type: ignore[misc]
+                pod[l] = x
+                pod[r] = (x + s[l], y)
+            else:
+                x, y = pod[pos]  # type: ignore[misc]
+                pod[l] = (x, y)
+                pod[r] = x + s[l] + y
+        else:  # VC
+            if tau[r] == 0:
+                x = pod[pos]
+                pod[l] = (x, s[r])
+                pod[r] = x + ell[l]  # type: ignore[operator]
+            else:
+                x, y = pod[pos]  # type: ignore[misc]
+                pod[l] = (x, y + s[r])
+                pod[r] = (x + ell[l], y)
+    return [out[p] for p in flat.leaves]
+
+
+class _TreeEnum:
+    """Witness-tree enumeration directly on an expression tree.
+
+    Self-contained second oracle: configuration sets, the per-position
+    product forest, and reachability lists are recomputed here on the
+    explicit tree, without the engine's DAG machinery.
+    """
+
+    def __init__(self, e: Expr, b: DBUTA):
+        flat = _Flat(e)
+        self.flat = flat
+        self.b = b
+        n = len(flat)
+        act: list[tuple[int, ...]] = [()] * n
+        use: list[tuple[int, ...]] = [()] * n
+        emp: list[tuple[int, ...]] = [()] * n
+        for pos in range(n - 1, -1, -1):
+            if flat.kind[pos] == "leaf":
+                qa = b.delta0(flat.label[pos], flat.ctx[pos], 1)
+                qe = b.delta0(flat.label[pos], flat.ctx[pos], 0)
+                act[pos], use[pos], emp[pos] = (qa,), (qa,), (qe,)
+            else:
+                l, r = flat.left[pos], flat.right[pos]
+                op = flat.kind[pos]
+                e_s = {b.delta2(x, y, op) for x in emp[l] for y in emp[r]}
+                u_s = {b.delta2(x, y, op) for x in act[l] for y in act[r]}
+                a_s = set(u_s)
+                a_s.update(b.delta2(x, y, op) for x in act[l] for y in emp[r])
+                a_s.update(b.delta2(x, y, op) for x in emp[l] for y in act[r])
+                act[pos] = tuple(sorted(a_s))
+                use[pos] = tuple(sorted(u_s))
+                emp[pos] = tuple(sorted(e_s))
+        self.act, self.use, self.emp = act, use, emp
+        self.use_sets = [frozenset(u) for u in use]
+        # product forest edges per active configuration
+        self.adj: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        self.succ_a: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        for pos in range(n):
+            if flat.kind[pos] == "leaf":
+                continue
+            l, r = flat.left[pos], flat.right[pos]
+            op = flat.kind[pos]
+            for q1 in act[l]:
+                for q2 in act[r]:
+                    self.succ_a.setdefault((pos, b.delta2(q1, q2, op)), []).append((q1, q2))
+            for p in act[pos]:
+                edges = []
+                for q1 in act[l]:
+                    if any(b.delta2(q1, qe, op) == p for qe in emp[r]):
+                        edges.append((l, q1))
+                for q2 in act[r]:
+                    if any(b.delta2(qe, q2, op) == p for qe in emp[l]):
+                        edges.append((r, q2))
+                self.adj[(pos, p)] = edges
+        self._succ_u: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        self.leaf_no = {pos: i for i, pos in enumerate(flat.leaves)}
+
+    def succ_u(self, conf: tuple[int, int]) -> list[tuple[int, int]]:
+        out = self._succ_u.get(conf)
+        if out is None:
+            out = []
+            seen = set()
+            stack = [conf]
+            while stack:
+                c = stack.pop()
+                if c in seen:
+                    continue
+                seen.add(c)
+                if c[1] in self.use_sets[c[0]]:
+                    out.append(c)
+                stack.extend(reversed(self.adj.get(c, ())))
+            self._succ_u[conf] = out
+        return out
+
+    def answers(self, root_states: list[int]) -> Iterator[frozenset]:
+        """All answer leaf-index sets, one witness tree at a time."""
+        for q in root_states:
+            yield from self._answers_from((0, q))
+
+    def _answers_from(self, conf: tuple[int, int]) -> Iterator[frozenset]:
+        # recursive witness construction; oracle sizes are small
+        pos, q = conf
+        if self.flat.kind[pos] == "leaf":
+            yield frozenset((self.leaf_no[pos],))
+            return
+        for upos, uq in self.succ_u(conf):
+            if self.flat.kind[upos] == "leaf":
+                yield frozenset((self.leaf_no[upos],))
+                continue
+            l, r = self.flat.left[upos], self.flat.right[upos]
+            for q1, q2 in self.succ_a[(upos, uq)]:
+                for s1 in self._answers_from((l, q1)):
+                    for s2 in self._answers_from((r, q2)):
+                        yield s1 | s2
+
+
+def enumerate_select_uncompressed(e: Expr, b: DBUTA) -> Iterator[frozenset]:
+    """Reference answer stream on the explicit tree; emits preorder-number sets."""
+    po = leaf_preorders(e)
+    te = _TreeEnum(e, b)
+    if any(b.is_final(q) for q in te.emp[0]):
+        yield frozenset()
+    finals = [q for q in te.act[0] if b.is_final(q)]
+    for leaf_set in te.answers(finals):
+        yield frozenset(po[i] for i in leaf_set)

@@ -16,7 +16,7 @@ from typing import Iterable, Union
 
 from .automata import DBUTA, NSTA, nsta_to_dbuta
 from .dagenum import NODE, PRUNED, SHORTCUT
-from .fslp import FSLP, VertexStats, node_type, preorder_to_path
+from .fslp import FSLP, VertexStats, node_type, relabel_defs
 from .msoenum import AnswerStream, ConfSets, ProductIndex
 
 
@@ -57,13 +57,10 @@ class EnumDataStructure:
         artifacts; the form maps everything back to state values and
         (node, state) pairs.
         """
-        b = self.dbuta
         g = self.fslp
         norm = self.product.norm
         pairs = self.product.pairs
-
-        def sval(q: int):
-            return b.value(q)
+        sval = self.dbuta.value
 
         conf_part = tuple(
             (
@@ -105,17 +102,18 @@ class EnumDataStructure:
             elif disp[0] == SHORTCUT:
                 prod_part.append((pairval(pid), SHORTCUT, normval(disp[1]), disp[2]))
             else:
-                nid = disp[1]
-                edges = tuple((m, normval(child)) for m, child in norm.resolved[pid])
-                prod_part.append(
-                    (
-                        pairval(pid),
-                        NODE,
-                        edges,
-                        pairval(norm.leaf_orig[norm.omega[nid]]),
-                        norm.gam[nid],
-                    )
-                )
+                # the resolved edges, read off the right spine below the head
+                nid = v = disp[1]
+                edges = []
+                while not norm.is_leaf(v):
+                    edges.append((norm.lm[v], normval(norm.left[v])))
+                    r = norm.right[v]
+                    if norm.is_leaf(r) or r in owner:
+                        edges.append((norm.rm[v], normval(r)))
+                        break
+                    v = r
+                omega = pairval(norm.leaf_orig[norm.omega[nid]])
+                prod_part.append((pairval(pid), NODE, tuple(edges), omega, norm.gam[nid]))
         return (conf_part, succ_part, eff_part, tuple(prod_part))
 
 
@@ -166,26 +164,8 @@ def relabel(
     derives the relabelled forest; the original node still derives the old
     one.  Adds at most height(node)+1 nodes and height never grows.
     """
-    g = eds.fslp
-    stats = eds.product.stats
-    path = preorder_to_path(g, stats, node, preorder)
-    chain = [node]
-    for side in path:
-        cur = chain[-1]
-        chain.append(g.lefts[cur] if side == "l" else g.rights[cur])
-    old_leaf = chain[-1]
-    defs: list[NodeDef] = [(g.kinds[old_leaf], label)]
-    # bottom-up copies of the path, one child swapped for the fresh copy
-    for depth in range(len(path) - 1, -1, -1):
-        cur = chain[depth]
-        side = path[depth]
-        # the previous def (last appended) becomes this copy's child
-        swapped = len(eds.fslp) + len(defs) - 1
-        if side == "l":
-            defs.append((g.kinds[cur], swapped, g.rights[cur]))
-        else:
-            defs.append((g.kinds[cur], g.lefts[cur], swapped))
-    eds, new_ids = extend(eds, defs)
+    stats = eds.stats
+    eds, new_ids = extend(eds, relabel_defs(eds.fslp, stats, node, preorder, label))
     new_root = new_ids[-1]
     assert len(new_ids) <= stats.height[node] + 1
     assert stats.height[new_root] <= stats.height[node]

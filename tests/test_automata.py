@@ -5,6 +5,7 @@ import pytest
 from fslpenum import (
     NSTA,
     build_btau,
+    build_enum_structure,
     compress_forest,
     dbuta_accepts,
     dbuta_run,
@@ -253,6 +254,33 @@ class TestMultivar:
         g = compress_forest(parse_term("a"))
         with pytest.raises(ValueError):
             multivar_reduce(g, 1)
+
+    def test_pair_queries_end_to_end(self, rng):
+        # enumerate over the reduced f-SLP, decode, and compare with a
+        # brute-force oracle over all pairs of vertex sets of the original
+        def pair_oracle(f, accepts):
+            subsets = [
+                frozenset(c) for size in range(len(f) + 1) for c in combinations(range(len(f)), size)
+            ]
+            return {(s0, s1) for s0 in subsets for s1 in subsets if accepts(s0, s1)}
+
+        for _ in range(25):
+            f = random_forest(rng, 5)
+            g = compress_forest(f)
+            red = multivar_reduce(g, 2)
+            tagged = red.fslp.alphabet()
+            a_s = frozenset(v for v in range(len(f)) if f.labels[v] == "a")
+            b_s = frozenset(v for v in range(len(f)) if f.labels[v] == "b")
+            cases = [
+                (exactly_one_nsta(tagged), lambda s0, s1: len(s0) + len(s1) == 1),
+                # variable 0 on the a-vertices, variable 1 on the b-vertices
+                (select_labels_nsta({"a~1", "b~2"}, tagged), lambda s0, s1: (s0, s1) == (a_s, b_s)),
+            ]
+            for query, accepts in cases:
+                eds = build_enum_structure(red.fslp, query)
+                got = [red.decode(ans) for ans in eds.enumerate(red.node_map[g.root])]
+                assert len(got) == len(set(got)), "duplicate pair emitted"
+                assert set(got) == pair_oracle(f, accepts)
 
 
 def _transform_forest(f, k):

@@ -49,6 +49,14 @@ class TestCompressDecompress:
         code, _, err = run(capsys, "compress", bad)
         assert code == 1 and "parse error" in err
 
+    @pytest.mark.parametrize("term", ["'a b'(c)", "a'x#y'"])
+    def test_unwritable_label_exits_1(self, workdir, capsys, term):
+        src, out = workdir / "label.term", workdir / "label.fslp"
+        src.write_text(term)
+        code, text, err = run(capsys, "compress", src, "-o", out)
+        assert code == 1 and text == "" and not out.exists()
+        assert err.startswith("error: node ") and "cannot be written" in err
+
     def test_budget_exceeded(self, workdir, capsys):
         code, _, err = run(capsys, "decompress", workdir / "shared.fslp", "--budget", "3")
         assert code == 1 and "budget" in err.lower()
@@ -182,6 +190,17 @@ class TestRelabel:
             "relabel", workdir / "shared.fslp", "--preorder", "99", "--symbol", "d",
         )
         assert code == 1 and "[0, 16)" in err
+
+    @pytest.mark.parametrize("gc", [[], ["--gc"]])
+    def test_unwritable_symbol_exits_1(self, workdir, capsys, gc):
+        out = workdir / "relabelled.fslp"
+        code, text, err = run(
+            capsys,
+            "relabel", workdir / "shared.fslp",
+            "--preorder", "3", "--symbol", "c d", "-o", out, *gc,
+        )
+        assert code == 1 and text == "" and not out.exists()
+        assert "label 'c d' cannot be written" in err
 
     def test_gc_drops_stale_nodes(self, workdir, capsys):
         out = workdir / "gc.fslp"

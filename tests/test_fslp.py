@@ -22,6 +22,7 @@ from fslpenum import (
     parse_term,
     path_preorder,
     preorder_to_path,
+    relabel_defs,
     row_fslp,
     serialize_term,
     unfold,
@@ -227,6 +228,32 @@ class TestPathNavigation:
                 assert eff.d.bit_length() <= limit
 
 
+class TestRelabelDefs:
+    def test_appended_copy_derives_the_relabelled_forest(self, rng):
+        for _ in range(30):
+            f = random_forest(rng, 30)
+            g = compress_forest(f)
+            st = compute_stats(g)
+            root, k = g.root, rng.randrange(len(f))
+            defs = relabel_defs(g, st, root, k, "c")
+            assert len(defs) <= st.height[root] + 1
+            for d in defs:
+                new_root = g.add_node(d)
+            assert evaluate(g, new_root) == f.relabel(k, "c")
+            assert evaluate(g, root) == f  # the old root is untouched
+
+    def test_rejects_what_the_path_copy_cannot_use(self):
+        g = shared_subtree_fslp()
+        st = compute_stats(g)
+        with pytest.raises(ValueError, match="non-empty string label"):
+            relabel_defs(g, st, g.root, 3, "")
+        with pytest.raises(ValueError, match="out of range"):
+            relabel_defs(g, st, g.root, 16, "c")
+        with pytest.raises(ValueError, match="type 0"):
+            relabel_defs(g, st, 7, 0, "c")  # node 7 is a context
+        assert len(g) == 9  # nothing was appended
+
+
 class TestUnfoldEvaluate:
     def test_shared_fixture_unfolds_to_16_vertices(self):
         g = shared_subtree_fslp()
@@ -360,6 +387,22 @@ class TestTextFormat:
     def test_errors(self, text):
         with pytest.raises((ValueError, InvalidFSLP)):
             fslp_mod.loads(text)
+
+    @pytest.mark.parametrize("label", ["", "a b", "x#y", "a\tb", "a\nb", None])
+    def test_dumps_rejects_labels_loads_cannot_read(self, label):
+        g = FSLP()
+        g.add_leaf("a")
+        g.add_leafctx(label)
+        with pytest.raises(ValueError, match="node 1: label"):
+            fslp_mod.dumps(g)
+
+    def test_multi_character_labels_round_trip(self):
+        g = FSLP()
+        g.add_leafctx("foo~1")
+        g.add_leaf("b'c")
+        g.root = g.add_vc(0, 1)
+        g2 = fslp_mod.loads(fslp_mod.dumps(g))
+        assert g2.labels == ["foo~1", "b'c", None] and g2.root == 2
 
     def test_gc_drops_unreachable(self):
         g = shared_subtree_fslp()

@@ -22,6 +22,7 @@ from fslpenum import (
     unfold,
     vc,
 )
+from fslpenum.dagenum import NODE
 from fslpenum.fixtures import (
     accept_all_nsta,
     at_least_one_nsta,
@@ -30,8 +31,7 @@ from fslpenum.fixtures import (
     reject_all_nsta,
     select_labels_nsta,
 )
-from fslpenum.msoenum import _TreeEnum
-from fslpenum.oracle import brute_dbuta_select, brute_select
+from fslpenum.oracle import _TreeEnum, brute_dbuta_select, brute_select
 
 from conftest import random_expr, random_forest, random_nsta
 
@@ -128,10 +128,14 @@ class TestProduct:
         g = FSLP()
         g.add_leaf("a")
         idx = build(g, exactly_one_nsta("a"))
-        assert all(not edges for edges in idx.raw_edges.values())
+        # no edges: every pair is a normalized leaf of its own
+        for pid in range(len(idx.pairs)):
+            disp = idx.norm.source[pid]
+            assert disp[0] == NODE and idx.norm.is_leaf(disp[1])
 
     def test_edges_match_tree_level_product(self, rng):
-        # every occurrence of a DAG node carries exactly the tree-level edges
+        # every occurrence of a DAG node reaches exactly the useful pairs
+        # that the tree-level edges reach
         for _ in range(40):
             a = random_nsta(rng, rng.randint(1, 3))
             g = compress_forest(random_forest(rng, 8))
@@ -145,14 +149,9 @@ class TestProduct:
                 if flat.kind[pos] == "leaf":
                     continue
                 for p in te.act[pos]:
-                    want = sorted(
-                        ("l" if cpos == flat.left[pos] else "r", q)
-                        for (cpos, q) in te.adj.get((pos, p), ())
-                    )
-                    got = sorted(
-                        (side, idx.pairs[cpid][1])
-                        for side, cpid in idx.raw_edges[idx.pair_id[(node, p)]]
-                    )
+                    want = {(pos_node[upos], q) for upos, q in te.succ_u((pos, p))}
+                    sess = PathSession(idx.norm, idx.pair_id[(node, p)])
+                    got = {idx.pairs[pid] for pid, _ in sess}
                     assert got == want, (pos, node, p)
 
     def test_succ_tuples_match_pair_scan(self, rng):
