@@ -119,8 +119,9 @@ def cmd_enumerate(args) -> int:
     emitted = 0
     if args.format == "json":
         sys.stdout.write("[")
-    for i, ans in enumerate(stream):
-        if args.limit is not None and emitted >= args.limit:
+    while args.limit is None or emitted < args.limit:
+        ans = stream.next()  # the limit is checked first: no answer is drawn past it
+        if ans is None:
             break
         row = sorted(ans)
         if args.format == "lines":

@@ -154,6 +154,24 @@ class Normalizer:
         self.source[orig] = disp
         return disp
 
+    def only_pair(self, source) -> Optional[tuple]:
+        """The one ⟨target, morphism⟩ pair of ``source``, or None unless it
+        has exactly one path.
+
+        A single path means the normalized vertex is a leaf (reached directly
+        or through a shortcut), and the pair equals the first
+        ``PathSession.next`` from ``source``.  That call composes the
+        shortcut's morphism (or the identity) with the leaf's ``gam``, which
+        is the identity, so the composite is the morphism itself.
+        """
+        disp = self.source.get(source)
+        if disp is None:
+            raise ValueError(f"unknown vertex {source!r}")
+        if disp[0] == PRUNED or self.left[disp[1]] >= 0:
+            return None
+        v = disp[1]
+        return (self.leaf_orig[v], disp[2] if disp[0] == SHORTCUT else self.gam[v])
+
     def _spine(self, obj, live: list[tuple]) -> int:
         """Binarize >=2 edges into a right spine of identity edges."""
         ident = self.category.identity(obj)

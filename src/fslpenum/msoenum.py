@@ -11,10 +11,12 @@ product DAG goes straight into the path-enumeration normalizer with the
 useful configurations as targets, and is stored only in normalized form.
 
 Enumeration then walks witness trees: unary nodes draw (useful config,
-composed effect) pairs from frozen path sessions, binary nodes step
-through the ordered successor tuples, and each emitted answer is the set
-of preorder numbers read off the root-to-leaf composed effects.  Answers
-come out duplicate-free with delay linear in the answer size.
+composed effect) pairs from frozen path sessions, or take their only pair
+straight from the normalizer when the product has a single path from
+them; binary nodes step through the ordered successor tuples, and each
+emitted answer is the set of preorder numbers read off the root-to-leaf
+composed effects.  Answers come out duplicate-free with delay linear in
+the answer size.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ class ProductIndex:
         self.stats = compute_stats(g)
         self.pair_id: dict[tuple[int, int], int] = {}
         self.pairs: list[tuple[int, int]] = []
-        self.succ_a: dict[int, list[tuple[int, int]]] = {}
+        self.succ_a: dict[int, tuple[tuple[int, int], ...]] = {}
         self.eff_l: list[Optional[tuple]] = []
         self.eff_r: list[Optional[tuple]] = []
         self.norm = Normalizer(PRE_CATEGORY)
@@ -106,7 +108,7 @@ class ProductIndex:
                 eff_r = edge_effect(g, self.stats, i, "r").as_tuple()
                 self.work += (len(al) + len(el)) * (len(ar) + len(er))
                 for q, tuples in succ.items():  # useful states take the first pids, in loop order
-                    self.succ_a[self._pid(i, q)] = tuples
+                    self.succ_a[self._pid(i, q)] = tuple(tuples)
             conf.active.append(act)
             conf.useful.append(tuple(sorted(succ)))
             conf.empty.append(emp)
@@ -145,8 +147,10 @@ class _WNode:
     Its cumulative effect from the stream's type-0 root is x -> x + c, or
     x -> (x + c, d) below a context, so two ints hold it: composed with an
     edge or path effect (eps, c_e, kappa, d_e) it becomes
-    (c + eps*d + c_e, kappa*d + d_e).  A unary node keeps its path session
-    and the session's next pair in ``buf``, for the maximality test.
+    (c + eps*d + c_e, kappa*d + d_e).  A unary node keeps its next pair in
+    ``buf``, for the maximality test, and the path session it draws from;
+    a node with a single path takes its only pair at the start and keeps
+    no session.
     """
 
     __slots__ = (
@@ -165,7 +169,7 @@ class _WNode:
         self.right: Optional[_WNode] = None
         self.session: Optional[PathSession] = None
         self.buf: Optional[tuple] = None
-        self.succ: Optional[list] = None
+        self.succ: Optional[tuple] = None
         self.succ_idx = 0
         self.maximal = True
         self.pos = 0
@@ -176,7 +180,9 @@ class AnswerStream:
 
     ``next`` returns the next answer as a list of preorder numbers (in
     witness order, not sorted) or None after the end.  ``last_steps``
-    counts the instrumented work of the most recent call.
+    counts the instrumented work of the most recent call.  A unary witness
+    node opens a path session only when its pair has more than one path;
+    otherwise it takes the only pair, counted as the session's one step.
     """
 
     def __init__(self, idx: ProductIndex, node: int, record_steps: bool = False):
@@ -206,9 +212,14 @@ class AnswerStream:
         if idx.g.lefts[node] is None:
             return _WNode(_LEAF, node, state, c, d)
         w = _WNode(_UNARY, node, state, c, d)
-        session = w.session = PathSession(idx.norm, idx.pair_id[(node, state)])
-        w.buf = session.next()
-        self.last_steps += session.last_steps
+        pid = idx.pair_id[(node, state)]
+        w.buf = idx.norm.only_pair(pid)
+        if w.buf is None:
+            session = w.session = PathSession(idx.norm, pid)
+            w.buf = session.next()
+            self.last_steps += session.last_steps
+        else:
+            self.last_steps += 1  # the one loop iteration a session would take
         return w
 
     def _draw_unary(self, w: _WNode) -> None:
@@ -216,9 +227,13 @@ class AnswerStream:
         start its child at that useful configuration."""
         pid, (eps, ce, kappa, de) = w.buf
         session = w.session
-        w.buf = session.next()
+        if session is None:  # the only pair was taken at the start
+            w.buf = None
+            self.last_steps += 1
+        else:
+            w.buf = session.next()
+            self.last_steps += session.last_steps + 1
         w.maximal = w.buf is None
-        self.last_steps += session.last_steps + 1
         idx = self.idx
         node, state = idx.pairs[pid]
         c, d = w.c + eps * w.d + ce, kappa * w.d + de

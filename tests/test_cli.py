@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from fslpenum import automata, fslp
+from fslpenum import AnswerStream, automata, fslp
 from fslpenum.cli import main
 from fslpenum.fixtures import exactly_one_nsta, select_labels_nsta, shared_subtree_fslp
 
@@ -127,6 +127,22 @@ class TestEnumerate:
         lines = text.splitlines()
         assert len(lines) == 4 and lines[-1] == "EOE"
         assert sum(1 for l in err.splitlines() if l.startswith("answer ")) == 3
+
+    @pytest.mark.parametrize("limit", [0, 3])
+    def test_limit_draws_no_answer_past_it(self, workdir, capsys, monkeypatch, limit):
+        drawn = []
+        real_next = AnswerStream.next
+
+        def counting_next(stream):
+            drawn.append(1)
+            return real_next(stream)
+
+        monkeypatch.setattr(AnswerStream, "next", counting_next)
+        out = workdir / "fig1.fslp"
+        run(capsys, "compress", workdir / "fig1.term", "-o", out)
+        code, text, _ = run(capsys, "enumerate", out, workdir / "one.nsta", "--limit", limit)
+        assert code == 0 and len(text.splitlines()) == limit + 1
+        assert len(drawn) == limit
 
     def test_empty_set_printed_as_dash(self, workdir, capsys):
         only_empty = workdir / "empty.nsta"

@@ -135,6 +135,8 @@ class TestSessions:
         idx = preprocess(d)
         with pytest.raises(ValueError):
             PathSession(idx, 99)
+        with pytest.raises(ValueError):
+            idx.only_pair(99)
 
     def test_multisets_match_oracle(self, rng):
         for _ in range(150):
@@ -142,6 +144,15 @@ class TestSessions:
             idx = preprocess(d)
             for s in range(len(d)):
                 assert session_multiset(idx, s) == brute_paths(d, s)
+
+    def test_only_pair_is_the_single_session_pair(self, rng):
+        # pruned sources (no path), shortcuts and spines over random DAGs
+        for _ in range(150):
+            d = random_weighted_dag(rng, 13)
+            idx = preprocess(d)
+            for s in range(len(d)):
+                want = list(PathSession(idx, s))
+                assert idx.only_pair(s) == (want[0] if len(want) == 1 else None)
 
     def test_persistence_across_interleaved_sessions(self, rng):
         d = sample_weighted_dag()

@@ -1,8 +1,11 @@
+import random
+
 import pytest
 
 from fslpenum import (
     FSLP,
     AnswerStream,
+    Normalizer,
     PathSession,
     ProductIndex,
     build_conf_sets,
@@ -22,12 +25,14 @@ from fslpenum import (
     unfold,
     vc,
 )
+from fslpenum import msoenum
 from fslpenum.dagenum import NODE
 from fslpenum.fixtures import (
     accept_all_nsta,
     at_least_one_nsta,
     exactly_one_nsta,
     only_empty_nsta,
+    random_term,
     reject_all_nsta,
     select_labels_nsta,
 )
@@ -172,7 +177,77 @@ class TestProduct:
                         want.setdefault(b.delta2(q1, q2, op), []).append((q1, q2))
                 for q, tuples in want.items():
                     pid = idx.pair_id[(i, q)]
-                    assert idx.succ_a[pid] == tuples
+                    assert idx.succ_a[pid] == tuple(tuples)
+
+
+class TestSinglePath:
+    def test_only_pair_is_the_single_session_pair(self, rng):
+        single = several = 0
+        for _ in range(40):
+            a = random_nsta(rng, rng.randint(1, 3))
+            g = compress_forest(random_forest(rng, 10))
+            idx = build(g, a)
+            for pid in range(len(idx.pairs)):
+                want = list(PathSession(idx.norm, pid))
+                got = idx.norm.only_pair(pid)
+                if len(want) == 1:
+                    assert got == want[0], pid
+                    single += 1
+                else:
+                    assert got is None, pid
+                    several += 1
+        assert single and several  # both branches were exercised
+
+    @staticmethod
+    def _count_sessions(monkeypatch):
+        opened = []
+
+        class CountingSession(PathSession):
+            __slots__ = ()
+
+            def __init__(self, norm, source):
+                opened.append(source)
+                super().__init__(norm, source)
+
+        monkeypatch.setattr(msoenum, "PathSession", CountingSession)
+        return opened
+
+    def test_select_labels_stream_opens_no_session(self, rng, monkeypatch):
+        opened = self._count_sessions(monkeypatch)
+        g = compress_forest(parse_term(random_term(rng, 300, "abc")))
+        idx = build(g, select_labels_nsta({"b"}, "abc"))
+        (answer,) = list(AnswerStream(idx, g.root))
+        assert len(answer) > 50  # a witness tree of hundreds of nodes
+        assert opened == []
+
+    def test_exactly_one_stream_still_opens_sessions(self, rng, monkeypatch):
+        opened = self._count_sessions(monkeypatch)
+        g = compress_forest(parse_term(random_term(rng, 300, "abc")))
+        idx = build(g, exactly_one_nsta("abc"))
+        assert len(list(AnswerStream(idx, g.root))) == 300
+        assert opened
+
+    def test_answers_and_steps_match_the_session_walk(self, rng, monkeypatch):
+        # the single-path branch counts what a session would (1 step at the
+        # start, 1 at the draw): switched off, every stream is unchanged
+        cases = []
+        for n in (50, 300):
+            g = compress_forest(parse_term(random_term(rng, n, "abc")))
+            cases += [(g, select_labels_nsta({"b"}, "abc")), (g, exactly_one_nsta("abc"))]
+        for _ in range(30):
+            cases.append((compress_forest(random_forest(rng, 10)), random_nsta(rng, rng.randint(1, 3))))
+        runs = []
+        for g, a in cases:
+            idx = build(g, a)
+            stream = AnswerStream(idx, g.root, record_steps=True)
+            runs.append((idx, g.root, list(stream), stream.step_log))
+        opened = self._count_sessions(monkeypatch)
+        monkeypatch.setattr(Normalizer, "only_pair", lambda self, source: None)
+        for idx, root, answers, log in runs:
+            stream = AnswerStream(idx, root, record_steps=True)
+            assert list(stream) == answers
+            assert stream.step_log == log
+        assert opened  # the streams above did go through sessions
 
 
 class TestEmptySolution:
@@ -308,6 +383,30 @@ class TestUncompressedReference:
                 frozenset(po[i] for i in s) for s in brute_dbuta_select(b, e)
             }
             assert set(enumerate_select_uncompressed(e, b)) == want
+
+
+class TestDifferentialAtScale:
+    """The engine against the explicit-tree oracle on forests of 10^2-10^3
+    vertices: one answer with a witness tree of hundreds of nodes (taken
+    without path sessions), and every singleton (drawn from a session)."""
+
+    @pytest.mark.parametrize("n", [100, 400, 1000])
+    def test_engine_matches_tree_oracle(self, n):
+        rng = random.Random(n)
+        f = parse_term(random_term(rng, n, "abc"))
+        g = compress_forest(f)
+        e = unfold(g, g.root)
+        bees = frozenset(k for k, label in enumerate(f.labels) if label == "b")
+
+        sel = build(g, select_labels_nsta({"b"}, "abc"))
+        assert [frozenset(a) for a in AnswerStream(sel, g.root)] == [bees]
+        assert list(enumerate_select_uncompressed(e, sel.b)) == [bees]
+
+        one = build(g, exactly_one_nsta("abc"))
+        got = [frozenset(a) for a in AnswerStream(one, g.root)]
+        want = list(enumerate_select_uncompressed(e, one.b))
+        assert len(got) == len(set(got)) == len(want) == n
+        assert set(got) == set(want) == {frozenset({k}) for k in range(n)}
 
 
 class TestDelayAtScale:
