@@ -104,8 +104,11 @@ class DBUTA:
 
     States are opaque hashable values interned to dense ids on first use;
     δ0 takes (label, is_context, selection bit), δ2 takes two state ids
-    and an operator (hc/vc).  Memo tables grow under a lock, so concurrent
-    evaluation is allowed; interned values (not ids) are canonical.
+    and an operator (hc/vc).  A memo hit is one unlocked dict read; a miss
+    takes the lock, looks again and fills the entry, so concurrent
+    evaluation is allowed and no value is interned twice.  An entry is
+    stored only once its state is interned, so an unlocked read sees either
+    no entry or a complete one.  Interned values (not ids) are canonical.
     """
 
     def __init__(
@@ -146,28 +149,34 @@ class DBUTA:
 
     def delta0(self, label: str, ctx: bool, bit: int) -> int:
         key = (label, ctx, bit)
-        with self._lock:
-            qid = self._memo0.get(key)
-            if qid is None:
-                qid = self.intern(self._delta0(label, ctx, bit))
-                self._memo0[key] = qid
-            return qid
+        qid = self._memo0.get(key)
+        if qid is None:
+            with self._lock:
+                qid = self._memo0.get(key)
+                if qid is None:
+                    qid = self.intern(self._delta0(label, ctx, bit))
+                    self._memo0[key] = qid
+        return qid
 
     def delta2(self, q1: int, q2: int, op: str) -> int:
         key = (q1, q2, op)
-        with self._lock:
-            qid = self._memo2.get(key)
-            if qid is None:
-                qid = self.intern(self._delta2(self._values[q1], self._values[q2], op))
-                self._memo2[key] = qid
-            return qid
+        qid = self._memo2.get(key)
+        if qid is None:
+            with self._lock:
+                qid = self._memo2.get(key)
+                if qid is None:
+                    qid = self.intern(self._delta2(self._values[q1], self._values[q2], op))
+                    self._memo2[key] = qid
+        return qid
 
     def is_final(self, qid: int) -> bool:
-        with self._lock:
-            out = self._finals.get(qid)
-            if out is None:
-                out = self._finals[qid] = bool(self._final(self._values[qid]))
-            return out
+        out = self._finals.get(qid)
+        if out is None:
+            with self._lock:
+                out = self._finals.get(qid)
+                if out is None:
+                    out = self._finals[qid] = bool(self._final(self._values[qid]))
+        return out
 
 
 def dbuta_run(b: DBUTA, e: Expr, selection: Iterable[int]) -> int:

@@ -196,6 +196,9 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.limit < 0:
+        print("--limit must be non-negative", file=sys.stderr)
+        return 1
     rng = random.Random(args.seed)
     if args.family == "fig2":
         d = fixtures.sample_weighted_dag()
@@ -214,6 +217,9 @@ def cmd_bench(args) -> int:
         return 0
     if args.family == "chain":
         # left-deep sibling row: f-SLP size grows linearly with --size
+        if args.size < 1:
+            print("--size must be at least 1 for the chain family", file=sys.stderr)
+            return 1
         g = FSLP()
         node = g.add_leaf("a")
         leaf = node
@@ -235,11 +241,11 @@ def cmd_bench(args) -> int:
     stream = eds.enumerate(g.root)
     answers = 0
     max_steps = 0
-    for _ in stream:
+    while answers < args.limit:  # checked first: no answer is drawn past the limit
+        if stream.next() is None:
+            break
         answers += 1
         max_steps = max(max_steps, stream.last_steps)
-        if answers >= args.limit:
-            break
     t2 = time.perf_counter()
     n = eds.stats.nverts[g.root]
     print(

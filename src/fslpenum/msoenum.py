@@ -11,12 +11,14 @@ product DAG goes straight into the path-enumeration normalizer with the
 useful configurations as targets, and is stored only in normalized form.
 
 Enumeration then walks witness trees: unary nodes draw (useful config,
-composed effect) pairs from frozen path sessions, or take their only pair
-straight from the normalizer when the product has a single path from
-them; binary nodes step through the ordered successor tuples, and each
-emitted answer is the set of preorder numbers read off the root-to-leaf
-composed effects.  Answers come out duplicate-free with delay linear in
-the answer size.
+composed effect) pairs from frozen path sessions; binary nodes step
+through the ordered successor tuples, which name the children's pairs by
+pid; and each emitted answer is the set of preorder numbers read off the
+root-to-leaf composed effects.  A unary node with a single path in the
+product holds no choice, so it is not built: its child takes the only
+pair straight from the normalizer and stands for it, while steps are
+still counted on the full witness tree.  Answers come out duplicate-free
+with delay linear in the answer size.
 """
 
 from __future__ import annotations
@@ -49,8 +51,10 @@ class ProductIndex:
 
     ``eff_l[i]`` / ``eff_r[i]`` hold the effects of node i's edges as
     ``(eps, c, kappa, d)`` tuples (None for leaves).  ``pairs[pid]`` is the
-    active (node, state) pair ``pid`` and ``pair_id`` its inverse; the product
-    edges between pairs are stored only in the normalizer ``norm``."""
+    active (node, state) pair ``pid`` and ``pair_id`` its inverse.
+    ``succ_a[pid]`` lists a useful pair's successor tuples in order, each as
+    the pids ``(pid_l, pid_r)`` of its left and right child's pairs; the
+    product edges between pairs are stored only in the normalizer ``norm``."""
 
     def __init__(self, g: FSLP, b: DBUTA):
         self.g = g
@@ -75,7 +79,7 @@ class ProductIndex:
         mirrored) the remaining active states and the product edges, and
         empty x empty the empty states.
         """
-        g, b, conf = self.g, self.b, self.conf
+        g, b, conf, pair_id = self.g, self.b, self.conf, self.pair_id
         self.stats.extend_for(g)
         for i in range(self._built, upto):
             ledges: dict[int, set[int]] = {}
@@ -90,10 +94,12 @@ class ProductIndex:
                 l, r = g.lefts[i], g.rights[i]
                 op = g.kinds[i]
                 al, el, ar, er = conf.active[l], conf.empty[l], conf.active[r], conf.empty[r]
+                pr = [pair_id[(r, q2)] for q2 in ar]
                 succ = {}
                 for q1 in al:
-                    for q2 in ar:
-                        succ.setdefault(b.delta2(q1, q2, op), []).append((q1, q2))
+                    p1 = pair_id[(l, q1)]
+                    for q2, p2 in zip(ar, pr):
+                        succ.setdefault(b.delta2(q1, q2, op), []).append((p1, p2))
                     for qe in er:
                         ledges.setdefault(b.delta2(q1, qe, op), set()).add(q1)
                 emp_s = set()
@@ -115,7 +121,6 @@ class ProductIndex:
             self.eff_l.append(eff_l)
             self.eff_r.append(eff_r)
             obj = self.stats.tau[i]
-            pair_id = self.pair_id
             for q in act:  # leaves have no edges: ledges and redges stay empty
                 pid = self._pid(i, q)
                 edges = [(eff_l, pair_id[(l, q1)]) for q1 in sorted(ledges.get(q, ()))]
@@ -142,26 +147,28 @@ _LEAF, _UNARY, _BINARY = 0, 1, 2
 
 
 class _WNode:
-    """A witness-tree node.
+    """A witness-tree node for the active or useful pair ``pid``.
 
     Its cumulative effect from the stream's type-0 root is x -> x + c, or
     x -> (x + c, d) below a context, so two ints hold it: composed with an
     edge or path effect (eps, c_e, kappa, d_e) it becomes
-    (c + eps*d + c_e, kappa*d + d_e).  A unary node keeps its next pair in
-    ``buf``, for the maximality test, and the path session it draws from;
-    a node with a single path takes its only pair at the start and keeps
-    no session.
+    (c + eps*d + c_e, kappa*d + d_e).  A unary node draws its pairs from a
+    path session and keeps the next one in ``buf``, for the maximality test.
+    A unary node with a single path is not built: its child, a leaf or a
+    binary node, takes the composed effect and sets ``folded`` to 1, for the
+    one node it stands for in the full witness tree.  ``pos`` is the node's
+    index in the preorder of that full tree.
     """
 
     __slots__ = (
-        "kind", "node", "state", "c", "d", "child", "left", "right",
-        "session", "buf", "succ", "succ_idx", "maximal", "pos",
+        "kind", "node", "pid", "c", "d", "child", "left", "right",
+        "session", "buf", "succ", "succ_idx", "maximal", "pos", "folded",
     )
 
-    def __init__(self, kind: int, node: int, state: int, c: int, d: int):
+    def __init__(self, kind: int, node: int, pid: int, c: int, d: int):
         self.kind = kind
         self.node = node
-        self.state = state
+        self.pid = pid
         self.c = c
         self.d = d
         self.child: Optional[_WNode] = None
@@ -173,6 +180,7 @@ class _WNode:
         self.succ_idx = 0
         self.maximal = True
         self.pos = 0
+        self.folded = 0
 
 
 class AnswerStream:
@@ -182,7 +190,10 @@ class AnswerStream:
     witness order, not sorted) or None after the end.  ``last_steps``
     counts the instrumented work of the most recent call.  A unary witness
     node opens a path session only when its pair has more than one path;
-    otherwise it takes the only pair, counted as the session's one step.
+    otherwise its child is built at once from the only pair and stands for
+    it.  Steps are counted on the full witness tree, as if every unary node
+    were built and drew from a session: the folded node's start, the
+    session's one loop iteration and the draw, and one walk step for it.
     """
 
     def __init__(self, idx: ProductIndex, node: int, record_steps: bool = False):
@@ -193,7 +204,7 @@ class AnswerStream:
         self.idx = idx
         self.node = node
         b = idx.b
-        self._finals = [q for q in idx.conf.active[node] if b.is_final(q)]
+        self._finals = [idx.pair_id[(node, q)] for q in idx.conf.active[node] if b.is_final(q)]
         self._emit_empty = any(b.is_final(q) for q in idx.conf.empty[node])
         self._state_pos = -1
         self._root: Optional[_WNode] = None
@@ -205,54 +216,61 @@ class AnswerStream:
 
     # -- construction -----------------------------------------------------
 
-    def _start_active(self, node: int, state: int, c: int, d: int) -> _WNode:
-        """Fresh node for an active configuration; its choice is not drawn yet."""
-        self.last_steps += 1
+    def _start_active(self, pid: int, c: int, d: int) -> _WNode:
+        """Fresh node for an active pair; its choice is not drawn yet."""
         idx = self.idx
+        node = idx.pairs[pid][0]
         if idx.g.lefts[node] is None:
-            return _WNode(_LEAF, node, state, c, d)
-        w = _WNode(_UNARY, node, state, c, d)
-        pid = idx.pair_id[(node, state)]
-        w.buf = idx.norm.only_pair(pid)
-        if w.buf is None:
+            self.last_steps += 1
+            return _WNode(_LEAF, node, pid, c, d)
+        only = idx.norm.only_pair(pid)
+        if only is None:
+            w = _WNode(_UNARY, node, pid, c, d)
             session = w.session = PathSession(idx.norm, pid)
             w.buf = session.next()
-            self.last_steps += session.last_steps
+            self.last_steps += 1 + session.last_steps
+            return w
+        # one path: the unary node's start, its session's one iteration and
+        # its one draw, folded into the child drawn
+        self.last_steps += 3
+        pid, (eps, ce, kappa, de) = only
+        node = idx.pairs[pid][0]
+        if idx.g.lefts[node] is None:
+            x = _WNode(_LEAF, node, pid, c + eps * d + ce, kappa * d + de)
         else:
-            self.last_steps += 1  # the one loop iteration a session would take
-        return w
+            x = _WNode(_BINARY, node, pid, c + eps * d + ce, kappa * d + de)
+            x.succ = idx.succ_a[pid]
+            x.maximal = len(x.succ) == 1
+        x.folded = 1
+        return x
 
     def _draw_unary(self, w: _WNode) -> None:
-        """Draw the next (useful config, effect) pair for a unary node and
-        start its child at that useful configuration."""
+        """Draw the next (useful pair, effect) for a unary node and start its
+        child at that useful pair."""
         pid, (eps, ce, kappa, de) = w.buf
         session = w.session
-        if session is None:  # the only pair was taken at the start
-            w.buf = None
-            self.last_steps += 1
-        else:
-            w.buf = session.next()
-            self.last_steps += session.last_steps + 1
+        w.buf = session.next()
+        self.last_steps += session.last_steps + 1
         w.maximal = w.buf is None
         idx = self.idx
-        node, state = idx.pairs[pid]
+        node = idx.pairs[pid][0]
         c, d = w.c + eps * w.d + ce, kappa * w.d + de
         if idx.g.lefts[node] is None:
-            w.child = _WNode(_LEAF, node, state, c, d)
+            w.child = _WNode(_LEAF, node, pid, c, d)
         else:
-            x = w.child = _WNode(_BINARY, node, state, c, d)
+            x = w.child = _WNode(_BINARY, node, pid, c, d)
             x.succ = idx.succ_a[pid]
             x.maximal = len(x.succ) == 1
 
     def _set_binary_children(self, w: _WNode) -> None:
         """(Re)create the children named by the current successor tuple."""
-        q1, q2 = w.succ[w.succ_idx]
+        pl, pr = w.succ[w.succ_idx]
         idx = self.idx
         c, d = w.c, w.d
         eps, ce, kappa, de = idx.eff_l[w.node]
-        w.left = self._start_active(idx.g.lefts[w.node], q1, c + eps * d + ce, kappa * d + de)
+        w.left = self._start_active(pl, c + eps * d + ce, kappa * d + de)
         eps, ce, kappa, de = idx.eff_r[w.node]
-        w.right = self._start_active(idx.g.rights[w.node], q2, c + eps * d + ce, kappa * d + de)
+        w.right = self._start_active(pr, c + eps * d + ce, kappa * d + de)
 
     def _complete_below(self, w: _WNode) -> None:
         """Minimal completion of a fresh node whose choice is not yet drawn."""
@@ -275,13 +293,16 @@ class AnswerStream:
         answer: list[int] = []
         pre: list[_WNode] = []
         last_nonmax = None
+        n = 0  # nodes of the full witness tree so far
         stack = [self._root]
         while stack:
             w = stack.pop()
-            w.pos = len(pre)
-            pre.append(w)
+            n += w.folded  # a unary node it stands for comes first
+            w.pos = n
+            n += 1
             if not w.maximal:
-                last_nonmax = w.pos
+                last_nonmax = len(pre)
+            pre.append(w)
             if w.kind == _LEAF:
                 answer.append(w.c)
             elif w.kind == _UNARY:
@@ -289,10 +310,10 @@ class AnswerStream:
             else:
                 stack.append(w.right)
                 stack.append(w.left)
-        self.last_steps += len(pre)  # one step per visited node
-        if len(pre) > 4 * len(answer) - 2:
+        self.last_steps += n  # one step per node of the full tree
+        if n > 4 * len(answer) - 2:
             raise AssertionError(
-                f"witness tree has {len(pre)} nodes for {len(answer)} leaves"
+                f"witness tree has {n} nodes for {len(answer)} leaves"
             )
         if len(set(answer)) != len(answer):
             raise AssertionError("answer set contains a repeated preorder number")
@@ -305,8 +326,8 @@ class AnswerStream:
     def _advance(self) -> None:
         i = self._last_nonmax
         w = self._pre[i]
-        # one step for the advance, one per kept node scanned below
-        self.last_steps += 1 + i
+        # one step for the advance, one per node of the full tree before w
+        self.last_steps += 1 + w.pos
         # advance the last non-maximal node, then complete minimally below it
         if w.kind == _UNARY:
             self._draw_unary(w)
@@ -322,11 +343,10 @@ class AnswerStream:
         idx = self.idx
         for j in range(i):
             x = self._pre[j]
-            if x.kind == _BINARY and x.right is not None and x.right.pos > i:
+            if x.kind == _BINARY and x.right is not None and x.right.pos > w.pos:
                 eps, ce, kappa, de = idx.eff_r[x.node]
                 x.right = self._start_active(
-                    idx.g.rights[x.node], x.succ[x.succ_idx][1],
-                    x.c + eps * x.d + ce, kappa * x.d + de,
+                    x.succ[x.succ_idx][1], x.c + eps * x.d + ce, kappa * x.d + de
                 )
                 self._complete_below(x.right)
 
@@ -347,8 +367,7 @@ class AnswerStream:
                     if self._state_pos >= len(self._finals):
                         self.exhausted = True
                         return None
-                    q = self._finals[self._state_pos]
-                    self._root = self._start_active(self.node, q, 0, 0)
+                    self._root = self._start_active(self._finals[self._state_pos], 0, 0)
                     self._complete_below(self._root)
                     break
                 if self._last_nonmax is not None:

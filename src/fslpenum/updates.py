@@ -74,7 +74,7 @@ class EnumDataStructure:
             sorted(
                 (
                     (pairs[pid][0], sval(pairs[pid][1])),
-                    tuple((sval(q1), sval(q2)) for q1, q2 in tuples),
+                    tuple((sval(pairs[p1][1]), sval(pairs[p2][1])) for p1, p2 in tuples),
                 )
                 for pid, tuples in self.product.succ_a.items()
             )

@@ -261,6 +261,30 @@ class TestBench:
             assert code == 0
             assert re.search(r"\bdecompressed=(\d+)\b", out).group(1) == "5000", (seed, out)
 
+    @pytest.mark.parametrize("size", [0, -3])
+    def test_empty_chain_exits_1(self, workdir, capsys, size):
+        code, out, err = run(capsys, "bench", "--family", "chain", "--size", size)
+        assert code == 1 and out == "" and "--size" in err
+
+    @pytest.mark.parametrize("family", ["chain", "wide", "random"])
+    def test_negative_limit_exits_1(self, workdir, capsys, family):
+        code, out, err = run(capsys, "bench", "--family", family, "--size", "4", "--limit", "-1")
+        assert code == 1 and out == "" and "--limit" in err
+
+    @pytest.mark.parametrize("limit", [0, 1, 5])
+    def test_limit_draws_no_answer_past_it(self, workdir, capsys, monkeypatch, limit):
+        drawn = []
+        real_next = AnswerStream.next
+
+        def counting_next(stream):
+            drawn.append(1)
+            return real_next(stream)
+
+        monkeypatch.setattr(AnswerStream, "next", counting_next)
+        code, out, _ = run(capsys, "bench", "--family", "chain", "--size", "8", "--limit", limit)
+        assert code == 0 and f"answers={limit} " in out
+        assert len(drawn) == limit
+
     def test_seed_determinism(self, workdir, capsys):
         outs = []
         for _ in range(2):

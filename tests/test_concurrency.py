@@ -1,6 +1,8 @@
 """Concurrency contracts: shared indexes, concurrent sessions, memoized
 automaton evaluation under threads."""
 
+import random
+import sys
 import threading
 
 from fslpenum import (
@@ -8,13 +10,16 @@ from fslpenum import (
     AnswerStream,
     PathSession,
     ProductIndex,
+    build_enum_structure,
     dbuta_run,
     nsta_to_dbuta,
     parse_term,
     preprocess,
     unfold,
 )
-from fslpenum.fixtures import exactly_one_nsta, sample_weighted_dag
+from fslpenum.fixtures import exactly_one_nsta, random_term, sample_weighted_dag
+
+from conftest import random_nsta
 
 
 def test_concurrent_path_sessions_share_an_index():
@@ -66,3 +71,38 @@ def test_concurrent_answer_streams_on_one_product():
     for t in threads:
         t.join()
     assert all(r == expected for r in results)
+
+
+def test_concurrent_builds_share_one_dbuta():
+    # memo hits read without the lock; a miss fills its entry under it
+    rng = random.Random(5)
+    a = random_nsta(rng, 4)
+    gs = [compress_forest(parse_term(random_term(rng, 400, "ab"))) for _ in range(8)]
+    shared = nsta_to_dbuta(a)
+    got = [None] * len(gs)
+
+    def worker(i):
+        got[i] = build_enum_structure(gs[i], shared).canonical_form()
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(gs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    values = [shared.value(q) for q in range(shared.state_count)]
+    assert len(set(values)) == len(values)  # no value interned twice
+    # canonical forms list states in id order, so the single-threaded
+    # reference gets the same ids: a fresh automaton, its states interned
+    # in the shared one's order before any delta is evaluated
+    fresh = nsta_to_dbuta(a)
+    for v in values:
+        fresh.intern(v)
+    want = [build_enum_structure(g, fresh).canonical_form() for g in gs]
+    assert fresh.state_count == len(values)
+    assert got == want

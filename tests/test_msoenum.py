@@ -1,4 +1,5 @@
 import random
+from itertools import islice
 
 import pytest
 
@@ -177,7 +178,11 @@ class TestProduct:
                         want.setdefault(b.delta2(q1, q2, op), []).append((q1, q2))
                 for q, tuples in want.items():
                     pid = idx.pair_id[(i, q)]
-                    assert idx.succ_a[pid] == tuple(tuples)
+                    # succ_a names the children's pairs by pid
+                    for pl, pr in idx.succ_a[pid]:
+                        assert idx.pairs[pl][0] == l and idx.pairs[pr][0] == r
+                    got = tuple((idx.pairs[pl][1], idx.pairs[pr][1]) for pl, pr in idx.succ_a[pid])
+                    assert got == tuple(tuples)
 
 
 class TestSinglePath:
@@ -226,6 +231,22 @@ class TestSinglePath:
         idx = build(g, exactly_one_nsta("abc"))
         assert len(list(AnswerStream(idx, g.root))) == 300
         assert opened
+
+    def test_select_labels_witness_tree_has_no_unary_node(self, rng):
+        g = compress_forest(parse_term(random_term(rng, 300, "abc")))
+        stream = AnswerStream(build(g, select_labels_nsta({"b"}, "abc")), g.root)
+        (answer,) = list(stream)
+        assert len(answer) > 50
+        assert all(w.kind != msoenum._UNARY for w in stream._pre)
+        assert any(w.folded for w in stream._pre)
+
+    def test_exactly_one_witness_trees_keep_unary_nodes(self, rng):
+        g = compress_forest(parse_term(random_term(rng, 300, "abc")))
+        stream = AnswerStream(build(g, exactly_one_nsta("abc")), g.root)
+        unary = 0
+        for _ in stream:
+            unary += sum(w.kind == msoenum._UNARY for w in stream._pre)
+        assert unary
 
     def test_answers_and_steps_match_the_session_walk(self, rng, monkeypatch):
         # the single-path branch counts what a session would (1 step at the
@@ -388,7 +409,8 @@ class TestUncompressedReference:
 class TestDifferentialAtScale:
     """The engine against the explicit-tree oracle on forests of 10^2-10^3
     vertices: one answer with a witness tree of hundreds of nodes (taken
-    without path sessions), and every singleton (drawn from a session)."""
+    without path sessions), every singleton (drawn from a session), and
+    random automata, whose witness trees mix both kinds of unary node."""
 
     @pytest.mark.parametrize("n", [100, 400, 1000])
     def test_engine_matches_tree_oracle(self, n):
@@ -407,6 +429,46 @@ class TestDifferentialAtScale:
         want = list(enumerate_select_uncompressed(e, one.b))
         assert len(got) == len(set(got)) == len(want) == n
         assert set(got) == set(want) == {frozenset({k}) for k in range(n)}
+
+
+    def test_random_automata_match_tree_oracle(self):
+        # random 1-4-state queries on the root and the larger forest nodes
+        # of 100-1000-vertex forests; both sides stop one answer past the
+        # cap, and a case over it on both sides is skipped and counted
+        cap = 32
+        rng = random.Random(2024)
+        compared = nonempty = skipped = mixed = 0
+        for _ in range(20):
+            g = compress_forest(parse_term(random_term(rng, rng.randint(100, 1000), "ab")))
+            a = random_nsta(rng, rng.randint(1, 4))
+            idx = build(g, a)
+            st = idx.stats
+            nodes = [v for v in range(len(g)) if st.tau[v] == 0 and st.nverts[v] >= 100]
+            for v in nodes[-4:]:
+                stream = AnswerStream(idx, v)
+                got, across, sessions = [], False, False
+                for ans in islice(stream, cap + 1):
+                    got.append(frozenset(ans))
+                    pre, i = stream._pre, stream._last_nonmax
+                    # the next advance scans past a folded node
+                    across |= i is not None and any(w.folded for w in pre[:i])
+                    sessions |= any(w.kind == msoenum._UNARY for w in pre)
+                want = list(islice(enumerate_select_uncompressed(unfold(g, v), idx.b), cap + 1))
+                assert len(set(got)) == len(got) and len(set(want)) == len(want)
+                assert (len(got) > cap) == (len(want) > cap), v
+                if len(got) <= cap:
+                    assert set(got) == set(want), v
+                    compared += 1
+                    nonempty += bool(got)
+                    continue
+                # over the cap: every answer drawn must still be one
+                f = evaluate(g, v)
+                assert all(nsta_accepts(a, f, ans) for ans in got), v
+                skipped += 1
+                mixed += across and sessions
+        # random queries mostly have no answer or exponentially many
+        assert compared >= 40 and nonempty >= 2 and skipped >= 20
+        assert mixed >= 20  # advances across folded nodes, beside session nodes
 
 
 class TestDelayAtScale:
