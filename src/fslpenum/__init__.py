@@ -4,6 +4,7 @@ from .automata import (
     DBUTA,
     NSTA,
     MultivarReduction,
+    StateLimitExceeded,
     build_btau,
     dbuta_accepts,
     dbuta_run,

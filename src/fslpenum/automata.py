@@ -22,9 +22,18 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 from .forest import HC, VC, Expr, Forest, _Flat
-from .fslp import FSLP, LEAF, LEAFCTX
+from .fslp import FSLP, LEAF, LEAFCTX, env_int
 
 FAILURE = ("fail",)
+
+
+class StateLimitExceeded(RuntimeError):
+    """Interning one more dBUTA state would break the automaton's cap."""
+
+
+def default_max_states() -> int:
+    """State cap: ``FSLPENUM_MAX_STATES`` if set, else 10**6."""
+    return env_int("FSLPENUM_MAX_STATES", 10**6, positive=True)
 
 
 @dataclass(frozen=True)
@@ -109,6 +118,9 @@ class DBUTA:
     evaluation is allowed and no value is interned twice.  An entry is
     stored only once its state is interned, so an unlocked read sees either
     no entry or a complete one.  Interned values (not ids) are canonical.
+    ``state_bound`` is the construction's worst-case state count, an
+    invariant; ``max_states`` is a resource cap: interning a state past it
+    raises ``StateLimitExceeded`` and leaves the automaton unchanged.
     """
 
     def __init__(
@@ -117,11 +129,13 @@ class DBUTA:
         delta2: Callable[[object, object, str], object],
         final: Callable[[object], bool],
         state_bound: Optional[int] = None,
+        max_states: Optional[int] = None,
     ):
         self._delta0 = delta0
         self._delta2 = delta2
         self._final = final
         self.state_bound = state_bound
+        self.max_states = max_states
         self._values: list = []
         self._ids: dict = {}
         self._memo0: dict = {}
@@ -134,10 +148,15 @@ class DBUTA:
             qid = self._ids.get(value)
             if qid is None:
                 qid = len(self._values)
+                if self.state_bound is not None and qid >= self.state_bound:
+                    raise AssertionError("materialized states exceed the state bound")
+                if self.max_states is not None and qid >= self.max_states:
+                    raise StateLimitExceeded(
+                        f"the query automaton needs more than {self.max_states} states "
+                        "(raise FSLPENUM_MAX_STATES to allow more)"
+                    )
                 self._values.append(value)
                 self._ids[value] = qid
-                if self.state_bound is not None and len(self._values) > self.state_bound:
-                    raise AssertionError("materialized states exceed the state bound")
             return qid
 
     def value(self, qid: int):
@@ -230,7 +249,8 @@ def nsta_to_dbuta(a: NSTA) -> DBUTA:
     automaton has a (p, q)-run on its forest; a type-1 expression to the
     quadruples (p, q, p', q') whose context has a (p, q)-run provided the
     hole's forest is read from p' to q'.  The single final state demand is
-    the pair (q0, qf).
+    the pair (q0, qf).  The materialized states are capped at
+    ``default_max_states()``.
     """
     delta = sorted(a.delta)
     mid: dict[int, list[tuple[int, int]]] = {}
@@ -303,7 +323,8 @@ def nsta_to_dbuta(a: NSTA) -> DBUTA:
         return v != FAILURE and v[0] == "p" and (a.q0, a.qf) in set(v[1])
 
     bound = 2 ** (a.m * a.m) + 2 ** (a.m**4) + 1
-    return DBUTA(delta0, delta2, final, state_bound=bound)
+    cap = default_max_states()
+    return DBUTA(delta0, delta2, final, state_bound=bound, max_states=cap)
 
 
 # ---------------------------------------------------------------------------

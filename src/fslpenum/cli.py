@@ -16,6 +16,7 @@ import time
 from typing import Optional
 
 from . import automata, fixtures, fslp
+from .automata import StateLimitExceeded
 from .dagenum import PathSession, preprocess
 from .forest import ParseError, parse_term, serialize_term
 from .fslp import (
@@ -325,7 +326,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = make_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, InvalidFSLP, BudgetExceeded, OSError) as exc:
+    except (ValueError, InvalidFSLP, BudgetExceeded, StateLimitExceeded, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

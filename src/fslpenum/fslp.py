@@ -31,13 +31,28 @@ LEAF = "leaf"
 LEAFCTX = "leafctx"
 
 
+def env_int(name: str, default: int, positive: bool = False) -> int:
+    """The integer in environment variable ``name``, else ``default``.
+
+    A value that is not an integer (or, with ``positive``, is below 1) is
+    a ``ValueError`` that names the variable.
+    """
+    text = os.environ.get(name)
+    if text is None:
+        return default
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or (positive and value < 1):
+        kind = "a positive integer" if positive else "an integer"
+        raise ValueError(f"{name} must be {kind}, got {text!r}")
+    return value
+
+
 def default_budget() -> int:
     """Decompression budget: ``FSLPENUM_BUDGET`` if set, else 10**6."""
-    text = os.environ.get("FSLPENUM_BUDGET", "1000000")
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"FSLPENUM_BUDGET must be an integer, got {text!r}") from None
+    return env_int("FSLPENUM_BUDGET", 10**6)
 
 
 class InvalidFSLP(ValueError):

@@ -17,8 +17,10 @@ pid; and each emitted answer is the set of preorder numbers read off the
 root-to-leaf composed effects.  A unary node with a single path in the
 product holds no choice, so it is not built: its child takes the only
 pair straight from the normalizer and stands for it, while steps are
-still counted on the full witness tree.  Answers come out duplicate-free
-with delay linear in the answer size.
+still counted on the full witness tree.  A subtree with no choice at all
+(a rigid pair, see ``ProductIndex.fill_rigid``) is one node, expanded by
+the walk from per-pair records.  Answers come out duplicate-free with
+delay linear in the answer size.
 """
 
 from __future__ import annotations
@@ -54,7 +56,16 @@ class ProductIndex:
     active (node, state) pair ``pid`` and ``pair_id`` its inverse.
     ``succ_a[pid]`` lists a useful pair's successor tuples in order, each as
     the pids ``(pid_l, pid_r)`` of its left and right child's pairs; the
-    product edges between pairs are stored only in the normalizer ``norm``."""
+    product edges between pairs are stored only in the normalizer ``norm``.
+
+    ``rigid[pid]`` is the pair's rigid record (``fill_rigid``), or None if
+    its witness subtree holds a choice.  Records are filled lazily, the
+    first time a stream meets a pair, so building, extending and
+    relabelling cost what they did, and a fill visits only pairs of the
+    witness tree being built.  A record depends only on its pair's
+    sub-DAG, and pids are append-only, so it stays valid across
+    ``extend_for`` and for old snapshots; concurrent fills write equal
+    values."""
 
     def __init__(self, g: FSLP, b: DBUTA):
         self.g = g
@@ -67,6 +78,7 @@ class ProductIndex:
         self.eff_l: list[Optional[tuple]] = []
         self.eff_r: list[Optional[tuple]] = []
         self.norm = Normalizer(PRE_CATEGORY)
+        self.rigid: dict[int, Optional[tuple]] = {}
         self.work = 0  # state-pair iterations, for maintenance-cost checks
         self._built = 0
         self.extend_for(len(g))
@@ -129,6 +141,64 @@ class ProductIndex:
                 self.norm.add_original(pid, obj, edges, q in succ)
         self._built = upto
 
+    def fill_rigid(self, pid: int) -> Optional[tuple]:
+        """Fill the rigid records of ``pid`` and of the pairs its record
+        needs, children first, with an explicit stack; return ``pid``'s.
+
+        A pair is rigid when its minimal witness subtree holds no choice:
+        it is a leaf pair, or it has a single path to a useful pair that is
+        a leaf or has one successor tuple of two rigid pairs.  A leaf-like
+        record is ``(steps, nodes, -1, eps, ce)``: reached with the effect
+        (c, d), its one element is ``c + eps*d + ce``.  A binary one is
+        ``(steps, nodes, pid_l, *effect_l, pid_r, *effect_r)``, each effect
+        an ``(eps, c, kappa, d)`` tuple: the single path's effect
+        precomposed with ``eff_l`` or ``eff_r``.  ``steps`` and ``nodes``
+        are what the full witness subtree charges and holds:
+        ``_LEAF_STEPS`` and 1 per leaf pair, ``_FOLD_STEPS`` and
+        ``_FOLD_NODES`` per folded unary node.  A non-rigid pair's record
+        is None.
+        """
+        rec, pairs, lefts = self.rigid, self.pairs, self.g.lefts
+        stack: list[tuple[int, Optional[tuple]]] = [(pid, None)]
+        while stack:
+            p, only = stack.pop()
+            if only is None:  # first visit
+                if p in rec:
+                    continue
+                if lefts[pairs[p][0]] is None:
+                    rec[p] = _LEAF_RECORD
+                    continue
+                only = self.norm.only_pair(p)
+                if only is None:
+                    rec[p] = None
+                    continue
+                u, (eps, ce, kappa, de) = only
+                if lefts[pairs[u][0]] is None:
+                    rec[p] = (_FOLD_STEPS, _FOLD_NODES, -1, eps, ce)
+                    continue
+                succ = self.succ_a[u]
+                if len(succ) > 1:
+                    rec[p] = None
+                    continue
+                stack.append((p, only))  # compose once both children are filled
+                stack.extend((q, None) for q in succ[0][::-1] if q not in rec)
+                continue
+            u, (eps, ce, kappa, de) = only
+            pl, pr = self.succ_a[u][0]
+            rl, rr = rec[pl], rec[pr]
+            if rl is None or rr is None:
+                rec[p] = None
+                continue
+            unode = pairs[u][0]
+            le, lc, lk, ld = self.eff_l[unode]
+            re, rc, rk, rd = self.eff_r[unode]
+            rec[p] = (
+                _FOLD_STEPS + rl[0] + rr[0], _FOLD_NODES + rl[1] + rr[1],
+                pl, eps + le * kappa, ce + le * de + lc, lk * kappa, lk * de + ld,
+                pr, eps + re * kappa, ce + re * de + rc, rk * kappa, rk * de + rd,
+            )
+        return rec[pid]
+
     def _pid(self, node: int, q: int) -> int:
         key = (node, q)  # one tuple serves both directions
         pid = self.pair_id.get(key)
@@ -143,7 +213,13 @@ class ProductIndex:
 # witness trees over the product DAG
 # ---------------------------------------------------------------------------
 
-_LEAF, _UNARY, _BINARY = 0, 1, 2
+_LEAF, _UNARY, _BINARY, _RIGID = 0, 1, 2, 3
+# Steps charged on the full witness tree: a leaf's start, and a folded
+# unary node's start, its session's one iteration and its one draw, which
+# together also start the node drawn; a fold covers those two nodes.
+_LEAF_STEPS = 1
+_FOLD_STEPS, _FOLD_NODES = 3, 2
+_LEAF_RECORD = (_LEAF_STEPS, 1, -1, 0, 0)  # a leaf pair: one node, element c
 
 
 class _WNode:
@@ -154,10 +230,15 @@ class _WNode:
     edge or path effect (eps, c_e, kappa, d_e) it becomes
     (c + eps*d + c_e, kappa*d + d_e).  A unary node draws its pairs from a
     path session and keeps the next one in ``buf``, for the maximality test.
-    A unary node with a single path is not built: its child, a leaf or a
-    binary node, takes the composed effect and sets ``folded`` to 1, for the
-    one node it stands for in the full witness tree.  ``pos`` is the node's
-    index in the preorder of that full tree.
+    A unary node with a single path is not built: its child, a binary node
+    (a leaf below such a node is rigid), takes the composed effect and sets
+    ``folded`` to 1, for the one node it stands for in the full witness
+    tree.  A rigid pair (no choice below it) is one ``_RIGID`` node that
+    holds the effect reaching the pair, with ``folded`` set to the other
+    nodes of its full subtree; the walk expands the subtree from
+    ``ProductIndex.rigid`` and never advances it.  ``pos`` is the node's
+    index in the preorder of that full tree (for a rigid node, that of the
+    last node of its subtree).
     """
 
     __slots__ = (
@@ -191,9 +272,12 @@ class AnswerStream:
     counts the instrumented work of the most recent call.  A unary witness
     node opens a path session only when its pair has more than one path;
     otherwise its child is built at once from the only pair and stands for
-    it.  Steps are counted on the full witness tree, as if every unary node
-    were built and drew from a session: the folded node's start, the
-    session's one loop iteration and the draw, and one walk step for it.
+    it.  A rigid pair becomes one node that is charged its record's steps
+    when started; the walk expands it into the answer and keeps it out of
+    ``_pre``, the preorder list of nodes an advance may reach.  Steps are
+    counted on the full witness tree, as if every unary node were built
+    and drew from a session: the folded node's start, the session's one
+    loop iteration and the draw, and one walk step for it.
     """
 
     def __init__(self, idx: ProductIndex, node: int, record_steps: bool = False):
@@ -221,7 +305,7 @@ class AnswerStream:
         idx = self.idx
         node = idx.pairs[pid][0]
         if idx.g.lefts[node] is None:
-            self.last_steps += 1
+            self.last_steps += _LEAF_STEPS
             return _WNode(_LEAF, node, pid, c, d)
         only = idx.norm.only_pair(pid)
         if only is None:
@@ -230,17 +314,23 @@ class AnswerStream:
             w.buf = session.next()
             self.last_steps += 1 + session.last_steps
             return w
-        # one path: the unary node's start, its session's one iteration and
-        # its one draw, folded into the child drawn
-        self.last_steps += 3
+        try:
+            rec = idx.rigid[pid]
+        except KeyError:
+            rec = idx.fill_rigid(pid)
+        if rec is not None:  # no choice below: the whole subtree at once
+            self.last_steps += rec[0]
+            x = _WNode(_RIGID, node, pid, c, d)
+            x.folded = rec[1] - 1
+            return x
+        # one path to a binary node with a choice below it: the unary node's
+        # start, its session's one iteration and its one draw, folded into
+        # the child drawn
+        self.last_steps += _FOLD_STEPS
         pid, (eps, ce, kappa, de) = only
-        node = idx.pairs[pid][0]
-        if idx.g.lefts[node] is None:
-            x = _WNode(_LEAF, node, pid, c + eps * d + ce, kappa * d + de)
-        else:
-            x = _WNode(_BINARY, node, pid, c + eps * d + ce, kappa * d + de)
-            x.succ = idx.succ_a[pid]
-            x.maximal = len(x.succ) == 1
+        x = _WNode(_BINARY, idx.pairs[pid][0], pid, c + eps * d + ce, kappa * d + de)
+        x.succ = idx.succ_a[pid]
+        x.maximal = len(x.succ) == 1
         x.folded = 1
         return x
 
@@ -277,15 +367,14 @@ class AnswerStream:
         work = [w]
         while work:
             x = work.pop()
-            if x.kind == _LEAF:
-                continue
-            if x.kind == _UNARY:
-                self._draw_unary(x)
-                work.append(x.child)
-            else:
+            kind = x.kind
+            if kind == _BINARY:
                 self._set_binary_children(x)
                 work.append(x.right)
                 work.append(x.left)
+            elif kind == _UNARY:
+                self._draw_unary(x)
+                work.append(x.child)
 
     # -- walk: preorder list, answer, last non-maximal ---------------------
 
@@ -297,19 +386,33 @@ class AnswerStream:
         stack = [self._root]
         while stack:
             w = stack.pop()
-            n += w.folded  # a unary node it stands for comes first
+            n += w.folded  # the other full-tree nodes it stands for
             w.pos = n
             n += 1
             if not w.maximal:
                 last_nonmax = len(pre)
-            pre.append(w)
-            if w.kind == _LEAF:
+            kind = w.kind
+            if kind == _LEAF:
+                pre.append(w)
                 answer.append(w.c)
-            elif w.kind == _UNARY:
+            elif kind == _UNARY:
+                pre.append(w)
                 stack.append(w.child)
-            else:
+            elif kind == _BINARY:
+                pre.append(w)
                 stack.append(w.right)
                 stack.append(w.left)
+            else:  # rigid: expanded from the records, kept out of pre
+                rigid = self.idx.rigid
+                todo = [(w.pid, w.c, w.d)]
+                while todo:
+                    p, c, d = todo.pop()
+                    r = rigid[p]
+                    while r[2] >= 0:  # down the left spine, right children wait
+                        todo.append((r[7], c + r[8] * d + r[9], r[10] * d + r[11]))
+                        c, d = c + r[3] * d + r[4], r[5] * d + r[6]
+                        r = rigid[r[2]]
+                    answer.append(c + r[3] * d + r[4])
         self.last_steps += n  # one step per node of the full tree
         if n > 4 * len(answer) - 2:
             raise AssertionError(

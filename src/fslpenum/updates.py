@@ -53,9 +53,14 @@ class EnumDataStructure:
     def canonical_form(self):
         """Value-level snapshot for structural comparison with a rebuild.
 
-        Interned state ids and normalized vertex numbers are construction
-        artifacts; the form maps everything back to state values and
-        (node, state) pairs.
+        State ids are mapped back to state values, and pids and normalized
+        vertices to (node, state value) pairs.  The orders are not
+        canonicalized: configuration rows are sorted by state id, and pid
+        order, successor tuples and spine edges follow them, so they
+        follow the order in which the automaton interned its states.  Two
+        builds compare equal only if their automata interned states in the
+        same order (for example, each build on a fresh automaton, or both
+        on one shared automaton).
         """
         g = self.fslp
         norm = self.product.norm

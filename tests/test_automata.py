@@ -24,7 +24,7 @@ from fslpenum import (
     vc,
 )
 from fslpenum import automata as am
-from fslpenum.automata import FAILURE
+from fslpenum.automata import FAILURE, StateLimitExceeded
 from fslpenum.fixtures import (
     accept_all_nsta,
     exactly_one_nsta,
@@ -207,6 +207,47 @@ class TestDeterminization:
         e1 = hc(leaf("a"), hc(leaf("a"), leaf("a")))
         e2 = hc(hc(leaf("a"), leaf("a")), leaf("a"))
         assert dbuta_run(b, e1, (0,)) == dbuta_run(b, e2, (0,))
+
+
+class TestStateCap:
+    def test_default_reads_the_variable(self, monkeypatch):
+        a = exactly_one_nsta("ab")
+        monkeypatch.delenv("FSLPENUM_MAX_STATES", raising=False)
+        assert nsta_to_dbuta(a).max_states == 10**6
+        monkeypatch.setenv("FSLPENUM_MAX_STATES", "7")
+        assert nsta_to_dbuta(a).max_states == 7
+
+    @pytest.mark.parametrize("text", ["abc", "", "1.5", "0", "-4"])
+    def test_malformed_variable(self, monkeypatch, text):
+        monkeypatch.setenv("FSLPENUM_MAX_STATES", text)
+        with pytest.raises(ValueError, match="FSLPENUM_MAX_STATES"):
+            nsta_to_dbuta(exactly_one_nsta("ab"))
+
+    def test_refused_state_leaves_the_automaton_unchanged(self, monkeypatch):
+        a = exactly_one_nsta("ab")
+        e = hc(leaf("a"), hc(leaf("b"), leaf("a")))
+        need = nsta_to_dbuta(a)
+        want = need.value(dbuta_run(need, e, (1,)))
+        assert need.state_count > 1
+        monkeypatch.setenv("FSLPENUM_MAX_STATES", str(need.state_count - 1))
+        b = nsta_to_dbuta(a)
+        with pytest.raises(StateLimitExceeded) as info:
+            dbuta_run(b, e, (1,))
+        assert isinstance(info.value, RuntimeError)
+        before = [b.value(q) for q in range(b.state_count)]
+        assert len(before) == b.max_states
+        with pytest.raises(StateLimitExceeded):
+            dbuta_run(b, e, (1,))  # refused again, and nothing was appended
+        assert [b.value(q) for q in range(b.state_count)] == before
+        assert b.state_bound == need.state_bound  # the cap is its own attribute
+        b.max_states += 1
+        assert b.value(dbuta_run(b, e, (1,))) == want
+
+    def test_build_past_the_cap(self, monkeypatch):
+        g = compress_forest(parse_term("a(bab)ab(aa)"))
+        monkeypatch.setenv("FSLPENUM_MAX_STATES", "2")
+        with pytest.raises(StateLimitExceeded):
+            build_enum_structure(g, nsta_to_dbuta(exactly_one_nsta("ab")))
 
 
 class TestMultivar:

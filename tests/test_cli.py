@@ -144,6 +144,21 @@ class TestEnumerate:
         assert code == 0 and len(text.splitlines()) == limit + 1
         assert len(drawn) == limit
 
+    def test_state_cap_exits_1(self, workdir, capsys, monkeypatch):
+        out = workdir / "fig1.fslp"
+        run(capsys, "compress", workdir / "fig1.term", "-o", out)
+        monkeypatch.setenv("FSLPENUM_MAX_STATES", "2")
+        code, text, err = run(capsys, "enumerate", out, workdir / "selb.nsta")
+        assert code == 1 and text == ""
+        assert err.startswith("error: the query automaton needs more than 2 states")
+        monkeypatch.setenv("FSLPENUM_MAX_STATES", "abc")
+        code, text, err = run(capsys, "enumerate", out, workdir / "selb.nsta")
+        assert code == 1 and text == ""
+        assert err == "error: FSLPENUM_MAX_STATES must be a positive integer, got 'abc'\n"
+        monkeypatch.setenv("FSLPENUM_MAX_STATES", "1000")
+        code, text, _ = run(capsys, "enumerate", out, workdir / "selb.nsta")
+        assert code == 0 and text.splitlines() == ["1 4 6 9", "EOE"]
+
     def test_empty_set_printed_as_dash(self, workdir, capsys):
         only_empty = workdir / "empty.nsta"
         from fslpenum.fixtures import only_empty_nsta

@@ -4,6 +4,7 @@ automaton evaluation under threads."""
 import random
 import sys
 import threading
+from itertools import islice
 
 from fslpenum import (
     compress_forest,
@@ -17,7 +18,12 @@ from fslpenum import (
     preprocess,
     unfold,
 )
-from fslpenum.fixtures import exactly_one_nsta, random_term, sample_weighted_dag
+from fslpenum.fixtures import (
+    exactly_one_nsta,
+    random_term,
+    sample_weighted_dag,
+    select_labels_nsta,
+)
 
 from conftest import random_nsta
 
@@ -106,3 +112,43 @@ def test_concurrent_builds_share_one_dbuta():
     want = [build_enum_structure(g, fresh).canonical_form() for g in gs]
     assert fresh.state_count == len(values)
     assert got == want
+
+
+def test_concurrent_streams_fill_rigid_records_together():
+    # rigid records are filled lazily by whichever stream meets a pair
+    # first; concurrent fills write equal values
+    rng = random.Random(0)
+    g = compress_forest(parse_term(random_term(rng, 1000, "abc")))
+    queries = [select_labels_nsta({"b"}, "abc"), random_nsta(rng, 3, "abc")]
+
+    def read(idx):
+        stream = AnswerStream(idx, g.root, record_steps=True)
+        return list(islice(stream, 20)), stream.step_log
+
+    want = [read(ProductIndex(g, nsta_to_dbuta(a))) for a in queries]
+    assert all(answers and max(map(len, answers)) > 100 for answers, _ in want)
+    shared = [ProductIndex(g, nsta_to_dbuta(a)) for a in queries]
+    assert not any(idx.rigid for idx in shared)
+    got = [None] * 8
+    start = threading.Barrier(len(got))
+
+    def worker(i):
+        order = (0, 1) if i % 2 == 0 else (1, 0)
+        start.wait(timeout=60)
+        got[i] = {k: read(shared[k]) for k in order}
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(got))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert None not in got  # no thread raised
+    for runs in got:
+        assert [runs[0], runs[1]] == want
+    assert all(any(r is not None for r in idx.rigid.values()) for idx in shared)

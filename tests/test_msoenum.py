@@ -235,10 +235,26 @@ class TestSinglePath:
     def test_select_labels_witness_tree_has_no_unary_node(self, rng):
         g = compress_forest(parse_term(random_term(rng, 300, "abc")))
         stream = AnswerStream(build(g, select_labels_nsta({"b"}, "abc")), g.root)
-        (answer,) = list(stream)
+        answer = stream.next()
         assert len(answer) > 50
         assert all(w.kind != msoenum._UNARY for w in stream._pre)
-        assert any(w.folded for w in stream._pre)
+        # no choice anywhere: the root is one rigid node, expanded in the walk
+        assert stream._root.kind == msoenum._RIGID and stream._pre == []
+        assert stream.next() is None  # the one answer
+
+    def test_deep_chain_streams_without_recursion(self):
+        # a 5000-node left-deep hc chain, built as `bench --family chain`
+        # builds it: the rigid records are filled with an explicit stack
+        g = FSLP()
+        node = leaf_id = g.add_leaf("a")
+        for _ in range(4999):
+            node = g.add_hc(node, leaf_id)
+        g.root = node
+        stream = AnswerStream(build(g, select_labels_nsta({"a"}, "a")), g.root)
+        answer = stream.next()
+        assert stream._root.kind == msoenum._RIGID
+        assert sorted(answer) == list(range(5000))
+        assert stream.next() is None
 
     def test_exactly_one_witness_trees_keep_unary_nodes(self, rng):
         g = compress_forest(parse_term(random_term(rng, 300, "abc")))
@@ -259,16 +275,28 @@ class TestSinglePath:
             cases.append((compress_forest(random_forest(rng, 10)), random_nsta(rng, rng.randint(1, 3))))
         runs = []
         for g, a in cases:
-            idx = build(g, a)
-            stream = AnswerStream(idx, g.root, record_steps=True)
-            runs.append((idx, g.root, list(stream), stream.step_log))
+            stream = AnswerStream(build(g, a), g.root, record_steps=True)
+            runs.append((list(stream), stream.step_log))
         opened = self._count_sessions(monkeypatch)
+        rigid = []
+
+        class CountingNode(msoenum._WNode):
+            __slots__ = ()
+
+            def __init__(self, kind, *args):
+                if kind == msoenum._RIGID:
+                    rigid.append(args)
+                super().__init__(kind, *args)
+
+        monkeypatch.setattr(msoenum, "_WNode", CountingNode)
         monkeypatch.setattr(Normalizer, "only_pair", lambda self, source: None)
-        for idx, root, answers, log in runs:
-            stream = AnswerStream(idx, root, record_steps=True)
+        for (g, a), (answers, log) in zip(cases, runs):
+            # a fresh index: no record filled with only_pair on is reused
+            stream = AnswerStream(build(g, a), g.root, record_steps=True)
             assert list(stream) == answers
             assert stream.step_log == log
         assert opened  # the streams above did go through sessions
+        assert rigid == []  # and built no rigid node
 
 
 class TestEmptySolution:
@@ -437,7 +465,7 @@ class TestDifferentialAtScale:
         # cap, and a case over it on both sides is skipped and counted
         cap = 32
         rng = random.Random(2024)
-        compared = nonempty = skipped = mixed = 0
+        compared = nonempty = skipped = mixed = past_rigid = 0
         for _ in range(20):
             g = compress_forest(parse_term(random_term(rng, rng.randint(100, 1000), "ab")))
             a = random_nsta(rng, rng.randint(1, 4))
@@ -446,13 +474,19 @@ class TestDifferentialAtScale:
             nodes = [v for v in range(len(g)) if st.tau[v] == 0 and st.nverts[v] >= 100]
             for v in nodes[-4:]:
                 stream = AnswerStream(idx, v)
-                got, across, sessions = [], False, False
+                got, across, sessions, rigid = [], False, False, False
                 for ans in islice(stream, cap + 1):
                     got.append(frozenset(ans))
                     pre, i = stream._pre, stream._last_nonmax
                     # the next advance scans past a folded node
                     across |= i is not None and any(w.folded for w in pre[:i])
                     sessions |= any(w.kind == msoenum._UNARY for w in pre)
+                    # ... or past a rigid child of a node up to the advanced one
+                    rigid |= i is not None and any(
+                        w.kind == msoenum._BINARY
+                        and msoenum._RIGID in (w.left.kind, w.right.kind)
+                        for w in pre[: i + 1]
+                    )
                 want = list(islice(enumerate_select_uncompressed(unfold(g, v), idx.b), cap + 1))
                 assert len(set(got)) == len(got) and len(set(want)) == len(want)
                 assert (len(got) > cap) == (len(want) > cap), v
@@ -466,9 +500,11 @@ class TestDifferentialAtScale:
                 assert all(nsta_accepts(a, f, ans) for ans in got), v
                 skipped += 1
                 mixed += across and sessions
+                past_rigid += rigid
         # random queries mostly have no answer or exponentially many
         assert compared >= 40 and nonempty >= 2 and skipped >= 20
         assert mixed >= 20  # advances across folded nodes, beside session nodes
+        assert past_rigid >= 20  # advances across rigid subtrees
 
 
 class TestDelayAtScale:
