@@ -406,6 +406,10 @@ def dumps(a: NSTA) -> str:
     return "\n".join(lines) + "\n"
 
 
+_FIELDS = {"states": 2, "trans": 4, "init": 2, "final": 2}
+"""Field count of each fixed-width directive line, the directive included."""
+
+
 def loads(text: str) -> NSTA:
     lines = text.splitlines()
     if not lines or lines[0].split("#", 1)[0].strip() != "nsta v1":
@@ -420,6 +424,11 @@ def loads(text: str) -> NSTA:
         if not line:
             continue
         parts = line.split()
+        want = _FIELDS.get(parts[0])
+        if want is not None and len(parts) != want:
+            raise ValueError(
+                f"line {lineno}: {parts[0]} takes {want - 1} field(s), got {len(parts) - 1}"
+            )
         try:
             if parts[0] == "states":
                 m = int(parts[1])

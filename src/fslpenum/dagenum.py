@@ -12,9 +12,10 @@ The normalizer is incremental: vertices are fed children-first, and new
 vertices may be appended later without touching existing ones (the update
 machinery relies on this).
 
-A free-monoid variant enumerates path label words in output-linear delay;
-there the composed-morphism tables are replaced by a grow-only trie of
-label prefixes plus shortcut tables over empty-labelled runs.
+Label words are one more category (``WORDS``): ε is the identity and
+concatenation builds a two-slot rope node in O(1), so the same normalizer
+and session enumerate ⟨target, label word⟩ pairs.  ``FMSession`` expands
+each emitted rope into its word, which makes the delay linear in the word.
 """
 
 from __future__ import annotations
@@ -41,6 +42,8 @@ class DecoratedDAG:
         return len(self.obj) - 1
 
     def add_edge(self, u: int, morphism, v: int) -> None:
+        if not (0 <= u < len(self.obj)):
+            raise ValueError(f"edge from unknown vertex {u}")
         if not (0 <= v < len(self.obj)):
             raise ValueError(f"edge from {u} references unknown vertex {v}")
         self.edges[u].append((morphism, v))
@@ -194,14 +197,19 @@ class Normalizer:
         return spine[0]
 
 
-def preprocess(d: DecoratedDAG) -> Normalizer:
+def _normalize(d: DecoratedDAG, category: Category) -> Normalizer:
     """Normalize ``d`` in one bottom-up pass over a topological order."""
-    if d.category is None:
-        raise ValueError("decorated DAG needs a category")
-    norm = Normalizer(d.category)
+    norm = Normalizer(category)
     for v in d.topo_order():
         norm.add_original(v, d.obj[v], d.edges[v], v in d.targets)
     return norm
+
+
+def preprocess(d: DecoratedDAG) -> Normalizer:
+    """Normalize ``d`` under its own category."""
+    if d.category is None:
+        raise ValueError("decorated DAG needs a category")
+    return _normalize(d, d.category)
 
 
 class PathSession:
@@ -272,261 +280,80 @@ class PathSession:
 
 
 # ---------------------------------------------------------------------------
-# free-monoid variant: edge labels over Sigma ∪ {ε}, outputs are label words
+# label words: edge labels over Sigma ∪ {ε}, outputs are label words
 # ---------------------------------------------------------------------------
 
-class FMIndex:
-    """Preprocessed structure for word enumeration over a labelled DAG."""
+class _Cat:
+    """Rope node: the word of ``f`` followed by the word of ``g``."""
 
-    def __init__(self, n: int):
-        # normalized binary DAG; labels are None (ε), ("s", x), or
-        # ("t", x, u, f): x then the labels of the original chain u -> f
-        self.left: list[int] = []
-        self.right: list[int] = []
-        self.llab: list = []
-        self.rlab: list = []
-        self.lempty: list[bool] = []
-        self.rempty: list[bool] = []
-        self.leaf_orig: list = []
-        self.rskip: list[int] = []
-        self.source: list[tuple] = [None] * n  # type: ignore[list-item]
-        # original chain structure for label expansion
-        self.chain_edge: dict[int, tuple] = {}  # u -> (label|None, next, in_chain)
-        self.chain_jump: dict[int, int] = {}
-        self.chain_emits: dict[int, bool] = {}
+    __slots__ = ("f", "g")
 
-    def _new_vertex(self) -> int:
-        self.left.append(-1)
-        self.right.append(-1)
-        self.llab.append(None)
-        self.rlab.append(None)
-        self.lempty.append(True)
-        self.rempty.append(True)
-        self.leaf_orig.append(None)
-        self.rskip.append(-1)
-        return len(self.left) - 1
-
-    def is_leaf(self, nid: int) -> bool:
-        return self.left[nid] < 0
-
-    def expand(self, lab, out: list) -> int:
-        """Append the symbols of one normalized edge label; returns symbol count."""
-        if lab is None:
-            return 0
-        if lab[0] == "s":
-            out.append(lab[1])
-            return 1
-        _, x, u, f = lab
-        k = 0
-        if x is not None:
-            out.append(x)
-            k += 1
-        cur = u
-        while cur != f:
-            sym, nxt, _ = self.chain_edge[cur]
-            if sym is not None:
-                out.append(sym)
-                k += 1
-                cur = nxt
-            else:
-                cur = self.chain_jump[cur]
-        return k
+    def __init__(self, f, g):
+        self.f = f
+        self.g = g
 
 
-def fm_preprocess(d: DecoratedDAG) -> FMIndex:
+class WordCategory(Category):
+    """Label words under concatenation, as ropes composed in O(1).
+
+    A word is ``None`` (ε), a symbol, or a ``_Cat`` of two non-empty words;
+    ε never enters a rope, so a word of k symbols has 2k - 1 nodes.
+    """
+
+    def identity(self, obj):
+        return None
+
+    def compose(self, f, g):
+        if f is None:
+            return g
+        if g is None:
+            return f
+        return _Cat(f, g)
+
+
+WORDS = WordCategory()
+
+
+def _expand(rope) -> list:
+    """The symbols of ``rope``, left to right.
+
+    Iterative, so a rope of any depth expands in time linear in its size.
+    """
+    out: list = []
+    if rope is None:
+        return out
+    emit = out.append
+    stack: list = []
+    push, pop = stack.append, stack.pop
+    while True:
+        while type(rope) is _Cat:
+            push(rope.g)
+            rope = rope.f
+        emit(rope)
+        if not stack:
+            return out
+        rope = pop()
+
+
+def fm_preprocess(d: DecoratedDAG) -> Normalizer:
     """Normalize a symbol-labelled DAG (labels None = ε) for word enumeration."""
-    n = len(d)
-    idx = FMIndex(n)
-    outdeg = [len(e) for e in d.edges]
-    live_edge = [[True] * len(e) for e in d.edges]
-    incoming: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for u in range(n):
-        for j, (_, w) in enumerate(d.edges[u]):
-            incoming[w].append((u, j))
-    # 1. prune dead ends (cascades upward)
-    pruned = [False] * n
-    queue = [v for v in range(n) if outdeg[v] == 0 and v not in d.targets]
-    while queue:
-        v = queue.pop()
-        if pruned[v]:
-            continue
-        pruned[v] = True
-        for u, j in incoming[v]:
-            if live_edge[u][j] and not pruned[u]:
-                live_edge[u][j] = False
-                outdeg[u] -= 1
-                if outdeg[u] == 0 and u not in d.targets:
-                    queue.append(u)
-    # 2. chain vertices: outdeg 1 and not a target
-    in_chain = [
-        not pruned[v] and outdeg[v] == 1 and v not in d.targets for v in range(n)
-    ]
-
-    def live_edges(v: int) -> list[tuple]:
-        return [e for e, ok in zip(d.edges[v], live_edge[v]) if ok]
-
-    order = d.topo_order()
-    chain_end: dict[int, int] = {}
-    for v in order:
-        if not in_chain[v]:
-            continue
-        (lab, w) = live_edges(v)[0]
-        idx.chain_edge[v] = (lab, w, in_chain[w])
-        if in_chain[w]:
-            chain_end[v] = chain_end[w]
-            idx.chain_emits[v] = (lab is not None) or idx.chain_emits[w]
-            idx.chain_jump[v] = v if lab is not None else idx.chain_jump[w]
-        else:
-            chain_end[v] = w
-            idx.chain_emits[v] = lab is not None
-            idx.chain_jump[v] = v if lab is not None else w
-
-    def resolve(lab, w) -> Optional[tuple]:
-        """Original edge -> normalized (label, node) or None when dangling."""
-        if pruned[w]:
-            return None
-        if in_chain[w]:
-            f = chain_end[w]
-            nlab = ("t", lab, w, f)
-            empty = lab is None and not idx.chain_emits[w]
-            return (nlab, empty, idx.source[f][1])
-        nlab = None if lab is None else ("s", lab)
-        return (nlab, lab is None, idx.source[w][1])
-
-    # 3. build normalized vertices bottom-up (non-chain vertices only)
-    for v in order:
-        if pruned[v]:
-            idx.source[v] = (PRUNED,)
-            continue
-        if in_chain[v]:
-            continue  # handled below, after chain targets exist
-        resolved = [r for r in (resolve(lab, w) for lab, w in live_edges(v)) if r]
-        if not resolved:
-            nid = idx._new_vertex()
-            idx.leaf_orig[nid] = v
-            idx.rskip[nid] = nid
-            idx.source[v] = (NODE, nid)
-            continue
-        if v in d.targets:
-            clone = idx._new_vertex()
-            idx.leaf_orig[clone] = v
-            idx.rskip[clone] = clone
-            resolved.append((None, True, clone))
-        # right spine
-        spine = [idx._new_vertex() for _ in range(len(resolved) - 1)]
-        for k, nid in enumerate(spine):
-            lab, empty, child = resolved[k]
-            idx.left[nid] = child
-            idx.llab[nid] = lab
-            idx.lempty[nid] = empty
-            if k + 1 < len(spine):
-                idx.right[nid] = spine[k + 1]
-                idx.rlab[nid] = None
-                idx.rempty[nid] = True
-            else:
-                lab, empty, child = resolved[-1]
-                idx.right[nid] = child
-                idx.rlab[nid] = lab
-                idx.rempty[nid] = empty
-        for nid in reversed(spine):
-            r = idx.right[nid]
-            idx.rskip[nid] = nid if not idx.rempty[nid] else idx.rskip[r]
-        idx.source[v] = (NODE, spine[0])
-    # sessions from chain vertices delegate to the chain end
-    for v in range(n):
-        if in_chain[v]:
-            f = chain_end[v]
-            idx.source[v] = (SHORTCUT, idx.source[f][1], v, f)
-    return idx
+    return _normalize(d, WORDS)
 
 
-class FMSession:
-    """Word enumeration; emits (target, word) with delay linear in the word."""
+class FMSession(PathSession):
+    """Word enumeration; emits (target, word) with delay linear in the word.
 
-    def __init__(self, idx: FMIndex, source: int):
-        self.idx = idx
-        disp = idx.source[source]
-        if disp is None:
-            raise ValueError(f"unknown vertex {source}")
-        self.trie: list[tuple[int, object]] = [(-1, None)]  # (parent, label)
-        self.stack: list[tuple[int, int]] = []
-        self.flag = 1
-        self.last_steps = 0
-        self.prefix: Optional[tuple[int, int]] = None  # original chain (u, f)
-        if disp[0] == PRUNED:
-            self.exhausted = True
-            self.v = -1
-            self.alpha = 0
-        else:
-            self.exhausted = False
-            if disp[0] == SHORTCUT:
-                self.prefix = (disp[2], disp[3])
-            self.v = disp[1]
-            self.alpha = 0
+    ``last_steps`` is the path iterations (at most 2) plus the rope nodes
+    expanded (2k - 1 for a word of k symbols).
+    """
 
-    def _step_trie(self, alpha: int, lab, empty: bool) -> int:
-        if empty:
-            return alpha
-        self.trie.append((alpha, lab))
-        return len(self.trie) - 1
-
-    def _assemble(self) -> tuple:
-        idx = self.idx
-        word: list = []
-        k = 0
-        if self.prefix is not None:
-            u, f = self.prefix
-            k += idx.expand(("t", None, u, f), word)
-        labels = []
-        a = self.alpha
-        while a > 0:
-            parent, lab = self.trie[a]
-            labels.append(lab)
-            a = parent
-        for lab in reversed(labels):
-            k += idx.expand(lab, word)
-        cur = self.v
-        while not idx.is_leaf(cur):
-            cur = idx.rskip[cur]
-            k += 1
-            if idx.is_leaf(cur):
-                break
-            k += idx.expand(idx.rlab[cur], word)
-            cur = idx.right[cur]
-        self.last_steps += k
-        return (idx.leaf_orig[cur], tuple(word))
-
-    def __iter__(self):
-        while True:
-            item = self.next()
-            if item is None:
-                return
-            yield item
+    __slots__ = ()
 
     def next(self) -> Optional[tuple]:
-        if self.exhausted:
-            self.last_steps = 0
+        item = super().next()
+        if item is None:
             return None
-        idx = self.idx
-        self.last_steps = 0
-        emit = None
-        while True:
-            self.last_steps += 1
-            if self.flag:
-                emit = self._assemble()
-            self.flag = 1
-            if not idx.is_leaf(self.v):
-                r = idx.right[self.v]
-                if not idx.is_leaf(r):
-                    self.stack.append(
-                        (r, self._step_trie(self.alpha, idx.rlab[self.v], idx.rempty[self.v]))
-                    )
-                self.alpha = self._step_trie(self.alpha, idx.llab[self.v], idx.lempty[self.v])
-                self.v = idx.left[self.v]
-            elif self.stack:
-                self.v, self.alpha = self.stack.pop()
-                self.flag = 0
-            else:
-                self.exhausted = True
-            if emit is not None or self.exhausted:
-                return emit
+        word = _expand(item[1])
+        if word:  # a rope of k symbols has 2k - 1 nodes
+            self.last_steps += 2 * len(word) - 1
+        return (item[0], tuple(word))

@@ -355,40 +355,6 @@ def evaluate(g: FSLP, node: int, budget: Optional[int] = None, stats: Optional[V
     return eval_expr(unfold(g, node, budget=2 * stats.s[node], stats=stats))
 
 
-def fold_expr(e: Expr) -> FSLP:
-    """Minimal DAG of the expression: one node per distinct subtree."""
-    g = FSLP()
-    memo: dict[tuple, int] = {}
-    out: list[int] = []
-    stack: list[tuple[Expr, bool]] = [(e, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if isinstance(node, ExprLeaf):
-            key = (LEAFCTX if node.ctx else LEAF, node.label)
-            nid = memo.get(key)
-            if nid is None:
-                nid = memo[key] = g.add_node(key)
-            out.append(nid)
-        elif expanded:
-            right = out.pop()
-            left = out.pop()
-            key = (node.op, left, right)
-            nid = memo.get(key)
-            if nid is None:
-                nid = memo[key] = g.add_node(key)
-            out.append(nid)
-        else:
-            stack.append((node, True))
-            stack.append((node.right, False))
-            stack.append((node.left, False))
-    g.root = out[0]
-    return g
-
-
-# ---------------------------------------------------------------------------
-# compression
-# ---------------------------------------------------------------------------
-
 class _Builder:
     """Hash-consing FSLP builder: structurally equal definitions share a node."""
 
@@ -402,6 +368,30 @@ class _Builder:
             nid = self.memo[definition] = self.g.add_node(definition)
         return nid
 
+
+def fold_expr(e: Expr) -> FSLP:
+    """Minimal DAG of the expression: one node per distinct subtree."""
+    b = _Builder()
+    out: list[int] = []
+    stack: list[tuple[Expr, bool]] = [(e, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if isinstance(node, ExprLeaf):
+            out.append(b.mk(LEAFCTX if node.ctx else LEAF, node.label))
+        elif expanded:
+            right = out.pop()
+            out.append(b.mk(node.op, out.pop(), right))
+        else:
+            stack.append((node, True))
+            stack.append((node.right, False))
+            stack.append((node.left, False))
+    b.g.root = out[0]
+    return b.g
+
+
+# ---------------------------------------------------------------------------
+# compression
+# ---------------------------------------------------------------------------
 
 def _balanced(b: _Builder, op: str, items: list[int], weights: list[int]) -> int:
     """Combine ``items`` with ``op`` splitting at the weighted midpoint."""
@@ -547,6 +537,13 @@ def dumps(g: FSLP) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _int_field(text: str, lineno: int, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"line {lineno}: {what} {text!r} is not an integer") from None
+
+
 def loads(text: str) -> FSLP:
     g = FSLP()
     lines = text.splitlines()
@@ -560,13 +557,13 @@ def loads(text: str) -> FSLP:
         if parts[0] == "root":
             if len(parts) != 2:
                 raise ValueError(f"line {lineno}: bad root line")
-            g.root = int(parts[1])
+            g.root = _int_field(parts[1], lineno, "root")
             if not (0 <= g.root < len(g)):
                 raise ValueError(f"line {lineno}: root references unknown node")
             continue
         if parts[0] != "node" or len(parts) < 4:
             raise ValueError(f"line {lineno}: expected 'node <id> <kind> ...'")
-        nid, kind = int(parts[1]), parts[2]
+        nid, kind = _int_field(parts[1], lineno, "node id"), parts[2]
         if nid != len(g):
             raise ValueError(f"line {lineno}: node ids must be dense and in order")
         if kind in (LEAF, LEAFCTX):
@@ -576,7 +573,8 @@ def loads(text: str) -> FSLP:
         elif kind in (HC, VC):
             if len(parts) != 5:
                 raise ValueError(f"line {lineno}: {kind} takes two child ids")
-            g.add_node((kind, int(parts[3]), int(parts[4])))
+            left = _int_field(parts[3], lineno, "child id")
+            g.add_node((kind, left, _int_field(parts[4], lineno, "child id")))
         else:
             raise ValueError(f"line {lineno}: unknown kind {kind!r}")
     return g

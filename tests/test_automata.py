@@ -361,3 +361,20 @@ class TestTextFormat:
     def test_errors(self, text):
         with pytest.raises(ValueError):
             am.loads(text)
+
+    @pytest.mark.parametrize(
+        "line, lineno, message",
+        [
+            ("states 1 2", 2, "states takes 1 field(s), got 2"),
+            ("trans 0 0 0 9", 3, "trans takes 3 field(s), got 4"),
+            ("trans 0 0", 3, "trans takes 3 field(s), got 2"),
+            ("init 0 7", 3, "init takes 1 field(s), got 2"),
+            ("final", 3, "final takes 1 field(s), got 0"),
+        ],
+    )
+    def test_fixed_width_lines_reject_extra_or_missing_fields(self, line, lineno, message):
+        lines = ["nsta v1", "states 1", "trans 0 0 0", "init 0", "final 0"]
+        lines[lineno - 1] = line
+        with pytest.raises(ValueError) as exc:
+            am.loads("\n".join(lines) + "\n")
+        assert str(exc.value) == f"line {lineno}: {message}"

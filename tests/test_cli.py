@@ -57,6 +57,13 @@ class TestCompressDecompress:
         assert code == 1 and text == "" and not out.exists()
         assert err.startswith("error: node ") and "cannot be written" in err
 
+    def test_non_integer_child_id_exits_1(self, workdir, capsys):
+        bad = workdir / "bad.fslp"
+        bad.write_text("fslp v1\nnode 0 leaf a\nnode 1 hc 0 q\nroot 1\n")
+        code, text, err = run(capsys, "decompress", bad)
+        assert (code, text) == (1, "")
+        assert err == "error: line 3: child id 'q' is not an integer\n"
+
     def test_budget_exceeded(self, workdir, capsys):
         code, _, err = run(capsys, "decompress", workdir / "shared.fslp", "--budget", "3")
         assert code == 1 and "budget" in err.lower()
@@ -143,6 +150,14 @@ class TestEnumerate:
         code, text, _ = run(capsys, "enumerate", out, workdir / "one.nsta", "--limit", limit)
         assert code == 0 and len(text.splitlines()) == limit + 1
         assert len(drawn) == limit
+
+    def test_extra_nsta_field_exits_1(self, workdir, capsys):
+        out, bad = workdir / "fig1.fslp", workdir / "bad.nsta"
+        run(capsys, "compress", workdir / "fig1.term", "-o", out)
+        bad.write_text((workdir / "selb.nsta").read_text().replace("init 0", "init 0 7"))
+        code, text, err = run(capsys, "enumerate", out, bad)
+        assert (code, text) == (1, "")
+        assert re.fullmatch(r"error: line \d+: init takes 1 field\(s\), got 2\n", err)
 
     def test_state_cap_exits_1(self, workdir, capsys, monkeypatch):
         out = workdir / "fig1.fslp"

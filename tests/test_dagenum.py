@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 
 import pytest
@@ -12,6 +13,7 @@ from fslpenum import (
     fm_preprocess,
     preprocess,
 )
+from fslpenum.dagenum import WORDS, _expand
 from fslpenum.fixtures import (
     INT_SUM,
     SAMPLE_DAG_PAIRS,
@@ -106,6 +108,15 @@ class TestPreprocess:
         d.add_vertex(None)
         with pytest.raises(ValueError):
             d.add_edge(0, 1, 5)
+
+    @pytest.mark.parametrize("u", [-1, 2, 7])
+    def test_edge_from_unknown_vertex_rejected(self, u):
+        d = DecoratedDAG(INT_SUM)
+        d.add_vertex(None)
+        d.add_vertex(None, target=True)
+        with pytest.raises(ValueError, match="unknown vertex"):
+            d.add_edge(u, 1, 1)
+        assert d.edges == [[], []]
 
 
 class TestSessions:
@@ -281,3 +292,62 @@ class TestFreeMonoid:
                 sess = FMSession(idx, s)
                 for _, word in sess:
                     assert sess.last_steps <= 6 * (1 + len(word))
+
+    @pytest.mark.parametrize("source", [-1, 2, 99])
+    def test_unknown_source(self, source):
+        d = DecoratedDAG()
+        d.add_vertex(None)
+        d.add_vertex(None, target=True)
+        d.add_edge(0, "x", 1)
+        idx = fm_preprocess(d)
+        with pytest.raises(ValueError, match="unknown vertex"):
+            FMSession(idx, source)
+        assert list(FMSession(idx, 0)) == [(1, ("x",))]
+
+    def test_word_category_keeps_epsilon_out_of_ropes(self):
+        assert WORDS.identity(None) is None
+        assert WORDS.compose(None, "x") == "x" and WORDS.compose("x", None) == "x"
+        assert WORDS.compose(None, None) is None
+        assert _expand(None) == []
+        left = right = None
+        for i in range(10**5):
+            left = WORDS.compose(left, i)
+            right = WORDS.compose(i, right)
+        assert _expand(left) == list(range(10**5))
+        assert _expand(right) == list(reversed(range(10**5)))
+
+    def test_long_alternating_chain_streams_its_word(self):
+        # ε and symbol edges alternate along 10^5 vertices; the chain
+        # contracts into one shortcut whose rope is 5·10^4 symbols deep
+        n = 10**5
+        d = DecoratedDAG()
+        for v in range(n):
+            d.add_vertex(None, target=v == n - 1)
+        for v in range(n - 1):
+            d.add_edge(v, None if v % 2 == 0 else ("x", v), v + 1)
+        sess = FMSession(fm_preprocess(d), 0)
+        target, word = sess.next()
+        assert target == n - 1
+        assert word == tuple(("x", v) for v in range(1, n - 1, 2))
+        assert sess.last_steps <= 6 * (1 + len(word))
+        assert sess.next() is None
+
+    def test_layered_dag_first_words_within_delay(self):
+        # 50 vertices per layer, 400 edge layers, two edges per vertex to
+        # the next layer; every other layer is ε, so each word has 200 symbols
+        width, depth = 50, 400
+        rng = random.Random(5)
+        d = DecoratedDAG()
+        for layer in range(depth + 1):
+            for _ in range(width):
+                d.add_vertex(None, target=layer == depth)
+        for layer in range(depth):
+            for i in range(width):
+                for w in rng.sample(range(width), 2):
+                    lab = None if layer % 2 == 0 else rng.choice("xy")
+                    d.add_edge(layer * width + i, lab, (layer + 1) * width + w)
+        sess = FMSession(fm_preprocess(d), 0)
+        for _ in range(2 * 10**4):
+            target, word = sess.next()
+            assert target >= depth * width and len(word) == depth // 2
+            assert sess.last_steps <= 6 * (1 + len(word))

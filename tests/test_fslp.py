@@ -296,6 +296,19 @@ class TestFold:
     def test_single_leaf(self):
         assert len(fold_expr(leaf("a"))) == 1
 
+    def test_node_order_is_first_occurrence_in_preorder(self):
+        acd = hc(leaf("c"), leaf("d"))
+        g = fold_expr(hc(hc(hc(leaf("c"), leaf("c")), acd), acd))
+        assert [g.node_def(i) for i in range(len(g))] == [
+            ("leaf", "c"),
+            ("hc", 0, 0),
+            ("leaf", "d"),
+            ("hc", 0, 2),
+            ("hc", 1, 3),
+            ("hc", 4, 3),
+        ]
+        assert g.root == 5
+
     def test_all_distinct_subtrees(self, rng):
         for _ in range(40):
             e = random_expr(rng, 4)
@@ -387,6 +400,20 @@ class TestTextFormat:
     def test_errors(self, text):
         with pytest.raises((ValueError, InvalidFSLP)):
             fslp_mod.loads(text)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("fslp v1\nnode 0 leaf a\nroot x\n", "line 3: root 'x' is not an integer"),
+            ("fslp v1\nnode zero leaf a\n", "line 2: node id 'zero' is not an integer"),
+            ("fslp v1\nnode 0 leaf a\nnode 1 hc 0 q\n", "line 3: child id 'q' is not an integer"),
+            ("fslp v1\nnode 0 leaf a\nnode 1 vc x 0\n", "line 3: child id 'x' is not an integer"),
+        ],
+    )
+    def test_non_integer_fields_name_their_line(self, text, message):
+        with pytest.raises(ValueError) as exc:
+            fslp_mod.loads(text)
+        assert str(exc.value) == message
 
     @pytest.mark.parametrize("label", ["", "a b", "x#y", "a\tb", "a\nb", None])
     def test_dumps_rejects_labels_loads_cannot_read(self, label):
