@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 from .forest import HC, VC, Expr, Forest, _Flat
-from .fslp import FSLP, LEAF, LEAFCTX, env_int
+from .fslp import FSLP, LEAF, LEAFCTX, _int_field, env_int
 
 FAILURE = ("fail",)
 
@@ -406,8 +406,8 @@ def dumps(a: NSTA) -> str:
     return "\n".join(lines) + "\n"
 
 
-_FIELDS = {"states": 2, "trans": 4, "init": 2, "final": 2}
-"""Field count of each fixed-width directive line, the directive included."""
+_FIELDS = {"states": 1, "trans": 3, "init": 1, "final": 1}
+"""Field count of each fixed-width directive line, after the directive."""
 
 
 def loads(text: str) -> NSTA:
@@ -424,29 +424,26 @@ def loads(text: str) -> NSTA:
         if not line:
             continue
         parts = line.split()
-        want = _FIELDS.get(parts[0])
-        if want is not None and len(parts) != want:
-            raise ValueError(
-                f"line {lineno}: {parts[0]} takes {want - 1} field(s), got {len(parts) - 1}"
-            )
-        try:
-            if parts[0] == "states":
-                m = int(parts[1])
-            elif parts[0] == "iota":
-                label, bit = parts[1], int(parts[2])
-                states = frozenset(int(x) for x in parts[3:])
-                key = (label, bit)
-                iota[key] = iota.get(key, frozenset()) | states
-            elif parts[0] == "trans":
-                delta.add((int(parts[1]), int(parts[2]), int(parts[3])))
-            elif parts[0] == "init":
-                q0 = int(parts[1])
-            elif parts[0] == "final":
-                qf = int(parts[1])
-            else:
-                raise ValueError(f"unknown directive {parts[0]!r}")
-        except (IndexError, ValueError) as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
+        kind, nfields = parts[0], len(parts) - 1
+        if kind == "iota":
+            if nfields < 2:
+                raise ValueError(f"line {lineno}: iota takes at least 2 field(s), got {nfields}")
+        elif kind not in _FIELDS:
+            raise ValueError(f"line {lineno}: unknown directive {kind!r}")
+        elif nfields != _FIELDS[kind]:
+            raise ValueError(f"line {lineno}: {kind} takes {_FIELDS[kind]} field(s), got {nfields}")
+        if kind == "states":
+            m = _int_field(parts[1], lineno, "states")
+        elif kind == "iota":
+            key = (parts[1], _int_field(parts[2], lineno, "iota bit"))
+            states = frozenset(_int_field(x, lineno, "iota state") for x in parts[3:])
+            iota[key] = iota.get(key, frozenset()) | states
+        elif kind == "trans":
+            delta.add(tuple(_int_field(x, lineno, "trans state") for x in parts[1:]))
+        elif kind == "init":
+            q0 = _int_field(parts[1], lineno, "init")
+        else:
+            qf = _int_field(parts[1], lineno, "final")
     if m is None or q0 is None or qf is None:
         raise ValueError("nsta file needs states/init/final lines")
     return NSTA(m, frozenset(delta), iota, q0, qf)

@@ -469,24 +469,37 @@ def compress_forest(f: Forest) -> FSLP:
     return b.g
 
 
+def _halving(b: _Builder, n: int, leaf_kind: str, join: str, label: str) -> int:
+    """Node for ``n`` copies of a ``leaf_kind`` leaf joined by ``join``: the
+    leaf for 1, otherwise the join of the ceil(n/2) and floor(n/2) nodes.
+
+    One node per distinct size, at most two per halving level, created
+    children first with the ceil half before the floor half; the explicit
+    stack holds O(log n) sizes, so any ``n`` builds without recursion.
+    """
+    memo: dict[int, int] = {}
+    stack = [n]
+    while stack:
+        m = stack[-1]
+        if m in memo:
+            stack.pop()
+        elif m == 1:
+            memo[1] = b.mk(leaf_kind, label)
+        elif m - m // 2 not in memo:
+            stack.append(m - m // 2)
+        elif m // 2 not in memo:
+            stack.append(m // 2)
+        else:
+            memo[m] = b.mk(join, memo[m - m // 2], memo[m // 2])
+    return memo[n]
+
+
 def row_fslp(label: str, n: int) -> FSLP:
     """f-SLP for the forest of ``n`` sibling ``label`` vertices, O(log n) nodes."""
     if n < 1:
         raise ValueError("n must be positive")
     b = _Builder()
-    memo: dict[int, int] = {}
-
-    def row(m: int) -> int:
-        nid = memo.get(m)
-        if nid is None:
-            if m == 1:
-                nid = b.mk(LEAF, label)
-            else:
-                nid = b.mk(HC, row(m - m // 2), row(m // 2))
-            memo[m] = nid
-        return nid
-
-    b.g.root = row(n)
+    b.g.root = _halving(b, n, LEAF, HC, label)
     return b.g
 
 
@@ -495,22 +508,10 @@ def chain_fslp(label: str, depth: int) -> FSLP:
     if depth < 1:
         raise ValueError("depth must be positive")
     b = _Builder()
-    memo: dict[int, int] = {}
-
-    def ctx(m: int) -> int:
-        nid = memo.get(m)
-        if nid is None:
-            if m == 1:
-                nid = b.mk(LEAFCTX, label)
-            else:
-                nid = b.mk(VC, ctx(m - m // 2), ctx(m // 2))
-            memo[m] = nid
-        return nid
-
     if depth == 1:
         b.g.root = b.mk(LEAF, label)
     else:
-        b.g.root = b.mk(VC, ctx(depth - 1), b.mk(LEAF, label))
+        b.g.root = b.mk(VC, _halving(b, depth - 1, LEAFCTX, VC, label), b.mk(LEAF, label))
     return b.g
 
 

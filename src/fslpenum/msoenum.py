@@ -14,13 +14,11 @@ Enumeration then walks witness trees: unary nodes draw (useful config,
 composed effect) pairs from frozen path sessions; binary nodes step
 through the ordered successor tuples, which name the children's pairs by
 pid; and each emitted answer is the set of preorder numbers read off the
-root-to-leaf composed effects.  A unary node with a single path in the
-product holds no choice, so it is not built: its child takes the only
-pair straight from the normalizer and stands for it, while steps are
-still counted on the full witness tree.  A subtree with no choice at all
-(a rigid pair, see ``ProductIndex.fill_rigid``) is one node, expanded by
-the walk from per-pair records.  Answers come out duplicate-free with
-delay linear in the answer size.
+root-to-leaf composed effects.  A subtree with no choice at all (a rigid
+pair, see ``ProductIndex.fill_rigid``) is one node, expanded by the walk
+from per-pair records, while steps are still counted on the full witness
+tree.  Answers come out duplicate-free with delay linear in the answer
+size.
 """
 
 from __future__ import annotations
@@ -154,9 +152,9 @@ class ProductIndex:
         an ``(eps, c, kappa, d)`` tuple: the single path's effect
         precomposed with ``eff_l`` or ``eff_r``.  ``steps`` and ``nodes``
         are what the full witness subtree charges and holds:
-        ``_LEAF_STEPS`` and 1 per leaf pair, ``_FOLD_STEPS`` and
-        ``_FOLD_NODES`` per folded unary node.  A non-rigid pair's record
-        is None.
+        ``_LEAF_STEPS`` and 1 per leaf pair, ``_PATH_STEPS`` and
+        ``_PATH_NODES`` per single-path unary node with the child it draws.
+        A non-rigid pair's record is None.
         """
         rec, pairs, lefts = self.rigid, self.pairs, self.g.lefts
         stack: list[tuple[int, Optional[tuple]]] = [(pid, None)]
@@ -174,7 +172,7 @@ class ProductIndex:
                     continue
                 u, (eps, ce, kappa, de) = only
                 if lefts[pairs[u][0]] is None:
-                    rec[p] = (_FOLD_STEPS, _FOLD_NODES, -1, eps, ce)
+                    rec[p] = (_PATH_STEPS, _PATH_NODES, -1, eps, ce)
                     continue
                 succ = self.succ_a[u]
                 if len(succ) > 1:
@@ -193,7 +191,7 @@ class ProductIndex:
             le, lc, lk, ld = self.eff_l[unode]
             re, rc, rk, rd = self.eff_r[unode]
             rec[p] = (
-                _FOLD_STEPS + rl[0] + rr[0], _FOLD_NODES + rl[1] + rr[1],
+                _PATH_STEPS + rl[0] + rr[0], _PATH_NODES + rl[1] + rr[1],
                 pl, eps + le * kappa, ce + le * de + lc, lk * kappa, lk * de + ld,
                 pr, eps + re * kappa, ce + re * de + rc, rk * kappa, rk * de + rd,
             )
@@ -214,11 +212,11 @@ class ProductIndex:
 # ---------------------------------------------------------------------------
 
 _LEAF, _UNARY, _BINARY, _RIGID = 0, 1, 2, 3
-# Steps charged on the full witness tree: a leaf's start, and a folded
+# Steps charged on the full witness tree: a leaf's start, and a single-path
 # unary node's start, its session's one iteration and its one draw, which
-# together also start the node drawn; a fold covers those two nodes.
+# together also start the node drawn; a record counts those two nodes.
 _LEAF_STEPS = 1
-_FOLD_STEPS, _FOLD_NODES = 3, 2
+_PATH_STEPS, _PATH_NODES = 3, 2
 _LEAF_RECORD = (_LEAF_STEPS, 1, -1, 0, 0)  # a leaf pair: one node, element c
 
 
@@ -229,16 +227,14 @@ class _WNode:
     x -> (x + c, d) below a context, so two ints hold it: composed with an
     edge or path effect (eps, c_e, kappa, d_e) it becomes
     (c + eps*d + c_e, kappa*d + d_e).  A unary node draws its pairs from a
-    path session and keeps the next one in ``buf``, for the maximality test.
-    A unary node with a single path is not built: its child, a binary node
-    (a leaf below such a node is rigid), takes the composed effect and sets
-    ``folded`` to 1, for the one node it stands for in the full witness
-    tree.  A rigid pair (no choice below it) is one ``_RIGID`` node that
-    holds the effect reaching the pair, with ``folded`` set to the other
-    nodes of its full subtree; the walk expands the subtree from
-    ``ProductIndex.rigid`` and never advances it.  ``pos`` is the node's
-    index in the preorder of that full tree (for a rigid node, that of the
-    last node of its subtree).
+    path session and keeps the next one in ``buf``, for the maximality test;
+    its child is the only place a binary node is built.  A rigid pair (no
+    choice below it) is one ``_RIGID`` node that holds the effect reaching
+    the pair, with ``folded`` set to the other nodes of its full subtree;
+    the walk expands the subtree from ``ProductIndex.rigid`` and never
+    advances it.  ``pos`` is the node's index in the preorder of the full
+    witness tree (for a rigid node, that of the last node of its
+    subtree).
     """
 
     __slots__ = (
@@ -269,15 +265,13 @@ class AnswerStream:
 
     ``next`` returns the next answer as a list of preorder numbers (in
     witness order, not sorted) or None after the end.  ``last_steps``
-    counts the instrumented work of the most recent call.  A unary witness
-    node opens a path session only when its pair has more than one path;
-    otherwise its child is built at once from the only pair and stands for
-    it.  A rigid pair becomes one node that is charged its record's steps
-    when started; the walk expands it into the answer and keeps it out of
-    ``_pre``, the preorder list of nodes an advance may reach.  Steps are
-    counted on the full witness tree, as if every unary node were built
-    and drew from a session: the folded node's start, the session's one
-    loop iteration and the draw, and one walk step for it.
+    counts the instrumented work of the most recent call.  A rigid pair
+    becomes one node that is charged its record's steps when started; the
+    walk expands it into the answer and keeps it out of ``_pre``, the
+    preorder list of nodes an advance may reach.  Every other non-leaf pair
+    is a unary node that draws from a path session.  Steps are counted on
+    the full witness tree, as if every rigid subtree were built node by
+    node.
     """
 
     def __init__(self, idx: ProductIndex, node: int, record_steps: bool = False):
@@ -307,32 +301,18 @@ class AnswerStream:
         if idx.g.lefts[node] is None:
             self.last_steps += _LEAF_STEPS
             return _WNode(_LEAF, node, pid, c, d)
-        only = idx.norm.only_pair(pid)
-        if only is None:
-            w = _WNode(_UNARY, node, pid, c, d)
-            session = w.session = PathSession(idx.norm, pid)
-            w.buf = session.next()
-            self.last_steps += 1 + session.last_steps
-            return w
-        try:
-            rec = idx.rigid[pid]
-        except KeyError:
-            rec = idx.fill_rigid(pid)
-        if rec is not None:  # no choice below: the whole subtree at once
-            self.last_steps += rec[0]
-            x = _WNode(_RIGID, node, pid, c, d)
-            x.folded = rec[1] - 1
-            return x
-        # one path to a binary node with a choice below it: the unary node's
-        # start, its session's one iteration and its one draw, folded into
-        # the child drawn
-        self.last_steps += _FOLD_STEPS
-        pid, (eps, ce, kappa, de) = only
-        x = _WNode(_BINARY, idx.pairs[pid][0], pid, c + eps * d + ce, kappa * d + de)
-        x.succ = idx.succ_a[pid]
-        x.maximal = len(x.succ) == 1
-        x.folded = 1
-        return x
+        if idx.norm.only_pair(pid) is not None:  # multi-path pairs are never rigid
+            rec = idx.fill_rigid(pid)  # returns a filled record at once
+            if rec is not None:  # no choice below: the whole subtree at once
+                self.last_steps += rec[0]
+                x = _WNode(_RIGID, node, pid, c, d)
+                x.folded = rec[1] - 1
+                return x
+        w = _WNode(_UNARY, node, pid, c, d)
+        session = w.session = PathSession(idx.norm, pid)
+        w.buf = session.next()
+        self.last_steps += 1 + session.last_steps
+        return w
 
     def _draw_unary(self, w: _WNode) -> None:
         """Draw the next (useful pair, effect) for a unary node and start its

@@ -4,6 +4,9 @@ The subset and path oracles enumerate exhaustively and are budget-guarded;
 the tree-level witness enumeration and the leaf preorder numbering work on
 an explicit expression.  None of it shares configuration/product code with
 the main engine, so agreement in tests is evidence rather than tautology.
+``canonical_form`` is no oracle but a comparator: it reads the engine's
+tables back as values, so that an updated structure can be compared with
+a rebuild.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from itertools import combinations
 from typing import Iterator
 
 from .automata import DBUTA, NSTA, dbuta_run, nsta_accepts
-from .dagenum import DecoratedDAG
+from .dagenum import NODE, PRUNED, SHORTCUT, DecoratedDAG
 from .forest import HC, Expr, Forest, _Flat, _types
 
 
@@ -269,3 +272,77 @@ def enumerate_select_uncompressed(e: Expr, b: DBUTA) -> Iterator[frozenset]:
     finals = [q for q in te.act[0] if b.is_final(q)]
     for leaf_set in te.answers(finals):
         yield frozenset(po[i] for i in leaf_set)
+
+
+def canonical_form(eds) -> tuple:
+    """Value-level snapshot of an ``EnumDataStructure``, for structural
+    comparison with a rebuild, read off the engine's own tables
+    (configuration rows, successor tuples, edge effects and the normalized
+    product DAG) without recomputing any of them.
+
+    State ids are mapped back to state values, and pids and normalized
+    vertices to (node, state value) pairs.  The orders are not
+    canonicalized: configuration rows are sorted by state id, and pid
+    order, successor tuples and spine edges follow them, so they
+    follow the order in which the automaton interned its states.  Two
+    builds compare equal only if their automata interned states in the
+    same order (for example, each build on a fresh automaton, or both
+    on one shared automaton).
+    """
+    product = eds.product
+    g, conf, norm, pairs = product.g, product.conf, product.norm, product.pairs
+    sval = product.b.value
+
+    conf_part = tuple(
+        (
+            tuple(map(sval, conf.active[i])),
+            tuple(map(sval, conf.useful[i])),
+            tuple(map(sval, conf.empty[i])),
+        )
+        for i in range(len(g))
+    )
+    succ_part = tuple(
+        sorted(
+            (
+                (pairs[pid][0], sval(pairs[pid][1])),
+                tuple((sval(pairs[p1][1]), sval(pairs[p2][1])) for p1, p2 in tuples),
+            )
+            for pid, tuples in product.succ_a.items()
+        )
+    )
+    eff_part = tuple(zip(product.eff_l, product.eff_r))
+
+    def pairval(pid: int):
+        node, q = pairs[pid]
+        return (node, sval(q))
+
+    owner = {
+        disp[1]: orig for orig, disp in norm.source.items() if disp[0] == NODE
+    }
+
+    def normval(nid: int):
+        if norm.is_leaf(nid):
+            return ("leaf", pairval(norm.leaf_orig[nid]))
+        return ("vertex", pairval(owner[nid]))
+
+    prod_part = []
+    for pid in range(len(pairs)):
+        disp = norm.source[pid]
+        if disp[0] == PRUNED:
+            prod_part.append((pairval(pid), PRUNED))
+        elif disp[0] == SHORTCUT:
+            prod_part.append((pairval(pid), SHORTCUT, normval(disp[1]), disp[2]))
+        else:
+            # the resolved edges, read off the right spine below the head
+            nid = v = disp[1]
+            edges = []
+            while not norm.is_leaf(v):
+                edges.append((norm.lm[v], normval(norm.left[v])))
+                r = norm.right[v]
+                if norm.is_leaf(r) or r in owner:
+                    edges.append((norm.rm[v], normval(r)))
+                    break
+                v = r
+            omega = pairval(norm.leaf_orig[norm.omega[nid]])
+            prod_part.append((pairval(pid), NODE, tuple(edges), omega, norm.gam[nid]))
+    return (conf_part, succ_part, eff_part, tuple(prod_part))

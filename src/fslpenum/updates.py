@@ -15,9 +15,8 @@ from dataclasses import dataclass
 from typing import Iterable, Union
 
 from .automata import DBUTA, NSTA, nsta_to_dbuta
-from .dagenum import NODE, PRUNED, SHORTCUT
 from .fslp import FSLP, VertexStats, node_type, relabel_defs
-from .msoenum import AnswerStream, ConfSets, ProductIndex
+from .msoenum import AnswerStream, ProductIndex
 
 
 @dataclass
@@ -35,10 +34,6 @@ class EnumDataStructure:
         return self.product.b
 
     @property
-    def conf(self) -> ConfSets:
-        return self.product.conf
-
-    @property
     def stats(self) -> VertexStats:
         return self.product.stats
 
@@ -49,77 +44,6 @@ class EnumDataStructure:
 
     def enumerate(self, node: int, record_steps: bool = False) -> AnswerStream:
         return AnswerStream(self.product, node, record_steps=record_steps)
-
-    def canonical_form(self):
-        """Value-level snapshot for structural comparison with a rebuild.
-
-        State ids are mapped back to state values, and pids and normalized
-        vertices to (node, state value) pairs.  The orders are not
-        canonicalized: configuration rows are sorted by state id, and pid
-        order, successor tuples and spine edges follow them, so they
-        follow the order in which the automaton interned its states.  Two
-        builds compare equal only if their automata interned states in the
-        same order (for example, each build on a fresh automaton, or both
-        on one shared automaton).
-        """
-        g = self.fslp
-        norm = self.product.norm
-        pairs = self.product.pairs
-        sval = self.dbuta.value
-
-        conf_part = tuple(
-            (
-                tuple(map(sval, self.conf.active[i])),
-                tuple(map(sval, self.conf.useful[i])),
-                tuple(map(sval, self.conf.empty[i])),
-            )
-            for i in range(len(g))
-        )
-        succ_part = tuple(
-            sorted(
-                (
-                    (pairs[pid][0], sval(pairs[pid][1])),
-                    tuple((sval(pairs[p1][1]), sval(pairs[p2][1])) for p1, p2 in tuples),
-                )
-                for pid, tuples in self.product.succ_a.items()
-            )
-        )
-        eff_part = tuple(zip(self.product.eff_l, self.product.eff_r))
-
-        def pairval(pid: int):
-            node, q = pairs[pid]
-            return (node, sval(q))
-
-        owner = {
-            disp[1]: orig for orig, disp in norm.source.items() if disp[0] == NODE
-        }
-
-        def normval(nid: int):
-            if norm.is_leaf(nid):
-                return ("leaf", pairval(norm.leaf_orig[nid]))
-            return ("vertex", pairval(owner[nid]))
-
-        prod_part = []
-        for pid in range(len(pairs)):
-            disp = norm.source[pid]
-            if disp[0] == PRUNED:
-                prod_part.append((pairval(pid), PRUNED))
-            elif disp[0] == SHORTCUT:
-                prod_part.append((pairval(pid), SHORTCUT, normval(disp[1]), disp[2]))
-            else:
-                # the resolved edges, read off the right spine below the head
-                nid = v = disp[1]
-                edges = []
-                while not norm.is_leaf(v):
-                    edges.append((norm.lm[v], normval(norm.left[v])))
-                    r = norm.right[v]
-                    if norm.is_leaf(r) or r in owner:
-                        edges.append((norm.rm[v], normval(r)))
-                        break
-                    v = r
-                omega = pairval(norm.leaf_orig[norm.omega[nid]])
-                prod_part.append((pairval(pid), NODE, tuple(edges), omega, norm.gam[nid]))
-        return (conf_part, succ_part, eff_part, tuple(prod_part))
 
 
 NodeDef = tuple

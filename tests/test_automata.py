@@ -370,6 +370,15 @@ class TestTextFormat:
             ("trans 0 0", 3, "trans takes 3 field(s), got 2"),
             ("init 0 7", 3, "init takes 1 field(s), got 2"),
             ("final", 3, "final takes 1 field(s), got 0"),
+            ("iota a", 3, "iota takes at least 2 field(s), got 1"),
+            ("iota", 3, "iota takes at least 2 field(s), got 0"),
+            ("states x", 2, "states 'x' is not an integer"),
+            ("iota a z 0", 3, "iota bit 'z' is not an integer"),
+            ("iota a 1 0 q", 3, "iota state 'q' is not an integer"),
+            ("trans 0 x 0", 3, "trans state 'x' is not an integer"),
+            ("init 0.5", 4, "init '0.5' is not an integer"),
+            ("final -", 5, "final '-' is not an integer"),
+            ("frob 1", 3, "unknown directive 'frob'"),
         ],
     )
     def test_fixed_width_lines_reject_extra_or_missing_fields(self, line, lineno, message):

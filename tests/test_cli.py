@@ -159,6 +159,14 @@ class TestEnumerate:
         assert (code, text) == (1, "")
         assert re.fullmatch(r"error: line \d+: init takes 1 field\(s\), got 2\n", err)
 
+    def test_short_iota_line_exits_1(self, workdir, capsys):
+        out, bad = workdir / "fig1.fslp", workdir / "bad.nsta"
+        run(capsys, "compress", workdir / "fig1.term", "-o", out)
+        bad.write_text("nsta v1\nstates 1\niota a\ninit 0\nfinal 0\n")
+        code, text, err = run(capsys, "enumerate", out, bad)
+        assert (code, text) == (1, "")
+        assert err == "error: line 3: iota takes at least 2 field(s), got 1\n"
+
     def test_state_cap_exits_1(self, workdir, capsys, monkeypatch):
         out = workdir / "fig1.fslp"
         run(capsys, "compress", workdir / "fig1.term", "-o", out)
@@ -270,6 +278,11 @@ class TestBench:
         assert code == 0
         assert "fslp_nodes=11" in out and "answers=64" in out
         assert "preprocess=" in err
+
+    def test_wide_family_past_the_recursion_limit(self, workdir, capsys):
+        code, out, _ = run(capsys, "bench", "--family", "wide", "--size", "1200", "--limit", "64")
+        assert code == 0
+        assert "fslp_nodes=1201" in out and f"decompressed={2**1200}" in out and "answers=64" in out
 
     def test_fig2_family(self, workdir, capsys):
         code, out, _ = run(capsys, "bench", "--family", "fig2")

@@ -24,6 +24,7 @@ from fslpenum.fixtures import (
     sample_weighted_dag,
     select_labels_nsta,
 )
+from fslpenum.oracle import canonical_form
 
 from conftest import random_nsta
 
@@ -88,7 +89,7 @@ def test_concurrent_builds_share_one_dbuta():
     got = [None] * len(gs)
 
     def worker(i):
-        got[i] = build_enum_structure(gs[i], shared).canonical_form()
+        got[i] = canonical_form(build_enum_structure(gs[i], shared))
 
     threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(gs))]
     interval = sys.getswitchinterval()
@@ -109,7 +110,7 @@ def test_concurrent_builds_share_one_dbuta():
     fresh = nsta_to_dbuta(a)
     for v in values:
         fresh.intern(v)
-    want = [build_enum_structure(g, fresh).canonical_form() for g in gs]
+    want = [canonical_form(build_enum_structure(g, fresh)) for g in gs]
     assert fresh.state_count == len(values)
     assert got == want
 

@@ -358,6 +358,16 @@ class TestCompression:
         assert len(g) <= 60
         assert evaluate(g, g.root) == deep
 
+    def test_families_past_the_recursion_limit(self):
+        # 1200 halving levels: deeper than Python's default recursion limit
+        row, chain = row_fslp("a", 2**1200), chain_fslp("a", 2**1200)
+        st = compute_stats(row)
+        assert (len(row), row.root, st.height[row.root]) == (1201, 1200, 1200)
+        assert st.nverts[row.root] == 2**1200
+        st = compute_stats(chain)
+        assert (len(chain), chain.root, st.height[chain.root]) == (2401, 2400, 1201)
+        assert st.nverts[chain.root] == 2**1200
+
     def test_height_logarithmic(self, rng):
         # documented constant: height <= 4*log2(n) + 2 on every tested shape
         cases = [random_forest(rng, 200, labels="ab") for _ in range(30)]

@@ -438,7 +438,8 @@ class TestDifferentialAtScale:
     """The engine against the explicit-tree oracle on forests of 10^2-10^3
     vertices: one answer with a witness tree of hundreds of nodes (taken
     without path sessions), every singleton (drawn from a session), and
-    random automata, whose witness trees mix both kinds of unary node."""
+    random automata, whose witness trees mix session nodes and rigid
+    subtrees."""
 
     @pytest.mark.parametrize("n", [100, 400, 1000])
     def test_engine_matches_tree_oracle(self, n):
@@ -459,13 +460,11 @@ class TestDifferentialAtScale:
         assert set(got) == set(want) == {frozenset({k}) for k in range(n)}
 
 
-    def test_random_automata_match_tree_oracle(self):
+    @staticmethod
+    def _random_automaton_streams():
         # random 1-4-state queries on the root and the larger forest nodes
-        # of 100-1000-vertex forests; both sides stop one answer past the
-        # cap, and a case over it on both sides is skipped and counted
-        cap = 32
+        # of 100-1000-vertex forests
         rng = random.Random(2024)
-        compared = nonempty = skipped = mixed = past_rigid = 0
         for _ in range(20):
             g = compress_forest(parse_term(random_term(rng, rng.randint(100, 1000), "ab")))
             a = random_nsta(rng, rng.randint(1, 4))
@@ -473,38 +472,66 @@ class TestDifferentialAtScale:
             st = idx.stats
             nodes = [v for v in range(len(g)) if st.tau[v] == 0 and st.nverts[v] >= 100]
             for v in nodes[-4:]:
-                stream = AnswerStream(idx, v)
-                got, across, sessions, rigid = [], False, False, False
-                for ans in islice(stream, cap + 1):
-                    got.append(frozenset(ans))
-                    pre, i = stream._pre, stream._last_nonmax
-                    # the next advance scans past a folded node
-                    across |= i is not None and any(w.folded for w in pre[:i])
-                    sessions |= any(w.kind == msoenum._UNARY for w in pre)
-                    # ... or past a rigid child of a node up to the advanced one
-                    rigid |= i is not None and any(
-                        w.kind == msoenum._BINARY
-                        and msoenum._RIGID in (w.left.kind, w.right.kind)
-                        for w in pre[: i + 1]
-                    )
-                want = list(islice(enumerate_select_uncompressed(unfold(g, v), idx.b), cap + 1))
-                assert len(set(got)) == len(got) and len(set(want)) == len(want)
-                assert (len(got) > cap) == (len(want) > cap), v
-                if len(got) <= cap:
-                    assert set(got) == set(want), v
-                    compared += 1
-                    nonempty += bool(got)
-                    continue
-                # over the cap: every answer drawn must still be one
-                f = evaluate(g, v)
-                assert all(nsta_accepts(a, f, ans) for ans in got), v
-                skipped += 1
-                mixed += across and sessions
-                past_rigid += rigid
+                yield g, a, idx, v
+
+    def test_random_automata_match_tree_oracle(self):
+        # both sides stop one answer past the cap, and a case over it on
+        # both sides is skipped and counted
+        cap = 32
+        compared = nonempty = skipped = mixed = past_rigid = 0
+        for g, a, idx, v in self._random_automaton_streams():
+            stream = AnswerStream(idx, v)
+            got, sessions, rigid = [], False, False
+            for ans in islice(stream, cap + 1):
+                got.append(frozenset(ans))
+                pre, i = stream._pre, stream._last_nonmax
+                sessions |= any(w.kind == msoenum._UNARY for w in pre)
+                # the next advance scans past a rigid child of a node up
+                # to the advanced one
+                rigid |= i is not None and any(
+                    w.kind == msoenum._BINARY
+                    and msoenum._RIGID in (w.left.kind, w.right.kind)
+                    for w in pre[: i + 1]
+                )
+            want = list(islice(enumerate_select_uncompressed(unfold(g, v), idx.b), cap + 1))
+            assert len(set(got)) == len(got) and len(set(want)) == len(want)
+            assert (len(got) > cap) == (len(want) > cap), v
+            if len(got) <= cap:
+                assert set(got) == set(want), v
+                compared += 1
+                nonempty += bool(got)
+                continue
+            # over the cap: every answer drawn must still be one
+            f = evaluate(g, v)
+            assert all(nsta_accepts(a, f, ans) for ans in got), v
+            skipped += 1
+            mixed += rigid and sessions
+            past_rigid += rigid
         # random queries mostly have no answer or exponentially many
         assert compared >= 40 and nonempty >= 2 and skipped >= 20
-        assert mixed >= 20  # advances across folded nodes, beside session nodes
+        assert mixed >= 20  # advances across rigid subtrees, beside session nodes
         assert past_rigid >= 20  # advances across rigid subtrees
+
+    def test_binary_nodes_are_drawn_by_unary_nodes(self):
+        # the paper's alternation: a binary node is only ever the child a
+        # unary node drew, and only a rigid node stands for full-tree nodes
+        # it does not build
+        binary = rigid = 0
+        for _, _, idx, v in self._random_automaton_streams():
+            stream = AnswerStream(idx, v)
+            for _ in islice(stream, 33):
+                pre = stream._pre
+                drawn = {id(w.child) for w in pre if w.kind == msoenum._UNARY}
+                for w in pre:
+                    if w.kind == msoenum._BINARY:
+                        assert id(w) in drawn
+                        binary += 1
+                # rigid nodes stay out of pre: the root, or a binary node's child
+                nodes = pre + [stream._root] if stream._root else list(pre)
+                nodes += [x for w in pre if w.kind == msoenum._BINARY for x in (w.left, w.right)]
+                assert all(x.kind == msoenum._RIGID for x in nodes if x.folded)
+                rigid += sum(x.kind == msoenum._RIGID and x.folded > 0 for x in nodes)
+        assert binary >= 10**4 and rigid >= 10**3  # 159 986 and 62 706 today
 
 
 class TestDelayAtScale:
