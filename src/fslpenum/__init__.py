@@ -6,8 +6,6 @@ from .automata import (
     MultivarReduction,
     StateLimitExceeded,
     build_btau,
-    dbuta_accepts,
-    dbuta_run,
     multivar_reduce,
     nsta_accepts,
     nsta_to_dbuta,
@@ -21,23 +19,7 @@ from .dagenum import (
     preprocess,
 )
 from .effects import Effect, MonoidCategory, PRE_CATEGORY
-from .forest import (
-    Expr,
-    ExprLeaf,
-    ExprNode,
-    Forest,
-    ForestContext,
-    ParseError,
-    eval_expr,
-    expr_equal,
-    hc,
-    leaf,
-    leafctx,
-    parse_term,
-    serialize_term,
-    type_of,
-    vc,
-)
+from .forest import Forest, ForestContext, ParseError, parse_term, serialize_term
 from .fslp import (
     FSLP,
     BudgetExceeded,
@@ -48,12 +30,10 @@ from .fslp import (
     compute_stats,
     edge_effect,
     evaluate,
-    fold_expr,
     path_preorder,
     preorder_to_path,
     relabel_defs,
     row_fslp,
-    unfold,
 )
 from .msoenum import (
     AnswerStream,
@@ -62,13 +42,27 @@ from .msoenum import (
     build_conf_sets,
 )
 from .oracle import (
+    Expr,
+    ExprLeaf,
+    ExprNode,
     OracleBudget,
     brute_dbuta_select,
     brute_paths,
     brute_select,
     brute_word_paths,
+    dbuta_accepts,
+    dbuta_run,
     enumerate_select_uncompressed,
+    eval_expr,
+    expr_equal,
+    fold_expr,
+    hc,
+    leaf,
     leaf_preorders,
+    leafctx,
+    type_of,
+    unfold,
+    vc,
 )
 from .updates import EnumDataStructure, build_enum_structure, extend, relabel
 

@@ -12,7 +12,8 @@ marks selected vertices.
 The determinization turns an nSTA into a dBUTA over expression trees
 whose states are sets of state pairs (type-0 subexpressions) or state
 quadruples (type-1 subexpressions), built only on demand and interned to
-dense ids.
+dense ids.  The engine runs it over f-SLP nodes; running it on an explicit
+expression (``dbuta_run``) is an oracle helper in ``oracle``.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ import threading
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
-from .forest import HC, VC, Expr, Forest, _Flat
-from .fslp import FSLP, LEAF, LEAFCTX, _int_field, env_int
+from .forest import Forest
+from .fslp import FSLP, HC, LEAF, LEAFCTX, VC, _int_field, env_int
 
 FAILURE = ("fail",)
 
@@ -196,26 +197,6 @@ class DBUTA:
                 if out is None:
                     out = self._finals[qid] = bool(self._final(self._values[qid]))
         return out
-
-
-def dbuta_run(b: DBUTA, e: Expr, selection: Iterable[int]) -> int:
-    """State id the automaton reaches on (e, selected leaf indices)."""
-    sel = set(selection)
-    flat = _Flat(e)
-    leaf_no = {pos: i for i, pos in enumerate(flat.leaves)}
-    n = len(flat)
-    state = [0] * n
-    for pos in range(n - 1, -1, -1):
-        if flat.kind[pos] == "leaf":
-            bit = 1 if leaf_no[pos] in sel else 0
-            state[pos] = b.delta0(flat.label[pos], flat.ctx[pos], bit)
-        else:
-            state[pos] = b.delta2(state[flat.left[pos]], state[flat.right[pos]], flat.kind[pos])
-    return state[0]
-
-
-def dbuta_accepts(b: DBUTA, e: Expr, selection: Iterable[int]) -> bool:
-    return b.is_final(dbuta_run(b, e, selection))
 
 
 def build_btau() -> DBUTA:

@@ -31,6 +31,8 @@ from .fslp import (
 from .oracle import OracleBudget, brute_select
 from .updates import build_enum_structure
 
+MAX_WIDE_SIZE = 4096  # bench --family wide builds 2**size siblings: nodes hold size-bit counts
+
 
 def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
@@ -228,6 +230,9 @@ def cmd_bench(args) -> int:
             node = g.add_hc(node, leaf)
         g.root = node
     elif args.family == "wide":
+        if args.size > MAX_WIDE_SIZE:
+            print(f"--size must be at most {MAX_WIDE_SIZE} for the wide family", file=sys.stderr)
+            return 1
         g = row_fslp("a", 2 ** args.size)
     elif args.family == "random":
         term = fixtures.random_term(rng, args.size, "ab")
@@ -324,11 +329,15 @@ def make_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = make_parser().parse_args(argv)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # sizes are exact integers of any length: print them whole
     try:
         return args.func(args)
     except (ValueError, InvalidFSLP, BudgetExceeded, StateLimitExceeded, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -1,21 +1,16 @@
-"""Unranked ordered forests, their term syntax, and forest-algebra expressions.
+"""Unranked ordered forests and their term syntax.
 
 A forest is stored flat: vertex ids coincide with preorder numbers, so
 preorder lookups are O(1).  Forest contexts are forests with exactly one
-hole leaf (label ``*``).  Expressions are binary trees over horizontal
-concatenation ("hc") and vertical concatenation ("vc") with leaves ``a``
-and ``a_*``; they evaluate to forests / forest contexts.
+hole leaf (label ``*``).  The forests of an f-SLP come out of
+``fslp.evaluate``; explicit forest-algebra expressions live in ``oracle``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 HOLE = "*"
-
-HC = "hc"  # horizontal concatenation of two forests / one forest + one context
-VC = "vc"  # vertical concatenation: plug right operand into left operand's hole
 
 
 class ParseError(ValueError):
@@ -226,245 +221,3 @@ def serialize_term(f: Forest) -> str:
             stack.append(")")
             stack.extend(reversed(f.children[v]))
     return "".join(out)
-
-
-# ---------------------------------------------------------------------------
-# forest algebra expressions
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True, eq=False, repr=False)
-class ExprLeaf:
-    label: str
-    ctx: bool = False  # True for a_* (an a-labelled root over the hole)
-
-    def __repr__(self) -> str:
-        return f"{self.label}*" if self.ctx else self.label
-
-
-@dataclass(frozen=True, eq=False, repr=False)
-class ExprNode:
-    op: str  # HC or VC
-    left: "Expr"
-    right: "Expr"
-
-    def __repr__(self) -> str:
-        sym = "+" if self.op == HC else "/"
-        return f"({self.left!r} {sym} {self.right!r})"
-
-
-Expr = ExprLeaf | ExprNode
-
-
-def leaf(label: str) -> ExprLeaf:
-    return ExprLeaf(label)
-
-
-def leafctx(label: str) -> ExprLeaf:
-    return ExprLeaf(label, ctx=True)
-
-
-def hc(left: Expr, right: Expr) -> ExprNode:
-    return ExprNode(HC, left, right)
-
-
-def vc(left: Expr, right: Expr) -> ExprNode:
-    return ExprNode(VC, left, right)
-
-
-def expr_equal(a: Expr, b: Expr) -> bool:
-    """Structural equality, safe for deep expressions."""
-    stack = [(a, b)]
-    while stack:
-        x, y = stack.pop()
-        if isinstance(x, ExprLeaf):
-            if not (isinstance(y, ExprLeaf) and x.label == y.label and x.ctx == y.ctx):
-                return False
-        else:
-            if not (isinstance(y, ExprNode) and x.op == y.op):
-                return False
-            stack.append((x.left, y.left))
-            stack.append((x.right, y.right))
-    return True
-
-
-class _Flat:
-    """Expression flattened to preorder-position arrays (children follow parents)."""
-
-    __slots__ = ("kind", "label", "ctx", "left", "right", "leaves")
-
-    def __init__(self, e: Expr):
-        kind: list[str] = []
-        label: list[Optional[str]] = []
-        ctx: list[bool] = []
-        left: list[int] = []
-        right: list[int] = []
-        leaves: list[int] = []
-        stack: list[tuple[Expr, int, bool]] = [(e, -1, False)]
-        while stack:
-            node, parent, is_right = stack.pop()
-            pos = len(kind)
-            if parent >= 0:
-                (right if is_right else left)[parent] = pos
-            if isinstance(node, ExprLeaf):
-                kind.append("leaf")
-                label.append(node.label)
-                ctx.append(node.ctx)
-                left.append(-1)
-                right.append(-1)
-                leaves.append(pos)
-            else:
-                kind.append(node.op)
-                label.append(None)
-                ctx.append(False)
-                left.append(-1)
-                right.append(-1)
-                stack.append((node.right, pos, True))
-                stack.append((node.left, pos, False))
-        self.kind = kind
-        self.label = label
-        self.ctx = ctx
-        self.left = left
-        self.right = right
-        self.leaves = leaves  # in left-to-right order (preorder visits them in order)
-
-    def __len__(self) -> int:
-        return len(self.kind)
-
-
-def _types(flat: _Flat) -> Optional[list[int]]:
-    """Per-position validity types, or None if the expression is invalid."""
-    n = len(flat)
-    tau: list[int] = [0] * n
-    for pos in range(n - 1, -1, -1):
-        k = flat.kind[pos]
-        if k == "leaf":
-            tau[pos] = 1 if flat.ctx[pos] else 0
-        elif k == HC:
-            t = tau[flat.left[pos]] + tau[flat.right[pos]]
-            if t > 1:
-                return None
-            tau[pos] = t
-        else:  # VC
-            if tau[flat.left[pos]] != 1:
-                return None
-            tau[pos] = tau[flat.right[pos]]
-    return tau
-
-
-def type_of(e: Expr) -> Optional[int]:
-    """Validity type of the expression: 0, 1, or None when invalid."""
-    tau = _types(_Flat(e))
-    return None if tau is None else tau[0]
-
-
-class _V:
-    """Mutable vertex record used while evaluating an expression."""
-
-    __slots__ = ("label", "child", "next")
-
-    def __init__(self, label: str):
-        self.label = label
-        self.child: Optional[_V] = None
-        self.next: Optional[_V] = None
-
-
-def eval_expr(e: Expr) -> Forest:
-    """Evaluate a valid expression to its Forest / ForestContext."""
-    flat = _Flat(e)
-    if _types(flat) is None:
-        raise ValueError("invalid expression")
-    n = len(flat)
-    first: list[Optional[_V]] = [None] * n
-    last: list[Optional[_V]] = [None] * n
-    hole: list[Optional[_V]] = [None] * n
-    for pos in range(n - 1, -1, -1):
-        k = flat.kind[pos]
-        if k == "leaf":
-            rec = _V(flat.label[pos])  # type: ignore[arg-type]
-            first[pos] = last[pos] = rec
-            if flat.ctx[pos]:
-                h = _V(HOLE)
-                rec.child = h
-                hole[pos] = h
-        elif k == HC:
-            l, r = flat.left[pos], flat.right[pos]
-            last[l].next = first[r]  # type: ignore[union-attr]
-            first[pos], last[pos] = first[l], last[r]
-            hole[pos] = hole[l] or hole[r]
-        else:  # VC: plug right operand into left operand's hole, in place
-            l, r = flat.left[pos], flat.right[pos]
-            h = hole[l]
-            f2, l2 = first[r], last[r]
-            after = h.next  # type: ignore[union-attr]
-            h.label = f2.label  # type: ignore[union-attr]
-            h.child = f2.child  # type: ignore[union-attr]
-            if f2 is l2:
-                h.next = after  # type: ignore[union-attr]
-                tail = h
-            else:
-                h.next = f2.next  # type: ignore[union-attr]
-                l2.next = after  # type: ignore[union-attr]
-                tail = l2
-            first[pos] = first[l]
-            last[pos] = tail if last[l] is h else last[l]
-            hole[pos] = hole[r]
-    return _records_to_forest(first[0])
-
-
-def _records_to_forest(first_root: Optional[_V]) -> Forest:
-    labels: list[str] = []
-    parents: list[Optional[int]] = []
-    children: list[list[int]] = []
-    roots: list[int] = []
-    stack: list[tuple[_V, Optional[int]]] = []
-    r = first_root
-    chain: list[_V] = []
-    while r is not None:
-        chain.append(r)
-        r = r.next
-    for rec in reversed(chain):
-        stack.append((rec, None))
-    while stack:
-        rec, parent = stack.pop()
-        v = len(labels)
-        labels.append(rec.label)
-        parents.append(parent)
-        children.append([])
-        if parent is None:
-            roots.append(v)
-        else:
-            children[parent].append(v)
-        sib: list[_V] = []
-        c = rec.child
-        while c is not None:
-            sib.append(c)
-            c = c.next
-        for child in reversed(sib):
-            stack.append((child, v))
-    if labels.count(HOLE) == 1:
-        return ForestContext(labels, parents, children, roots)
-    return Forest(labels, parents, children, roots)
-
-
-def expr_leaves(e: Expr) -> list[ExprLeaf]:
-    """Leaves of the expression in left-to-right order."""
-    out: list[ExprLeaf] = []
-    stack = [e]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, ExprLeaf):
-            out.append(node)
-        else:
-            stack.append(node.right)
-            stack.append(node.left)
-    return out
-
-
-def iter_subexprs(e: Expr) -> Iterator[Expr]:
-    stack = [e]
-    while stack:
-        node = stack.pop()
-        yield node
-        if isinstance(node, ExprNode):
-            stack.append(node.left)
-            stack.append(node.right)

@@ -6,29 +6,26 @@ Node kinds: ``leaf`` (label a), ``leafctx`` (label a over the hole, a_*),
 Nodes may reference only earlier-declared nodes, so the structure is
 acyclic by construction and node arrays are append-only: extending an
 f-SLP never invalidates existing node ids.
+
+The f-SLP is the data: ``evaluate`` decompresses a node in one preorder
+walk over the DAG.  Explicit expressions (``unfold``, ``fold_expr``) are
+oracle helpers in ``oracle``.
 """
 
 from __future__ import annotations
 
 import os
+import sys
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .effects import Effect
-from .forest import (
-    HC,
-    VC,
-    Expr,
-    ExprLeaf,
-    ExprNode,
-    Forest,
-    eval_expr,
-    leaf,
-    leafctx,
-)
+from .forest import HOLE, Forest, ForestContext
 
 LEAF = "leaf"
 LEAFCTX = "leafctx"
+HC = "hc"  # horizontal concatenation of two forests / one forest + one context
+VC = "vc"  # vertical concatenation: plug the right operand into the left one's hole
 
 
 def env_int(name: str, default: int, positive: bool = False) -> int:
@@ -66,6 +63,14 @@ class InvalidFSLP(ValueError):
 
 class BudgetExceeded(RuntimeError):
     pass
+
+
+def _size_text(n: int) -> str:
+    """``n`` in decimal, or a power-of-two bound past the int/str digit limit."""
+    try:
+        return str(n)
+    except ValueError:
+        return f"at least 2**{n.bit_length() - 1}"
 
 
 class FSLP:
@@ -237,7 +242,7 @@ def preorder_to_path(g: FSLP, stats: VertexStats, start: int, k: int) -> str:
     if stats.tau[start] != 0:
         raise ValueError("start node must have type 0")
     if not (0 <= k < stats.nverts[start]):
-        raise ValueError(f"preorder {k} out of range [0, {stats.nverts[start]})")
+        raise ValueError(f"preorder {k} out of range [0, {_size_text(stats.nverts[start])})")
     path: list[str] = []
     node, m = start, k
     p: Optional[int] = None  # size of the forest plugged below, when tau=1
@@ -310,49 +315,55 @@ def relabel_defs(g: FSLP, stats: VertexStats, node: int, k: int, label: str) -> 
 
 
 # ---------------------------------------------------------------------------
-# unfold / evaluate / fold
+# decompression
 # ---------------------------------------------------------------------------
 
-def unfold(g: FSLP, node: int, budget: Optional[int] = None, stats: Optional[VertexStats] = None) -> Expr:
-    """Explicit expression tree for ``node`` (exponential in general)."""
-    if stats is None:
-        stats = compute_stats(g)
-    if budget is None:
-        budget = default_budget()
-    size = 2 * stats.s[node] - 1
-    if size > budget:
-        raise BudgetExceeded(f"unfolded expression has {size} nodes > budget {budget}")
-    out: list[Expr] = []
-    stack: list[tuple[int, bool]] = [(node, False)]
-    while stack:
-        i, expanded = stack.pop()
-        kind = g.kinds[i]
-        if kind == LEAF:
-            out.append(leaf(g.labels[i]))
-        elif kind == LEAFCTX:
-            out.append(leafctx(g.labels[i]))
-        elif expanded:
-            right = out.pop()
-            left = out.pop()
-            out.append(ExprNode(kind, left, right))
-        else:
-            stack.append((i, True))
-            stack.append((g.rights[i], False))
-            stack.append((g.lefts[i], False))
-    return out[0]
-
-
 def evaluate(g: FSLP, node: int, budget: Optional[int] = None, stats: Optional[VertexStats] = None) -> Forest:
-    """Decompress the forest / forest context produced by ``node``."""
+    """Decompress the forest / forest context produced by ``node``, in one
+    preorder walk with a stack of ``(node, parent vertex, plug)``.  A plug is
+    ``None`` or a linked pair ``(node, plug)``: the forest that fills a type-1
+    node's hole.  ``hc`` hands it to its type-1 child, ``vc`` plugs its right
+    child into its left one, and a ``leafctx`` vertex gets it as its
+    children, or the hole ``*`` when there is none."""
     if stats is None:
         stats = compute_stats(g)
     if budget is None:
         budget = default_budget()
     if stats.nverts[node] > budget:
-        raise BudgetExceeded(
-            f"decompressed size {stats.nverts[node]} > budget {budget}"
-        )
-    return eval_expr(unfold(g, node, budget=2 * stats.s[node], stats=stats))
+        raise BudgetExceeded(f"decompressed size {_size_text(stats.nverts[node])} > budget {budget}")
+    kinds, labels, lefts, rights, tau = g.kinds, g.labels, g.lefts, g.rights, stats.tau
+    out: list[str] = []
+    parents: list[Optional[int]] = []
+    children: list[list[int]] = []
+    roots: list[int] = []
+    stack: list[tuple] = [(node, None, None)]
+    while stack:
+        i, parent, plug = stack.pop()
+        kind = kinds[i]
+        if kind == HC:
+            l = lefts[i]
+            ctx_left = tau[l] == 1
+            stack.append((rights[i], parent, None if ctx_left else plug))
+            stack.append((l, parent, plug if ctx_left else None))
+        elif kind == VC:
+            stack.append((lefts[i], parent, (rights[i], plug)))
+        else:
+            v = len(out)
+            out.append(labels[i])
+            parents.append(parent)
+            children.append([])
+            (roots if parent is None else children[parent]).append(v)
+            if kind == LEAFCTX:
+                if plug is None:
+                    out.append(HOLE)
+                    parents.append(v)
+                    children.append([])
+                    children[v].append(v + 1)
+                else:
+                    stack.append((plug[0], v, plug[1]))
+    if out.count(HOLE) == 1:
+        return ForestContext(out, parents, children, roots)
+    return Forest(out, parents, children, roots)
 
 
 class _Builder:
@@ -367,26 +378,6 @@ class _Builder:
         if nid is None:
             nid = self.memo[definition] = self.g.add_node(definition)
         return nid
-
-
-def fold_expr(e: Expr) -> FSLP:
-    """Minimal DAG of the expression: one node per distinct subtree."""
-    b = _Builder()
-    out: list[int] = []
-    stack: list[tuple[Expr, bool]] = [(e, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if isinstance(node, ExprLeaf):
-            out.append(b.mk(LEAFCTX if node.ctx else LEAF, node.label))
-        elif expanded:
-            right = out.pop()
-            out.append(b.mk(node.op, out.pop(), right))
-        else:
-            stack.append((node, True))
-            stack.append((node.right, False))
-            stack.append((node.left, False))
-    b.g.root = out[0]
-    return b.g
 
 
 # ---------------------------------------------------------------------------
@@ -539,10 +530,14 @@ def dumps(g: FSLP) -> str:
 
 
 def _int_field(text: str, lineno: int, what: str) -> int:
+    # held to the default int/str digit limit whatever limit is set (the CLI
+    # lifts it to print sizes): no field of an input costs quadratic time
     try:
-        return int(text)
+        if len(text) <= sys.int_info.default_max_str_digits:
+            return int(text)
     except ValueError:
-        raise ValueError(f"line {lineno}: {what} {text!r} is not an integer") from None
+        pass
+    raise ValueError(f"line {lineno}: {what} {text!r} is not an integer")
 
 
 def loads(text: str) -> FSLP:

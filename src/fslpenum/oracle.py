@@ -1,4 +1,12 @@
-"""Brute-force reference implementations, used as correctness anchors.
+"""Brute-force reference implementations, used as correctness anchors,
+and the explicit forest-algebra expressions they work on.
+
+An expression is a binary tree over horizontal ("hc") and vertical ("vc")
+concatenation with leaves ``a`` and ``a_*``.  ``unfold`` spells out an
+f-SLP node as one and ``fold_expr`` folds one into its minimal f-SLP;
+``eval_expr`` and ``type_of`` go through that fold to ``fslp.evaluate``
+and the f-SLP typing rule.  The engine never builds an expression: this
+module is the only one that knows the format.
 
 The subset and path oracles enumerate exhaustively and are budget-guarded;
 the tree-level witness enumeration and the leaf preorder numbering work on
@@ -14,12 +22,223 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator
+from typing import Iterable, Iterator, Optional
 
-from .automata import DBUTA, NSTA, dbuta_run, nsta_accepts
+from .automata import DBUTA, NSTA, nsta_accepts
 from .dagenum import NODE, PRUNED, SHORTCUT, DecoratedDAG
-from .forest import HC, Expr, Forest, _Flat, _types
+from .forest import Forest
+from .fslp import (
+    FSLP,
+    HC,
+    LEAF,
+    LEAFCTX,
+    VC,
+    BudgetExceeded,
+    InvalidFSLP,
+    VertexStats,
+    _Builder,
+    _size_text,
+    compute_stats,
+    default_budget,
+    evaluate,
+)
 
+
+# ---------------------------------------------------------------------------
+# forest-algebra expressions
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True, eq=False, repr=False)
+class ExprLeaf:
+    label: str
+    ctx: bool = False  # True for a_* (an a-labelled root over the hole)
+
+    def __repr__(self) -> str:
+        return f"{self.label}*" if self.ctx else self.label
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class ExprNode:
+    op: str  # HC or VC
+    left: "Expr"
+    right: "Expr"
+
+    def __repr__(self) -> str:
+        sym = "+" if self.op == HC else "/"
+        return f"({self.left!r} {sym} {self.right!r})"
+
+
+Expr = ExprLeaf | ExprNode
+
+
+def leaf(label: str) -> ExprLeaf:
+    return ExprLeaf(label)
+
+
+def leafctx(label: str) -> ExprLeaf:
+    return ExprLeaf(label, ctx=True)
+
+
+def hc(left: Expr, right: Expr) -> ExprNode:
+    return ExprNode(HC, left, right)
+
+
+def vc(left: Expr, right: Expr) -> ExprNode:
+    return ExprNode(VC, left, right)
+
+
+def expr_equal(a: Expr, b: Expr) -> bool:
+    """Structural equality, safe for deep expressions: equal trees, and only
+    they, fold to the same f-SLP, because unfolding inverts folding."""
+    fa, fb = fold_expr(a), fold_expr(b)
+    return (fa.kinds, fa.labels, fa.lefts, fa.rights) == (fb.kinds, fb.labels, fb.lefts, fb.rights)
+
+
+class _Flat:
+    """Expression flattened to preorder-position arrays (children follow
+    parents); ``leaves`` lists the leaf positions left to right."""
+
+    __slots__ = ("kind", "label", "ctx", "left", "right", "leaves")
+
+    def __init__(self, e: Expr):
+        kind: list[str] = []
+        label: list[Optional[str]] = []
+        ctx: list[bool] = []
+        left: list[int] = []
+        right: list[int] = []
+        leaves: list[int] = []
+        stack: list[tuple[Expr, int, bool]] = [(e, -1, False)]
+        while stack:
+            node, parent, is_right = stack.pop()
+            pos = len(kind)
+            if parent >= 0:
+                (right if is_right else left)[parent] = pos
+            left.append(-1)
+            right.append(-1)
+            if isinstance(node, ExprLeaf):
+                kind.append("leaf")
+                label.append(node.label)
+                ctx.append(node.ctx)
+                leaves.append(pos)
+            else:
+                kind.append(node.op)
+                label.append(None)
+                ctx.append(False)
+                stack.append((node.right, pos, True))
+                stack.append((node.left, pos, False))
+        self.kind = kind
+        self.label = label
+        self.ctx = ctx
+        self.left = left
+        self.right = right
+        self.leaves = leaves
+
+    def __len__(self) -> int:
+        return len(self.kind)
+
+
+def type_of(e: Expr) -> Optional[int]:
+    """Validity type of the expression: 0, 1, or None when invalid (by the
+    f-SLP typing rule, on its fold)."""
+    g = fold_expr(e)
+    try:
+        return compute_stats(g).tau[g.root]
+    except InvalidFSLP:
+        return None
+
+
+def eval_expr(e: Expr) -> Forest:
+    """Evaluate a valid expression to its Forest / ForestContext; an invalid
+    one raises ``InvalidFSLP``, a ``ValueError``."""
+    g = fold_expr(e)
+    stats = compute_stats(g)
+    return evaluate(g, g.root, budget=stats.nverts[g.root], stats=stats)
+
+
+def iter_subexprs(e: Expr) -> Iterator[Expr]:
+    """Subexpressions of ``e`` in preorder."""
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, ExprNode):
+            stack.append(node.right)
+            stack.append(node.left)
+
+
+def expr_leaves(e: Expr) -> list[ExprLeaf]:
+    """Leaves of the expression in left-to-right order."""
+    return [x for x in iter_subexprs(e) if isinstance(x, ExprLeaf)]
+
+
+def unfold(g: FSLP, node: int, budget: Optional[int] = None, stats: Optional[VertexStats] = None) -> Expr:
+    """Explicit expression tree for ``node``, exponential in general.
+
+    Shared nodes share their (immutable) subexpression objects, so building
+    it costs O(node); the budget bounds the 2s - 1 positions a walk visits.
+    """
+    if stats is None:
+        stats = compute_stats(g)
+    if budget is None:
+        budget = default_budget()
+    size = 2 * stats.s[node] - 1
+    if size > budget:
+        raise BudgetExceeded(f"unfolded expression has {_size_text(size)} nodes > budget {budget}")
+    out: list[Expr] = []
+    for i in range(node + 1):
+        kind = g.kinds[i]
+        if kind == LEAF:
+            out.append(leaf(g.labels[i]))
+        elif kind == LEAFCTX:
+            out.append(leafctx(g.labels[i]))
+        else:
+            out.append(ExprNode(kind, out[g.lefts[i]], out[g.rights[i]]))
+    return out[node]
+
+
+def fold_expr(e: Expr) -> FSLP:
+    """Minimal DAG of the expression: one node per distinct subtree."""
+    b = _Builder()
+    out: list[int] = []
+    stack: list[tuple[Expr, bool]] = [(e, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if isinstance(node, ExprLeaf):
+            out.append(b.mk(LEAFCTX if node.ctx else LEAF, node.label))
+        elif expanded:
+            right = out.pop()
+            out.append(b.mk(node.op, out.pop(), right))
+        else:
+            stack.append((node, True))
+            stack.append((node.right, False))
+            stack.append((node.left, False))
+    b.g.root = out[0]
+    return b.g
+
+
+def dbuta_run(b: DBUTA, e: Expr, selection: Iterable[int]) -> int:
+    """State id the automaton reaches on (e, selected leaf indices)."""
+    sel = set(selection)
+    flat = _Flat(e)
+    leaf_no = {pos: i for i, pos in enumerate(flat.leaves)}
+    n = len(flat)
+    state = [0] * n
+    for pos in range(n - 1, -1, -1):
+        if flat.kind[pos] == "leaf":
+            bit = 1 if leaf_no[pos] in sel else 0
+            state[pos] = b.delta0(flat.label[pos], flat.ctx[pos], bit)
+        else:
+            state[pos] = b.delta2(state[flat.left[pos]], state[flat.right[pos]], flat.kind[pos])
+    return state[0]
+
+
+def dbuta_accepts(b: DBUTA, e: Expr, selection: Iterable[int]) -> bool:
+    return b.is_final(dbuta_run(b, e, selection))
+
+
+# ---------------------------------------------------------------------------
+# oracles
+# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class OracleBudget:
@@ -106,30 +325,33 @@ def leaf_preorders(e: Expr) -> list[int]:
     Computed arithmetically from leaf sizes / left sizes, walking the
     expression top-down; this never materializes the forest.
     """
-    flat = _Flat(e)
-    tau = _types(flat)
-    if tau is None:
+    t = type_of(e)
+    if t is None:
         raise ValueError("invalid expression")
-    if tau[0] != 0:
+    if t != 0:
         raise ValueError("expression has type 1 (a context); no preorder numbering")
+    flat = _Flat(e)
     n = len(flat)
     s = [0] * n
     ell = [0] * n
+    tau = [0] * n
     for pos in range(n - 1, -1, -1):
         if flat.kind[pos] == "leaf":
             s[pos] = 1
             if flat.ctx[pos]:
-                ell[pos] = 1
+                ell[pos] = tau[pos] = 1
         else:
             l, r = flat.left[pos], flat.right[pos]
             s[pos] = s[l] + s[r]
             if flat.kind[pos] == HC:
+                tau[pos] = tau[l] + tau[r]
                 if tau[l] == 0 and tau[r] == 1:
                     ell[pos] = s[l] + ell[r]
                 elif tau[l] == 1 and tau[r] == 0:
                     ell[pos] = ell[l]
             else:  # VC
-                if tau[l] == 1 and tau[r] == 1:
+                tau[pos] = tau[r]
+                if tau[r] == 1:
                     ell[pos] = ell[l] + ell[r]
     # top-down preorder data: a number for type-0 positions, a pair for type-1
     pod: list[object] = [None] * n

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from fslpenum import AnswerStream, automata, fslp
+from fslpenum import AnswerStream, automata, cli, compute_stats, fslp, relabel_defs, row_fslp
 from fslpenum.cli import main
 from fslpenum.fixtures import exactly_one_nsta, select_labels_nsta, shared_subtree_fslp
 
@@ -270,6 +270,85 @@ class TestRelabel:
         assert text.strip().startswith("c(")
 
 
+LIMIT = 640  # the smallest int/str digit limit the interpreter accepts
+BIG = 2**2200  # 663 digits: past LIMIT
+
+
+def _decimal(n):
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(n)
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+@pytest.fixture
+def digit_limit():
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(LIMIT)
+    yield
+    assert sys.get_int_max_str_digits() == LIMIT  # main leaves the limit as it found it
+    sys.set_int_max_str_digits(old)
+
+
+class TestExactSizes:
+    """Sizes past the interpreter's int/str digit limit print whole."""
+
+    @pytest.fixture
+    def big(self, workdir):
+        path = workdir / "big.fslp"
+        path.write_text(fslp.dumps(row_fslp("a", BIG)))
+        return path
+
+    def test_stats(self, big, capsys, digit_limit):
+        code, out, err = run(capsys, "stats", big)
+        lines = out.splitlines()
+        assert (code, err, len(lines)) == (0, "", 2202)
+        assert lines[-2] == f"node 2200 hc 2199 2199 tau=0 s={_decimal(BIG)} l=- N={_decimal(BIG)} height=2200"
+
+    def test_decompress_reports_the_budget(self, big, capsys, digit_limit):
+        code, out, err = run(capsys, "decompress", big)
+        assert (code, out) == (1, "")
+        assert err == f"error: decompressed size {_decimal(BIG)} > budget 1000000\n"
+
+    def test_relabel_names_the_valid_range(self, big, capsys, digit_limit):
+        code, out, err = run(capsys, "relabel", big, "--preorder", "-1", "--symbol", "b")
+        assert (code, out) == (1, "")
+        assert err == f"preorder -1 out of the valid range [0, {_decimal(BIG)})\n"
+
+    def test_enumerate(self, workdir, capsys, digit_limit):
+        g = row_fslp("a", BIG)
+        for d in relabel_defs(g, compute_stats(g), g.root, BIG - 1, "b"):
+            g.root = g.add_node(d)
+        path = workdir / "last_b.fslp"
+        path.write_text(fslp.dumps(g))
+        code, out, err = run(capsys, "enumerate", path, workdir / "selb.nsta")
+        assert (code, out, err) == (0, f"{_decimal(BIG - 1)}\nEOE\n", "")
+        code, out, err = run(capsys, "enumerate", path, workdir / "selb.nsta", "--format", "json")
+        assert (code, out, err) == (0, f"[[{_decimal(BIG - 1)}]]\n", "")
+
+    def test_bench(self, capsys, monkeypatch, digit_limit):
+        monkeypatch.setattr(cli, "row_fslp", lambda label, n: row_fslp(label, BIG))
+        code, out, _ = run(capsys, "bench", "--family", "wide", "--size", "1", "--limit", "1")
+        assert code == 0 and f"decompressed={_decimal(BIG)} " in out
+
+    def test_input_keeps_the_digit_limit(self, workdir, capsys):
+        # the lifted limit is for output: a long integer field of an input
+        # file is still refused by int(), at no quadratic cost
+        long_id = "1" * 5000
+        bad = workdir / "long.fslp"
+        bad.write_text(f"fslp v1\nnode 0 leaf a\nroot {long_id}\n")
+        code, out, err = run(capsys, "stats", bad)
+        assert (code, out) == (1, "")
+        assert err == f"error: line 3: root '{long_id}' is not an integer\n"
+        query = workdir / "long.nsta"
+        query.write_text((workdir / "selb.nsta").read_text().replace("init 0", f"init {long_id}", 1))
+        code, out, err = run(capsys, "enumerate", workdir / "shared.fslp", query)
+        assert (code, out) == (1, "")
+        assert f"'{long_id}' is not an integer" in err
+
+
 class TestBench:
     def test_wide_family(self, workdir, capsys):
         code, out, err = run(
@@ -283,6 +362,15 @@ class TestBench:
         code, out, _ = run(capsys, "bench", "--family", "wide", "--size", "1200", "--limit", "64")
         assert code == 0
         assert "fslp_nodes=1201" in out and f"decompressed={2**1200}" in out and "answers=64" in out
+
+    def test_wide_family_size_is_capped(self, workdir, capsys, monkeypatch):
+        built = []
+        monkeypatch.setattr(cli, "row_fslp", lambda label, n: built.append(n) or row_fslp(label, n))
+        code, out, err = run(capsys, "bench", "--family", "wide", "--size", "4097")
+        assert (code, out, built) == (1, "", [])
+        assert err == "--size must be at most 4096 for the wide family\n"
+        code, out, _ = run(capsys, "bench", "--family", "wide", "--size", "4096", "--limit", "1")
+        assert code == 0 and built == [2**4096] and "fslp_nodes=4097" in out
 
     def test_fig2_family(self, workdir, capsys):
         code, out, _ = run(capsys, "bench", "--family", "fig2")

@@ -10,7 +10,10 @@ from fslpenum import (
     Forest,
     ForestContext,
     ParseError,
+    compress_forest,
+    compute_stats,
     eval_expr,
+    evaluate,
     expr_equal,
     hc,
     leaf,
@@ -19,9 +22,11 @@ from fslpenum import (
     parse_term,
     serialize_term,
     type_of,
+    unfold,
     vc,
 )
-from fslpenum.forest import expr_leaves
+from fslpenum.fixtures import random_term
+from fslpenum.oracle import expr_leaves
 
 from conftest import random_expr, random_forest
 
@@ -244,7 +249,8 @@ class TestExprEqual:
 
 
 class TestEvalDifferential:
-    """The in-place splice evaluator vs a naive nested-tuple evaluator."""
+    """The f-SLP evaluator, on folded and compressed inputs, vs a naive
+    nested-tuple evaluator of the explicit expression."""
 
     @staticmethod
     def _naive(e):
@@ -291,3 +297,18 @@ class TestEvalDifferential:
             e = random_expr(rng, 5, labels="abc", typ=t)
             want = parse_term(self._to_term(self._naive(e)))
             assert eval_expr(e) == want
+
+    def test_every_node_matches_naive_evaluator(self, rng):
+        # type-1 nodes included: their hole comes out as the leaf "*"
+        nodes = contexts = 0
+        for _ in range(50):
+            g = compress_forest(parse_term(random_term(rng, rng.randint(1, 60), "abc")))
+            stats = compute_stats(g)
+            for v in range(len(g)):
+                want = parse_term(self._to_term(self._naive(unfold(g, v, stats=stats))))
+                got = evaluate(g, v, stats=stats)
+                assert got == want
+                assert type(got) is (ForestContext if stats.tau[v] else Forest)
+                nodes += 1
+                contexts += stats.tau[v]
+        assert contexts >= 100 and nodes - contexts >= 100, (nodes, contexts)

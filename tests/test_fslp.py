@@ -1,4 +1,7 @@
+import gc
 import math
+import random
+import time
 
 import pytest
 
@@ -32,6 +35,7 @@ from fslpenum import fslp as fslp_mod
 from fslpenum.fixtures import (
     SHARED_FSLP_GREEN_PATH,
     SHARED_FSLP_GREEN_PREORDER,
+    random_term,
     shared_subtree_fslp,
 )
 
@@ -282,6 +286,36 @@ class TestUnfoldEvaluate:
         with pytest.raises(BudgetExceeded):
             evaluate(g, g.root, budget=1000)
 
+    def test_budget_message_past_the_digit_limit(self):
+        # 2**15000 has 4516 digits, past the interpreter's int/str limit:
+        # the size still formats, so the error stays a BudgetExceeded
+        g = row_fslp("a", 2**15000)
+        with pytest.raises(BudgetExceeded, match=r"size at least 2\*\*15000 > budget 1000$"):
+            evaluate(g, g.root, budget=1000)
+
+    def test_evaluate_time_doubles_with_size(self):
+        # one preorder walk over the f-SLP: each doubling of the forest must
+        # cost at most 3x (interleaved, best of five, each timed evaluation
+        # starting from a collected heap that no longer holds the last result)
+        sizes = [25000, 50000, 100000]
+        rng = random.Random(11)
+        programs = {n: compress_forest(parse_term(random_term(rng, n))) for n in sizes}
+        stats = {n: compute_stats(g) for n, g in programs.items()}
+        best = dict.fromkeys(sizes, float("inf"))
+        for _ in range(5):
+            for n in sizes:
+                g = programs[n]
+                f = None
+                gc.collect()
+                gc.disable()
+                t0 = time.perf_counter()
+                f = evaluate(g, g.root, stats=stats[n])
+                best[n] = min(best[n], time.perf_counter() - t0)
+                gc.enable()
+                assert len(f) == n
+        ratios = [best[sizes[i]] / best[sizes[i - 1]] for i in range(1, len(sizes))]
+        assert all(1.0 <= r <= 3.0 for r in ratios), ratios
+
 
 class TestFold:
     def test_six_distinct_subtrees(self):
@@ -320,7 +354,7 @@ class TestFold:
                     return (x.label, x.ctx)
                 return (x.op, canon(x.left), canon(x.right))
 
-            from fslpenum.forest import iter_subexprs
+            from fslpenum.oracle import iter_subexprs
 
             for sub in iter_subexprs(e):
                 classes.add(canon(sub))

@@ -1,6 +1,10 @@
+import ast
+import os
 from collections import Counter
 
 import pytest
+
+import fslpenum
 
 from fslpenum import (
     DecoratedDAG,
@@ -106,3 +110,62 @@ class TestBruteDbutaSelect:
             via_expr = {frozenset(po[i] for i in s) for s in brute_dbuta_select(b, e)}
             via_forest = brute_select(a, f)
             assert via_expr == via_forest
+
+
+class TestImportBoundary:
+    """The expression format is known to this module alone: the engine
+    modules neither import it nor define its pieces."""
+
+    ENGINE = ("forest", "fslp", "automata", "dagenum", "effects", "msoenum", "updates")
+    EXPRESSION = {"Expr", "_Flat", "unfold", "fold_expr", "eval_expr", "dbuta_run"}
+
+    @staticmethod
+    def _violations(tree):
+        out = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                out += [a.name for a in node.names if a.name.startswith("fslpenum.oracle")]
+            elif isinstance(node, ast.ImportFrom):
+                mod = "." * node.level + (node.module or "")
+                if mod in (".oracle", "fslpenum.oracle"):
+                    out.append(f"from {mod}")
+                names = {a.name for a in node.names}
+                if mod in (".", "fslpenum") and "oracle" in names:
+                    out.append(f"from {mod} import oracle")
+                out += sorted(names & TestImportBoundary.EXPRESSION)
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                if node.name in TestImportBoundary.EXPRESSION:
+                    out.append(f"def {node.name}")
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                out += [t.id for t in targets if isinstance(t, ast.Name) and t.id in TestImportBoundary.EXPRESSION]
+        return out
+
+    @pytest.mark.parametrize("module", ENGINE)
+    def test_engine_module_holds_no_expression_code(self, module):
+        path = os.path.join(os.path.dirname(fslpenum.__file__), module + ".py")
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), path)
+        assert self._violations(tree) == []
+
+    def test_the_check_sees_each_kind_of_violation(self):
+        text = (
+            "from .oracle import brute_select\n"
+            "from . import oracle\n"
+            "import fslpenum.oracle\n"
+            "from .forest import Expr, _Flat\n"
+            "def unfold(): pass\n"
+            "class fold_expr: pass\n"
+            "eval_expr = dbuta_run = None\n"
+        )
+        assert self._violations(ast.parse(text)) == [
+            "from .oracle",
+            "from . import oracle",
+            "fslpenum.oracle",
+            "Expr",
+            "_Flat",
+            "def unfold",
+            "def fold_expr",
+            "eval_expr",
+            "dbuta_run",
+        ]
