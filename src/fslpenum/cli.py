@@ -32,6 +32,7 @@ from .oracle import OracleBudget, brute_select
 from .updates import build_enum_structure
 
 MAX_WIDE_SIZE = 4096  # bench --family wide builds 2**size siblings: nodes hold size-bit counts
+MAX_ORACLE_VERTICES = 24  # oracle checks all 2**max-vertices subsets
 
 
 def _read(path: str) -> str:
@@ -189,6 +190,9 @@ def cmd_validate(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    if args.max_vertices > MAX_ORACLE_VERTICES:
+        print(f"--max-vertices must be at most {MAX_ORACLE_VERTICES}", file=sys.stderr)
+        return 1
     forest = parse_term(_read(args.term))
     query = automata.loads(_read(args.nsta))
     family = brute_select(query, forest, OracleBudget(max_vertices=args.max_vertices))

@@ -304,6 +304,8 @@ def relabel_defs(g: FSLP, stats: VertexStats, node: int, k: int, label: str) -> 
     defs: list[tuple] = [(g.kinds[chain[-1]], label)]
     if not (isinstance(label, str) and label):
         raise ValueError(f"definition 0 needs a non-empty string label: {defs[0]!r}")
+    if label == HOLE:
+        raise ValueError(f"definition 0: the hole {HOLE!r} is not a label: {defs[0]!r}")
     for depth in range(len(path) - 1, -1, -1):
         cur = chain[depth]
         swapped = len(g) + len(defs) - 1  # the copy appended last
@@ -361,7 +363,7 @@ def evaluate(g: FSLP, node: int, budget: Optional[int] = None, stats: Optional[V
                     children[v].append(v + 1)
                 else:
                     stack.append((plug[0], v, plug[1]))
-    if out.count(HOLE) == 1:
+    if tau[node] == 1:
         return ForestContext(out, parents, children, roots)
     return Forest(out, parents, children, roots)
 
@@ -412,6 +414,8 @@ def compress_forest(f: Forest) -> FSLP:
     """
     if len(f) == 0:
         raise ValueError("cannot compress the empty forest")
+    if HOLE in f.labels:
+        raise ValueError(f"vertex {f.labels.index(HOLE)}: the hole {HOLE!r} is not a label")
     size = [1] * len(f)
     for v in range(len(f) - 1, -1, -1):
         for c in f.children[v]:
@@ -512,7 +516,8 @@ def chain_fslp(label: str, depth: int) -> FSLP:
 
 def dumps(g: FSLP) -> str:
     """The ``fslp v1`` text of ``g``; raises ValueError on a label that
-    ``loads`` could not read back (empty, or holding whitespace or '#')."""
+    ``loads`` would not read back (empty, the hole ``*``, or holding
+    whitespace or '#')."""
     lines = ["fslp v1"]
     for i in range(len(g)):
         kind = g.kinds[i]
@@ -521,6 +526,8 @@ def dumps(g: FSLP) -> str:
             if not isinstance(label, str) or label.split() != [label] or "#" in label:
                 raise ValueError(f"node {i}: label {label!r} cannot be written to an "
                                  "f-SLP file (empty, or holds whitespace or '#')")
+            if label == HOLE:
+                raise ValueError(f"node {i}: the hole {HOLE!r} is not a label")
             lines.append(f"node {i} {kind} {label}")
         else:
             lines.append(f"node {i} {kind} {g.lefts[i]} {g.rights[i]}")
@@ -565,6 +572,8 @@ def loads(text: str) -> FSLP:
         if kind in (LEAF, LEAFCTX):
             if len(parts) != 4:
                 raise ValueError(f"line {lineno}: leaf takes one label")
+            if parts[3] == HOLE:
+                raise ValueError(f"line {lineno}: the hole {HOLE!r} is not a label")
             g.add_node((kind, parts[3]))
         elif kind in (HC, VC):
             if len(parts) != 5:

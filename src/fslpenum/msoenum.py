@@ -56,6 +56,10 @@ class ProductIndex:
     the pids ``(pid_l, pid_r)`` of its left and right child's pairs; the
     product edges between pairs are stored only in the normalizer ``norm``.
 
+    ``node_ids`` maps each node definition (``FSLP.node_def``) to the
+    first node with it; ``extend_for`` fills it, so a relabel can look up
+    the path copies that already exist (``updates.relabel``).
+
     ``rigid[pid]`` is the pair's rigid record (``fill_rigid``), or None if
     its witness subtree holds a choice.  Records are filled lazily, the
     first time a stream meets a pair, so building, extending and
@@ -77,6 +81,7 @@ class ProductIndex:
         self.eff_r: list[Optional[tuple]] = []
         self.norm = Normalizer(PRE_CATEGORY)
         self.rigid: dict[int, Optional[tuple]] = {}
+        self.node_ids: dict[tuple, int] = {}
         self.work = 0  # state-pair iterations, for maintenance-cost checks
         self._built = 0
         self.extend_for(len(g))
@@ -89,13 +94,14 @@ class ProductIndex:
         mirrored) the remaining active states and the product edges, and
         empty x empty the empty states.
         """
-        g, b, conf, pair_id = self.g, self.b, self.conf, self.pair_id
+        g, b, conf, pair_id, node_ids = self.g, self.b, self.conf, self.pair_id, self.node_ids
         self.stats.extend_for(g)
         for i in range(self._built, upto):
             ledges: dict[int, set[int]] = {}
             redges: dict[int, set[int]] = {}
             if g.is_leaf_node(i):
                 label, ctx = g.labels[i], g.kinds[i] == "leafctx"
+                node_ids.setdefault((g.kinds[i], label), i)  # a file may repeat a definition
                 qa = b.delta0(label, ctx, 1)
                 succ: dict[int, list[tuple[int, int]]] = {qa: []}  # useful, no successor tuples
                 act, emp = (qa,), (b.delta0(label, ctx, 0),)
@@ -103,6 +109,7 @@ class ProductIndex:
             else:
                 l, r = g.lefts[i], g.rights[i]
                 op = g.kinds[i]
+                node_ids.setdefault((op, l, r), i)
                 al, el, ar, er = conf.active[l], conf.empty[l], conf.active[r], conf.empty[r]
                 pr = [pair_id[(r, q2)] for q2 in ar]
                 succ = {}

@@ -5,8 +5,11 @@ An extension appends nodes whose children are existing nodes; old nodes
 keep their definitions, so every table (stats, configuration rows, the
 normalized product DAG) grows strictly append-only and existing queries
 stay valid.  Relabelling locates the root-to-leaf path of the target
-vertex by preorder arithmetic and appends copies of the path's nodes with
-the leaf copy relabelled, at most height+1 new nodes per update.
+vertex by preorder arithmetic and copies the path's nodes with the leaf
+copy relabelled.  A copy whose definition some node already has is that
+node (hash-consing), so a relabel appends at most height+1 nodes, and none
+when the vertex keeps its label; it may return an existing node as the
+new root.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable, Union
 
 from .automata import DBUTA, NSTA, nsta_to_dbuta
+from .forest import HOLE
 from .fslp import FSLP, VertexStats, node_type, relabel_defs
 from .msoenum import AnswerStream, ProductIndex
 
@@ -76,6 +80,8 @@ def extend(eds: EnumDataStructure, defs: Iterable[NodeDef]) -> tuple[EnumDataStr
         elif kind in ("leaf", "leafctx") and len(d) == 2:
             if not (isinstance(d[1], str) and d[1]):
                 raise ValueError(f"definition {offset} needs a non-empty string label: {d!r}")
+            if d[1] == HOLE:
+                raise ValueError(f"definition {offset}: the hole {HOLE!r} is not a label: {d!r}")
             new_tau.append(int(kind == "leafctx"))
         else:
             raise ValueError(f"definition {offset} is not a node definition: {d!r}")
@@ -89,13 +95,28 @@ def relabel(
 ) -> tuple[EnumDataStructure, int, int]:
     """Relabel the vertex with the given preorder number in ⟦node⟧.
 
-    Returns (eds, new root node, number of nodes added).  The new root
+    Returns (eds, new root node, number of nodes appended).  The new root
     derives the relabelled forest; the original node still derives the old
-    one.  Adds at most height(node)+1 nodes and height never grows.
+    one.  Each path copy of ``relabel_defs`` is first looked up in
+    ``ProductIndex.node_ids``: a copy that some node already defines is
+    that node, so only missing copies are appended (at most
+    height(node)+1, none if the label is unchanged), the new root may be
+    an existing node, and height never grows.
     """
-    stats = eds.stats
-    eds, new_ids = extend(eds, relabel_defs(eds.fslp, stats, node, preorder, label))
-    new_root = new_ids[-1]
-    assert len(new_ids) <= stats.height[node] + 1
+    stats, g = eds.stats, eds.fslp
+    before, known = len(g), eds.product.node_ids
+    ids: list[int] = []  # the node each path copy became, leaf first
+    missing: list[NodeDef] = []
+    for d in relabel_defs(g, stats, node, preorder, label):
+        if len(d) == 3:  # its reference to the previous copy, at or past `before`
+            d = (d[0], *(ids[-1] if c >= before else c for c in d[1:]))
+        nid = known.get(d)
+        if nid is None:
+            nid = before + len(missing)
+            missing.append(d)
+        ids.append(nid)
+    eds, _ = extend(eds, missing)
+    new_root = ids[-1]
+    assert len(missing) <= stats.height[node] + 1
     assert stats.height[new_root] <= stats.height[node]
-    return eds, new_root, len(new_ids)
+    return eds, new_root, len(missing)

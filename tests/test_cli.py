@@ -57,6 +57,18 @@ class TestCompressDecompress:
         assert code == 1 and text == "" and not out.exists()
         assert err.startswith("error: node ") and "cannot be written" in err
 
+    def test_hole_label_exits_1(self, workdir, capsys):
+        src, out = workdir / "hole.term", workdir / "hole.fslp"
+        src.write_text("a(*)")
+        code, text, err = run(capsys, "compress", src, "-o", out)
+        assert (code, text) == (1, "") and not out.exists()
+        assert err == "error: vertex 1: the hole '*' is not a label\n"
+        bad = workdir / "hole-leaf.fslp"
+        bad.write_text("fslp v1\nnode 0 leaf *\nnode 1 leafctx a\nnode 2 hc 1 0\n")
+        code, text, err = run(capsys, "decompress", bad, "--vertex", "0")
+        assert (code, text) == (1, "")
+        assert err == "error: line 2: the hole '*' is not a label\n"
+
     def test_non_integer_child_id_exits_1(self, workdir, capsys):
         bad = workdir / "bad.fslp"
         bad.write_text("fslp v1\nnode 0 leaf a\nnode 1 hc 0 q\nroot 1\n")
@@ -424,6 +436,20 @@ class TestBench:
             )
             outs.append(out)
         assert outs[0] == outs[1]
+
+
+class TestOracle:
+    def test_max_vertices_is_capped(self, workdir, capsys, monkeypatch):
+        calls = []
+        real = cli.brute_select
+        monkeypatch.setattr(cli, "brute_select", lambda *a: calls.append(a) or real(*a))
+        args = ("oracle", workdir / "fig1.term", workdir / "one.nsta", "--max-vertices")
+        code, out, err = run(capsys, *args, "25")
+        assert (code, out, calls) == (1, "", [])
+        assert err == "--max-vertices must be at most 24\n"
+        code, out, _ = run(capsys, *args, "24")
+        assert code == 0 and len(calls) == 1 and out.splitlines()[-1] == "EOE"
+        assert len(out.splitlines()) == 11  # exactly-one over 10 vertices
 
 
 class TestEntryPoint:

@@ -1,6 +1,12 @@
+import gc
+import random
+import time
+
 import pytest
 
 from fslpenum import (
+    FSLP,
+    NSTA,
     compress_forest,
     evaluate,
     parse_term,
@@ -8,6 +14,7 @@ from fslpenum import (
 from fslpenum.fixtures import (
     accept_all_nsta,
     exactly_one_nsta,
+    random_term,
     select_labels_nsta,
     shared_subtree_fslp,
 )
@@ -81,6 +88,11 @@ class TestExtend:
                 extend(eds, [("leaf", "a"), ("leaf", bad)])
         with pytest.raises(ValueError, match="non-empty string label"):
             relabel(eds, g.root, 0, "")
+        for kind in ("leaf", "leafctx"):  # the hole is not a label
+            with pytest.raises(ValueError, match=r"definition 1: the hole '\*' is not a label"):
+                extend(eds, [("leaf", "a"), (kind, "*")])
+        with pytest.raises(ValueError, match=r"the hole '\*' is not a label"):
+            relabel(eds, g.root, 0, "*")
         assert len(eds.fslp) == n and canonical_form(eds) == before
         # and the structure stays usable
         eds, ids = extend(eds, [("hc", leaf_a, leaf_b)])
@@ -117,13 +129,64 @@ class TestRelabel:
         rebuilt = build_enum_structure(eds.fslp, a)
         assert canonical_form(eds) == canonical_form(rebuilt)
 
-    def test_same_symbol_still_adds_nodes(self):
+    def test_same_symbol_adds_no_nodes(self):
         g = shared_subtree_fslp()
         eds = build_enum_structure(g, accept_all_nsta("ab"))
         n = len(eds.fslp)
         eds, new_root, added = relabel(eds, g.root, 3, "b")
-        assert added > 0 and len(eds.fslp) == n + added
+        assert added == 0 and len(eds.fslp) == n
         assert evaluate(eds.fslp, new_root) == evaluate(eds.fslp, g.root)
+
+    def test_existing_copies_are_reused(self):
+        # relabelling back and forth appends the path once: the second
+        # change back finds every copy of the first
+        g = shared_subtree_fslp()
+        a = select_labels_nsta({"b"}, {"a", "b", "d"})
+        eds = build_enum_structure(g, a)
+        eds, r1, added1 = relabel(eds, g.root, 14, "d")
+        eds, r2, added2 = relabel(eds, r1, 14, "b")
+        eds, r3, added3 = relabel(eds, r2, 14, "d")
+        assert added1 > 0 and added2 == added3 == 0
+        assert r2 == g.root and r3 == r1
+        assert len(eds.fslp) == len(shared_subtree_fslp()) + added1
+
+    def test_repeated_definitions_resolve_to_the_first(self):
+        g = FSLP()
+        leaf_a = g.add_leaf("a")
+        g.add_leaf("a")  # a file may repeat a definition
+        g.root = g.add_hc(leaf_a, leaf_a)
+        eds = build_enum_structure(g, accept_all_nsta("ab"))
+        assert eds.product.node_ids[("leaf", "a")] == leaf_a
+        eds, root, added = relabel(eds, g.root, 1, "a")
+        assert (root, added) == (g.root, 0)
+
+    def test_relabel_time_doubles_with_height(self):
+        # a relabel costs O(height): on left-deep hc chains of n nodes, the
+        # leftmost leaf's path holds every node, and each doubling must cost
+        # at most 3x (interleaved, best of five, CPU time of this process
+        # from a collected heap; a new label each time, so every copy is
+        # appended)
+        sizes = [2000, 4000, 8000]
+        structures = {}
+        for n in sizes:
+            g = FSLP()
+            leaf_a = g.root = g.add_leaf("a")
+            for _ in range(n - 1):
+                g.root = g.add_hc(g.root, leaf_a)
+            structures[n] = build_enum_structure(g, exactly_one_nsta("ab"))
+        best = dict.fromkeys(sizes, float("inf"))
+        for rep in range(5):
+            for n in sizes:
+                eds = structures[n]
+                gc.collect()
+                gc.disable()
+                t0 = time.process_time()
+                eds, _, added = relabel(eds, eds.fslp.root, 0, f"x{rep}")
+                best[n] = min(best[n], time.process_time() - t0)
+                gc.enable()
+                assert added == n
+        ratios = [best[sizes[i]] / best[sizes[i - 1]] for i in range(1, len(sizes))]
+        assert all(1.0 <= r <= 3.0 for r in ratios), ratios
 
     def test_out_of_range(self):
         g = shared_subtree_fslp()
@@ -160,3 +223,44 @@ class TestRelabel:
                 assert eds.ops - ops_before <= 4 * q * q * (height + 1) + 4
             rebuilt = build_enum_structure(eds.fslp, a)
             assert canonical_form(eds) == canonical_form(rebuilt), trial
+
+
+def exactly_one_b_nsta(alphabet):
+    """Accepts (F, S) iff S is one b-labelled vertex."""
+    iota = {(a, 0): frozenset([0]) for a in alphabet}
+    iota.update({(a, 1): frozenset([1]) if a == "b" else frozenset() for a in alphabet})
+    return NSTA(2, frozenset([(0, 0, 0), (0, 1, 1), (1, 0, 1)]), iota, 0, 1)
+
+
+class TestLongRelabelRun:
+    def test_thousand_chained_relabels_match_rebuilds(self):
+        # 10^3 seeded relabels on a 10^3-vertex forest, with labels from the
+        # forest's own alphabet, so that about a third keep their label
+        rng = random.Random(12)
+        f = parse_term(random_term(rng, 1000, "abc"))
+        alphabet = sorted(set(f.labels))
+        a = exactly_one_b_nsta(alphabet)
+        labels = list(f.labels)
+        eds = build_enum_structure(compress_forest(f), a)
+        root, start, total, unchanged = eds.fslp.root, len(eds.fslp), 0, 0
+        for step in range(1, 1001):
+            k = rng.randrange(len(f))
+            sym = rng.choice(alphabet)
+            same = labels[k] == sym
+            labels[k] = sym
+            eds, root, added = relabel(eds, root, k, sym)
+            assert added == 0 or not same  # a same-label relabel appends nothing
+            unchanged += same
+            total += added
+            if step % 100:
+                continue
+            assert len(eds.fslp) == start + total
+            current = evaluate(eds.fslp, root)
+            assert list(current.labels) == labels
+            fresh = build_enum_structure(compress_forest(current), a)
+            answers = family(eds, root)
+            assert answers == family(fresh, fresh.fslp.root), step
+            assert answers == {frozenset([v]) for v, l in enumerate(labels) if l == "b"}
+            rebuilt = build_enum_structure(eds.fslp, a)
+            assert canonical_form(eds) == canonical_form(rebuilt), step
+        assert unchanged > 200  # same-label relabels occurred
