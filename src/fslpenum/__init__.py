@@ -32,7 +32,7 @@ from .fslp import (
     evaluate,
     path_preorder,
     preorder_to_path,
-    relabel_defs,
+    relabel_path,
     row_fslp,
 )
 from .msoenum import (

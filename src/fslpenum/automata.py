@@ -417,8 +417,7 @@ def loads(text: str) -> NSTA:
             m = _int_field(parts[1], lineno, "states")
         elif kind == "iota":
             key = (parts[1], _int_field(parts[2], lineno, "iota bit"))
-            states = frozenset(_int_field(x, lineno, "iota state") for x in parts[3:])
-            iota[key] = iota.get(key, frozenset()) | states
+            iota.setdefault(key, set()).update(_int_field(x, lineno, "iota state") for x in parts[3:])
         elif kind == "trans":
             delta.add(tuple(_int_field(x, lineno, "trans state") for x in parts[1:]))
         elif kind == "init":
@@ -427,4 +426,4 @@ def loads(text: str) -> NSTA:
             qf = _int_field(parts[1], lineno, "final")
     if m is None or q0 is None or qf is None:
         raise ValueError("nsta file needs states/init/final lines")
-    return NSTA(m, frozenset(delta), iota, q0, qf)
+    return NSTA(m, frozenset(delta), {key: frozenset(qs) for key, qs in iota.items()}, q0, qf)

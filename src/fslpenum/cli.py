@@ -153,14 +153,13 @@ def cmd_relabel(args) -> int:
     if not (0 <= args.preorder < n):
         print(f"preorder {args.preorder} out of the valid range [0, {n})", file=sys.stderr)
         return 1
-    defs = fslp.relabel_defs(g, stats, v, args.preorder, args.symbol)
-    for d in defs:
-        g.root = new_root = g.add_node(d)
+    new_root, added = fslp.relabel_path(g, stats, v, args.preorder, args.symbol)
+    g.root = new_root
     if args.gc:
         g, remap = fslp.gc(g, [new_root])
         new_root = remap[new_root]
     _write_out(fslp.dumps(g), args.output)
-    print(f"added={len(defs)} root={new_root}", file=sys.stderr)
+    print(f"added={added} root={new_root}", file=sys.stderr)
     return 0
 
 

@@ -74,15 +74,21 @@ def _size_text(n: int) -> str:
 
 
 class FSLP:
-    """Append-only node store; node id = declaration index."""
+    """Append-only node store; node id = declaration index.
 
-    __slots__ = ("kinds", "labels", "lefts", "rights", "root")
+    ``ids`` maps each node definition (``node_def``) to the first node with
+    it.  The ``add_*`` methods always append, so a file may repeat a
+    definition; ``mk`` appends only a definition no node has yet
+    (hash-consing)."""
+
+    __slots__ = ("kinds", "labels", "lefts", "rights", "ids", "root")
 
     def __init__(self, root: Optional[int] = None):
         self.kinds: list[str] = []
         self.labels: list[Optional[str]] = []
         self.lefts: list[Optional[int]] = []
         self.rights: list[Optional[int]] = []
+        self.ids: dict[tuple, int] = {}
         self.root = root
 
     def __len__(self) -> int:
@@ -94,6 +100,9 @@ class FSLP:
             for ref in (left, right):
                 if ref is None or not (0 <= ref < i):
                     raise InvalidFSLP(i, "children must reference earlier nodes")
+            self.ids.setdefault((kind, left, right), i)
+        else:
+            self.ids.setdefault((kind, label), i)
         self.kinds.append(kind)
         self.labels.append(label)
         self.lefts.append(left)
@@ -119,6 +128,11 @@ class FSLP:
         if kind in (HC, VC):
             return self._push(kind, None, definition[1], definition[2])
         raise InvalidFSLP(len(self), f"unknown node kind {kind!r}")
+
+    def mk(self, *definition) -> int:
+        """The first node with ``definition``, appended if there is none."""
+        nid = self.ids.get(definition)
+        return self.add_node(definition) if nid is None else nid
 
     def node_def(self, i: int) -> tuple:
         kind = self.kinds[i]
@@ -293,27 +307,33 @@ def preorder_to_path(g: FSLP, stats: VertexStats, start: int, k: int) -> str:
     return "".join(path)
 
 
-def relabel_defs(g: FSLP, stats: VertexStats, node: int, k: int, label: str) -> list[tuple]:
-    """Definitions, to append to ``g``, of a bottom-up copy of the path to vertex
-    ``k`` of ⟦node⟧ with the leaf relabelled; the last one is the new root."""
+def relabel_path(g: FSLP, stats: VertexStats, node: int, k: int, label: str) -> tuple[int, int]:
+    """Copy the path to vertex ``k`` of ⟦node⟧ bottom-up through ``g.mk``, with
+    the leaf relabelled; returns (new root, number of nodes appended).
+
+    Every check runs before anything is appended.  A copy that some node
+    already defines is that node, so at most height(node)+1 nodes are
+    appended, none if the label is unchanged, and the new root may be an
+    existing node; ``node`` still derives the old forest."""
     path = preorder_to_path(g, stats, node, k)
     chain = [node]
     for side in path:
         cur = chain[-1]
         chain.append(g.lefts[cur] if side == "l" else g.rights[cur])
-    defs: list[tuple] = [(g.kinds[chain[-1]], label)]
+    leaf = (g.kinds[chain[-1]], label)
     if not (isinstance(label, str) and label):
-        raise ValueError(f"definition 0 needs a non-empty string label: {defs[0]!r}")
+        raise ValueError(f"definition 0 needs a non-empty string label: {leaf!r}")
     if label == HOLE:
-        raise ValueError(f"definition 0: the hole {HOLE!r} is not a label: {defs[0]!r}")
+        raise ValueError(f"definition 0: the hole {HOLE!r} is not a label: {leaf!r}")
+    before = len(g)
+    copy = g.mk(*leaf)
     for depth in range(len(path) - 1, -1, -1):
         cur = chain[depth]
-        swapped = len(g) + len(defs) - 1  # the copy appended last
         if path[depth] == "l":
-            defs.append((g.kinds[cur], swapped, g.rights[cur]))
+            copy = g.mk(g.kinds[cur], copy, g.rights[cur])
         else:
-            defs.append((g.kinds[cur], g.lefts[cur], swapped))
-    return defs
+            copy = g.mk(g.kinds[cur], g.lefts[cur], copy)
+    return copy, len(g) - before
 
 
 # ---------------------------------------------------------------------------
@@ -368,25 +388,11 @@ def evaluate(g: FSLP, node: int, budget: Optional[int] = None, stats: Optional[V
     return Forest(out, parents, children, roots)
 
 
-class _Builder:
-    """Hash-consing FSLP builder: structurally equal definitions share a node."""
-
-    def __init__(self):
-        self.g = FSLP()
-        self.memo: dict[tuple, int] = {}
-
-    def mk(self, *definition) -> int:
-        nid = self.memo.get(definition)
-        if nid is None:
-            nid = self.memo[definition] = self.g.add_node(definition)
-        return nid
-
-
 # ---------------------------------------------------------------------------
 # compression
 # ---------------------------------------------------------------------------
 
-def _balanced(b: _Builder, op: str, items: list[int], weights: list[int]) -> int:
+def _balanced(g: FSLP, op: str, items: list[int], weights: list[int]) -> int:
     """Combine ``items`` with ``op`` splitting at the weighted midpoint."""
     if len(items) == 1:
         return items[0]
@@ -398,9 +404,9 @@ def _balanced(b: _Builder, op: str, items: list[int], weights: list[int]) -> int
         if 2 * acc >= total:
             cut = j
             break
-    left = _balanced(b, op, items[:cut], weights[:cut])
-    right = _balanced(b, op, items[cut:], weights[cut:])
-    return b.mk(op, left, right)
+    left = _balanced(g, op, items[:cut], weights[:cut])
+    right = _balanced(g, op, items[cut:], weights[cut:])
+    return g.mk(op, left, right)
 
 
 def compress_forest(f: Forest) -> FSLP:
@@ -420,17 +426,17 @@ def compress_forest(f: Forest) -> FSLP:
     for v in range(len(f) - 1, -1, -1):
         for c in f.children[v]:
             size[v] += size[c]
-    b = _Builder()
+    g = FSLP()
 
     def forest_part(vs: list[int]) -> int:
         if len(vs) == 1:
             return tree_part(vs[0])
         items = [tree_part(v) for v in vs]
-        return _balanced(b, HC, items, [size[v] for v in vs])
+        return _balanced(g, HC, items, [size[v] for v in vs])
 
     def tree_part(v: int) -> int:
         if not f.children[v]:
-            return b.mk(LEAF, f.labels[v])
+            return g.mk(LEAF, f.labels[v])
         # heaviest path from v down to a leaf
         path = [v]
         cur = v
@@ -443,13 +449,13 @@ def compress_forest(f: Forest) -> FSLP:
             vi, nxt = path[i], path[i + 1]
             kids = f.children[vi]
             at = kids.index(nxt)
-            piece = b.mk(LEAFCTX, f.labels[nxt])
+            piece = g.mk(LEAFCTX, f.labels[nxt])
             w = size[nxt]
             if at > 0:
-                piece = b.mk(HC, forest_part(list(kids[:at])), piece)
+                piece = g.mk(HC, forest_part(list(kids[:at])), piece)
                 w += sum(size[c] for c in kids[:at])
             if at + 1 < len(kids):
-                piece = b.mk(HC, piece, forest_part(list(kids[at + 1 :])))
+                piece = g.mk(HC, piece, forest_part(list(kids[at + 1 :])))
                 w += sum(size[c] for c in kids[at + 1 :])
             # the piece's weight no longer counts the subtree below nxt
             pieces.append(piece)
@@ -457,14 +463,14 @@ def compress_forest(f: Forest) -> FSLP:
         last = path[-2]  # parent of the final leaf on the path
         pieces.append(forest_part(list(f.children[last])))
         weights.append(sum(size[c] for c in f.children[last]))
-        body = _balanced(b, VC, pieces, weights)
-        return b.mk(VC, b.mk(LEAFCTX, f.labels[v]), body)
+        body = _balanced(g, VC, pieces, weights)
+        return g.mk(VC, g.mk(LEAFCTX, f.labels[v]), body)
 
-    b.g.root = forest_part(list(f.roots))
-    return b.g
+    g.root = forest_part(list(f.roots))
+    return g
 
 
-def _halving(b: _Builder, n: int, leaf_kind: str, join: str, label: str) -> int:
+def _halving(g: FSLP, n: int, leaf_kind: str, join: str, label: str) -> int:
     """Node for ``n`` copies of a ``leaf_kind`` leaf joined by ``join``: the
     leaf for 1, otherwise the join of the ceil(n/2) and floor(n/2) nodes.
 
@@ -479,13 +485,13 @@ def _halving(b: _Builder, n: int, leaf_kind: str, join: str, label: str) -> int:
         if m in memo:
             stack.pop()
         elif m == 1:
-            memo[1] = b.mk(leaf_kind, label)
+            memo[1] = g.mk(leaf_kind, label)
         elif m - m // 2 not in memo:
             stack.append(m - m // 2)
         elif m // 2 not in memo:
             stack.append(m // 2)
         else:
-            memo[m] = b.mk(join, memo[m - m // 2], memo[m // 2])
+            memo[m] = g.mk(join, memo[m - m // 2], memo[m // 2])
     return memo[n]
 
 
@@ -493,21 +499,21 @@ def row_fslp(label: str, n: int) -> FSLP:
     """f-SLP for the forest of ``n`` sibling ``label`` vertices, O(log n) nodes."""
     if n < 1:
         raise ValueError("n must be positive")
-    b = _Builder()
-    b.g.root = _halving(b, n, LEAF, HC, label)
-    return b.g
+    g = FSLP()
+    g.root = _halving(g, n, LEAF, HC, label)
+    return g
 
 
 def chain_fslp(label: str, depth: int) -> FSLP:
     """f-SLP for the unary chain of ``depth`` vertices, O(log depth) nodes."""
     if depth < 1:
         raise ValueError("depth must be positive")
-    b = _Builder()
+    g = FSLP()
     if depth == 1:
-        b.g.root = b.mk(LEAF, label)
+        g.root = g.mk(LEAF, label)
     else:
-        b.g.root = b.mk(VC, _halving(b, depth - 1, LEAFCTX, VC, label), b.mk(LEAF, label))
-    return b.g
+        g.root = g.mk(VC, _halving(g, depth - 1, LEAFCTX, VC, label), g.mk(LEAF, label))
+    return g
 
 
 # ---------------------------------------------------------------------------

@@ -56,9 +56,9 @@ class ProductIndex:
     the pids ``(pid_l, pid_r)`` of its left and right child's pairs; the
     product edges between pairs are stored only in the normalizer ``norm``.
 
-    ``node_ids`` maps each node definition (``FSLP.node_def``) to the
-    first node with it; ``extend_for`` fills it, so a relabel can look up
-    the path copies that already exist (``updates.relabel``).
+    ``built`` counts the nodes of ``g`` fed so far (``extend_for``): a node
+    appended to ``g`` later is unknown to every table until it is fed.  The
+    table from node definitions to nodes is ``g.ids``.
 
     ``rigid[pid]`` is the pair's rigid record (``fill_rigid``), or None if
     its witness subtree holds a choice.  Records are filled lazily, the
@@ -81,9 +81,8 @@ class ProductIndex:
         self.eff_r: list[Optional[tuple]] = []
         self.norm = Normalizer(PRE_CATEGORY)
         self.rigid: dict[int, Optional[tuple]] = {}
-        self.node_ids: dict[tuple, int] = {}
         self.work = 0  # state-pair iterations, for maintenance-cost checks
-        self._built = 0
+        self.built = 0
         self.extend_for(len(g))
 
     def extend_for(self, upto: int) -> None:
@@ -94,14 +93,13 @@ class ProductIndex:
         mirrored) the remaining active states and the product edges, and
         empty x empty the empty states.
         """
-        g, b, conf, pair_id, node_ids = self.g, self.b, self.conf, self.pair_id, self.node_ids
+        g, b, conf, pair_id = self.g, self.b, self.conf, self.pair_id
         self.stats.extend_for(g)
-        for i in range(self._built, upto):
+        for i in range(self.built, upto):
             ledges: dict[int, set[int]] = {}
             redges: dict[int, set[int]] = {}
             if g.is_leaf_node(i):
                 label, ctx = g.labels[i], g.kinds[i] == "leafctx"
-                node_ids.setdefault((g.kinds[i], label), i)  # a file may repeat a definition
                 qa = b.delta0(label, ctx, 1)
                 succ: dict[int, list[tuple[int, int]]] = {qa: []}  # useful, no successor tuples
                 act, emp = (qa,), (b.delta0(label, ctx, 0),)
@@ -109,7 +107,6 @@ class ProductIndex:
             else:
                 l, r = g.lefts[i], g.rights[i]
                 op = g.kinds[i]
-                node_ids.setdefault((op, l, r), i)
                 al, el, ar, er = conf.active[l], conf.empty[l], conf.active[r], conf.empty[r]
                 pr = [pair_id[(r, q2)] for q2 in ar]
                 succ = {}
@@ -144,7 +141,7 @@ class ProductIndex:
                 edges += [(eff_r, pair_id[(r, q2)]) for q2 in sorted(redges.get(q, ()))]
                 self.work += 1 + len(edges)
                 self.norm.add_original(pid, obj, edges, q in succ)
-        self._built = upto
+        self.built = upto
 
     def fill_rigid(self, pid: int) -> Optional[tuple]:
         """Fill the rigid records of ``pid`` and of the pairs its record
@@ -282,7 +279,7 @@ class AnswerStream:
     """
 
     def __init__(self, idx: ProductIndex, node: int, record_steps: bool = False):
-        if not (0 <= node < len(idx.g)):
+        if not (0 <= node < idx.built):
             raise ValueError(f"unknown node {node}")
         if idx.stats.tau[node] != 0:
             raise ValueError("enumeration needs a forest node (type 0)")

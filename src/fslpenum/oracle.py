@@ -36,7 +36,6 @@ from .fslp import (
     BudgetExceeded,
     InvalidFSLP,
     VertexStats,
-    _Builder,
     _size_text,
     compute_stats,
     default_budget,
@@ -198,22 +197,22 @@ def unfold(g: FSLP, node: int, budget: Optional[int] = None, stats: Optional[Ver
 
 def fold_expr(e: Expr) -> FSLP:
     """Minimal DAG of the expression: one node per distinct subtree."""
-    b = _Builder()
+    g = FSLP()
     out: list[int] = []
     stack: list[tuple[Expr, bool]] = [(e, False)]
     while stack:
         node, expanded = stack.pop()
         if isinstance(node, ExprLeaf):
-            out.append(b.mk(LEAFCTX if node.ctx else LEAF, node.label))
+            out.append(g.mk(LEAFCTX if node.ctx else LEAF, node.label))
         elif expanded:
             right = out.pop()
-            out.append(b.mk(node.op, out.pop(), right))
+            out.append(g.mk(node.op, out.pop(), right))
         else:
             stack.append((node, True))
             stack.append((node.right, False))
             stack.append((node.left, False))
-    b.g.root = out[0]
-    return b.g
+    g.root = out[0]
+    return g
 
 
 def dbuta_run(b: DBUTA, e: Expr, selection: Iterable[int]) -> int:

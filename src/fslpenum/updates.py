@@ -4,12 +4,13 @@ vertex relabelling.
 An extension appends nodes whose children are existing nodes; old nodes
 keep their definitions, so every table (stats, configuration rows, the
 normalized product DAG) grows strictly append-only and existing queries
-stay valid.  Relabelling locates the root-to-leaf path of the target
-vertex by preorder arithmetic and copies the path's nodes with the leaf
-copy relabelled.  A copy whose definition some node already has is that
-node (hash-consing), so a relabel appends at most height+1 nodes, and none
-when the vertex keeps its label; it may return an existing node as the
-new root.
+stay valid.  Relabelling (``fslp.relabel_path``) locates the
+root-to-leaf path of the target vertex by preorder arithmetic and copies
+the path's nodes through ``FSLP.mk`` with the leaf copy relabelled: a
+copy whose definition some node already has is that node (hash-consing),
+so a relabel appends at most height+1 nodes, and none when the vertex
+keeps its label; it may return an existing node as the new root.  The
+CLI ``relabel`` appends the same nodes.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Iterable, Union
 
 from .automata import DBUTA, NSTA, nsta_to_dbuta
 from .forest import HOLE
-from .fslp import FSLP, VertexStats, node_type, relabel_defs
+from .fslp import FSLP, VertexStats, node_type, relabel_path
 from .msoenum import AnswerStream, ProductIndex
 
 
@@ -97,26 +98,16 @@ def relabel(
 
     Returns (eds, new root node, number of nodes appended).  The new root
     derives the relabelled forest; the original node still derives the old
-    one.  Each path copy of ``relabel_defs`` is first looked up in
-    ``ProductIndex.node_ids``: a copy that some node already defines is
-    that node, so only missing copies are appended (at most
-    height(node)+1, none if the label is unchanged), the new root may be
-    an existing node, and height never grows.
+    one.  ``relabel_path`` appends only the path copies that no node of
+    the f-SLP defines yet (at most height(node)+1, none if the label is
+    unchanged), so the new root may be an existing node and height never
+    grows; the index then feeds the appended nodes.
     """
-    stats, g = eds.stats, eds.fslp
-    before, known = len(g), eds.product.node_ids
-    ids: list[int] = []  # the node each path copy became, leaf first
-    missing: list[NodeDef] = []
-    for d in relabel_defs(g, stats, node, preorder, label):
-        if len(d) == 3:  # its reference to the previous copy, at or past `before`
-            d = (d[0], *(ids[-1] if c >= before else c for c in d[1:]))
-        nid = known.get(d)
-        if nid is None:
-            nid = before + len(missing)
-            missing.append(d)
-        ids.append(nid)
-    eds, _ = extend(eds, missing)
-    new_root = ids[-1]
-    assert len(missing) <= stats.height[node] + 1
+    if not (0 <= node < eds.product.built):
+        raise ValueError(f"unknown node {node}")
+    stats = eds.stats
+    new_root, added = relabel_path(eds.fslp, stats, node, preorder, label)
+    eds.product.extend_for(len(eds.fslp))
+    assert added <= stats.height[node] + 1
     assert stats.height[new_root] <= stats.height[node]
-    return eds, new_root, len(missing)
+    return eds, new_root, added

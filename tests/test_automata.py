@@ -1,3 +1,5 @@
+import gc
+import time
 from itertools import combinations, product
 
 import pytest
@@ -361,6 +363,30 @@ class TestTextFormat:
     def test_errors(self, text):
         with pytest.raises(ValueError):
             am.loads(text)
+
+    def test_iota_lines_for_one_key_load_in_linear_time(self):
+        # n iota lines for one key, each adding a state: each doubling of n
+        # must cost at most 3x (interleaved, best of five, CPU time of this
+        # process from a collected heap)
+        sizes = [5000, 10000, 20000]
+        texts = {
+            n: "\n".join(["nsta v1", f"states {n}", *(f"iota a 0 {q}" for q in range(n)),
+                          "trans 0 0 0", "init 0", "final 0"]) + "\n"
+            for n in sizes
+        }
+        best = dict.fromkeys(sizes, float("inf"))
+        for _ in range(5):
+            for n in sizes:
+                a = None
+                gc.collect()
+                gc.disable()
+                t0 = time.process_time()
+                a = am.loads(texts[n])
+                best[n] = min(best[n], time.process_time() - t0)
+                gc.enable()
+                assert a.iota_set("a", 0) == frozenset(range(n))
+        ratios = [best[sizes[i]] / best[sizes[i - 1]] for i in range(1, len(sizes))]
+        assert all(1.0 <= r <= 3.0 for r in ratios), ratios
 
     @pytest.mark.parametrize(
         "line, lineno, message",

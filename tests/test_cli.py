@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from fslpenum import AnswerStream, automata, cli, compute_stats, fslp, relabel_defs, row_fslp
+from fslpenum import AnswerStream, automata, cli, compute_stats, fslp, relabel_path, row_fslp
 from fslpenum.cli import main
 from fslpenum.fixtures import exactly_one_nsta, select_labels_nsta, shared_subtree_fslp
 
@@ -250,6 +250,19 @@ class TestRelabel:
         code, text, _ = run(capsys, "decompress", out)
         assert text.strip() == "a(" + "b" * 13 + "d" + "b" + ")"
 
+    def test_same_symbol_appends_nothing(self, workdir, capsys):
+        # vertex 3 is already b: every path copy is an existing node, and the
+        # CLI appends what the library's relabel appends
+        out = workdir / "same.fslp"
+        code, _, err = run(
+            capsys,
+            "relabel", workdir / "shared.fslp",
+            "--preorder", "3", "--symbol", "b", "-o", out,
+        )
+        assert (code, err) == (0, "added=0 root=8\n")
+        assert out.read_text() == (workdir / "shared.fslp").read_text()
+        assert len(out.read_text().splitlines()) == 11
+
     def test_out_of_range_names_the_valid_range(self, workdir, capsys):
         code, _, err = run(
             capsys,
@@ -331,8 +344,7 @@ class TestExactSizes:
 
     def test_enumerate(self, workdir, capsys, digit_limit):
         g = row_fslp("a", BIG)
-        for d in relabel_defs(g, compute_stats(g), g.root, BIG - 1, "b"):
-            g.root = g.add_node(d)
+        g.root = relabel_path(g, compute_stats(g), g.root, BIG - 1, "b")[0]
         path = workdir / "last_b.fslp"
         path.write_text(fslp.dumps(g))
         code, out, err = run(capsys, "enumerate", path, workdir / "selb.nsta")

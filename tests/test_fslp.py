@@ -27,13 +27,14 @@ from fslpenum import (
     parse_term,
     path_preorder,
     preorder_to_path,
-    relabel_defs,
+    relabel_path,
     row_fslp,
     serialize_term,
     unfold,
     vc,
 )
 from fslpenum import fslp as fslp_mod
+from fslpenum.automata import multivar_reduce
 from fslpenum.fixtures import (
     SHARED_FSLP_GREEN_PATH,
     SHARED_FSLP_GREEN_PREORDER,
@@ -42,6 +43,31 @@ from fslpenum.fixtures import (
 )
 
 from conftest import random_expr, random_forest
+
+
+def first_ids(g):
+    """Each node definition of ``g`` mapped to the first node with it."""
+    first = {}
+    for i in range(len(g)):
+        first.setdefault(g.node_def(i), i)
+    return first
+
+
+def doubling_ratios(sizes, inputs, run):
+    """Time ratios of ``run(inputs[n])`` between consecutive sizes:
+    interleaved, best of five, CPU time of this process, each timed call
+    starting from a collected heap that no longer holds the last result."""
+    best = dict.fromkeys(sizes, float("inf"))
+    for _ in range(5):
+        for n in sizes:
+            out = None
+            gc.collect()
+            gc.disable()
+            t0 = time.process_time()
+            out = run(inputs[n])
+            best[n] = min(best[n], time.process_time() - t0)
+            gc.enable()
+    return [best[sizes[i]] / best[sizes[i - 1]] for i in range(1, len(sizes))]
 
 
 def all_paths(g, stats, start):
@@ -234,17 +260,15 @@ class TestPathNavigation:
                 assert eff.d.bit_length() <= limit
 
 
-class TestRelabelDefs:
+class TestRelabelPath:
     def test_appended_copy_derives_the_relabelled_forest(self, rng):
         for _ in range(30):
             f = random_forest(rng, 30)
             g = compress_forest(f)
             st = compute_stats(g)
             root, k = g.root, rng.randrange(len(f))
-            defs = relabel_defs(g, st, root, k, "c")
-            assert len(defs) <= st.height[root] + 1
-            for d in defs:
-                new_root = g.add_node(d)
+            new_root, added = relabel_path(g, st, root, k, "c")
+            assert added <= st.height[root] + 1
             assert evaluate(g, new_root) == f.relabel(k, "c")
             assert evaluate(g, root) == f  # the old root is untouched
 
@@ -252,14 +276,59 @@ class TestRelabelDefs:
         g = shared_subtree_fslp()
         st = compute_stats(g)
         with pytest.raises(ValueError, match="non-empty string label"):
-            relabel_defs(g, st, g.root, 3, "")
+            relabel_path(g, st, g.root, 3, "")
         with pytest.raises(ValueError, match="out of range"):
-            relabel_defs(g, st, g.root, 16, "c")
+            relabel_path(g, st, g.root, 16, "c")
         with pytest.raises(ValueError, match="type 0"):
-            relabel_defs(g, st, 7, 0, "c")  # node 7 is a context
+            relabel_path(g, st, 7, 0, "c")  # node 7 is a context
         with pytest.raises(ValueError, match=r"definition 0: the hole '\*' is not a label"):
-            relabel_defs(g, st, g.root, 3, "*")
+            relabel_path(g, st, g.root, 3, "*")
         assert len(g) == 9  # nothing was appended
+
+
+    def test_a_same_label_copy_is_the_old_path(self):
+        g = shared_subtree_fslp()
+        st = compute_stats(g)
+        assert relabel_path(g, st, g.root, 3, "b") == (g.root, 0)
+        new_root, added = relabel_path(g, st, g.root, 14, "d")
+        assert (added, len(g)) == (6, 15)
+        assert relabel_path(g, compute_stats(g), new_root, 14, "d") == (new_root, 0)
+
+
+class TestDefinitionTable:
+    """``FSLP.ids`` maps each definition to the first node with it,
+    whichever way the nodes were appended."""
+
+    def test_compressors_and_transforms(self, rng):
+        programs = [row_fslp("a", n) for n in range(1, 70)]
+        programs += [chain_fslp("a", n) for n in range(1, 70)]
+        for _ in range(30):
+            g = compress_forest(random_forest(rng, 40))
+            programs += [g, fold_expr(unfold(g, g.root)), multivar_reduce(g, 2).fslp]
+        for g in programs:
+            assert g.ids == first_ids(g)
+
+    def test_appending_methods_keep_the_first(self):
+        g = shared_subtree_fslp()
+        text = fslp_mod.dumps(g).replace("root 8", "node 9 leaf b\nnode 10 hc 2 4\nnode 11 hc 9 9\nroot 11")
+        h = fslp_mod.loads(text)  # repeats the definitions of nodes 0 and 5
+        assert h.ids == first_ids(h)
+        assert (h.ids[("leaf", "b")], h.ids[("hc", 2, 4)], h.ids[("hc", 9, 9)]) == (0, 5, 11)
+        out, remap = fslp_mod.gc(h, [h.root, 10])
+        assert out.ids == first_ids(out)
+        g.add_leaf("z")
+        assert g.ids == first_ids(g)
+
+    def test_mk_appends_only_new_definitions(self):
+        g = FSLP()
+        a = g.add_leaf("a")
+        g.add_leaf("a")
+        assert g.mk("leaf", "a") == a and len(g) == 2
+        top = g.mk("hc", a, a)
+        assert top == 2 and g.mk("hc", a, a) == top and len(g) == 3
+        with pytest.raises(InvalidFSLP, match="earlier nodes"):
+            g.mk("vc", 0, 7)
+        assert len(g) == 3 and g.ids == first_ids(g)
 
 
 class TestUnfoldEvaluate:
@@ -513,6 +582,26 @@ class TestTextFormat:
         out, remap = fslp_mod.gc(g, [g.root])
         assert len(out) == 9
         assert evaluate(out, remap[g.root]) == evaluate(g, g.root)
+
+
+class TestLinearBuilds:
+    """Building the definition table keeps ``compress_forest`` and ``loads``
+    linear: each doubling of a random forest (25k, 50k, 100k vertices)
+    must cost at most 3x."""
+
+    SIZES = [25000, 50000, 100000]
+
+    def test_compress_time_doubles_with_size(self):
+        rng = random.Random(11)
+        forests = {n: parse_term(random_term(rng, n)) for n in self.SIZES}
+        ratios = doubling_ratios(self.SIZES, forests, compress_forest)
+        assert all(1.0 <= r <= 3.0 for r in ratios), ratios
+
+    def test_loads_time_doubles_with_size(self):
+        rng = random.Random(11)
+        texts = {n: fslp_mod.dumps(compress_forest(parse_term(random_term(rng, n)))) for n in self.SIZES}
+        ratios = doubling_ratios(self.SIZES, texts, fslp_mod.loads)
+        assert all(1.0 <= r <= 3.0 for r in ratios), ratios
 
 
 class TestDeepInputs:

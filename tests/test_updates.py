@@ -7,6 +7,7 @@ import pytest
 from fslpenum import (
     FSLP,
     NSTA,
+    AnswerStream,
     compress_forest,
     evaluate,
     parse_term,
@@ -156,7 +157,7 @@ class TestRelabel:
         g.add_leaf("a")  # a file may repeat a definition
         g.root = g.add_hc(leaf_a, leaf_a)
         eds = build_enum_structure(g, accept_all_nsta("ab"))
-        assert eds.product.node_ids[("leaf", "a")] == leaf_a
+        assert eds.fslp.ids[("leaf", "a")] == leaf_a
         eds, root, added = relabel(eds, g.root, 1, "a")
         assert (root, added) == (g.root, 0)
 
@@ -230,6 +231,34 @@ def exactly_one_b_nsta(alphabet):
     iota = {(a, 0): frozenset([0]) for a in alphabet}
     iota.update({(a, 1): frozenset([1]) if a == "b" else frozenset() for a in alphabet})
     return NSTA(2, frozenset([(0, 0, 0), (0, 1, 1), (1, 0, 1)]), iota, 0, 1)
+
+
+class TestUnfedNode:
+    """A node appended to the shared f-SLP but not yet fed to the index is
+    unknown to every entry point, like a negative node."""
+
+    @pytest.fixture
+    def eds_and_node(self):
+        g = compress_forest(parse_term("a(b)c"))
+        eds = build_enum_structure(g, accept_all_nsta("abc"))
+        return eds, g.add_leaf("b")
+
+    def test_enumerate(self, eds_and_node):
+        eds, node = eds_and_node
+        with pytest.raises(ValueError, match=f"^unknown node {node}$"):
+            eds.enumerate(node)
+
+    def test_answer_stream(self, eds_and_node):
+        eds, node = eds_and_node
+        with pytest.raises(ValueError, match=f"^unknown node {node}$"):
+            AnswerStream(eds.product, node)
+
+    def test_relabel(self, eds_and_node):
+        eds, node = eds_and_node
+        for bad in (node, -1):
+            with pytest.raises(ValueError, match=f"^unknown node {bad}$"):
+                relabel(eds, bad, 0, "c")
+        assert len(eds.fslp) == node + 1  # nothing was appended
 
 
 class TestLongRelabelRun:
