@@ -215,24 +215,33 @@ def compute_stats(g: FSLP) -> VertexStats:
 
 def edge_effect(g: FSLP, stats: VertexStats, parent: int, side: str) -> Effect:
     """Effect of the edge from ``parent`` to its ``side`` ('l'/'r') child."""
-    kind = g.kinds[parent]
-    if kind not in (HC, VC):
+    if g.kinds[parent] not in (HC, VC):
         raise ValueError(f"node {parent} has no outgoing edges")
     if side not in ("l", "r"):
         raise ValueError("side must be 'l' or 'r'")
+    child = g.lefts[parent] if side == "l" else g.rights[parent]
+    eff = _edge_tuples(g, stats, parent)[side == "r"]
+    return Effect(stats.tau[parent], stats.tau[child], *eff)
+
+
+def _edge_tuples(g: FSLP, stats: VertexStats, parent: int) -> tuple[tuple, tuple]:
+    """The ten-case rule: the effects of an inner node's left and right
+    edges as ``(eps, c, kappa, d)`` tuples, shapes named as in ``effects``."""
     l, r = g.lefts[parent], g.rights[parent]
-    tl, tr = stats.tau[l], stats.tau[r]
-    if kind == HC:
-        if tl == 0 and tr == 0:
-            return Effect.m00(0) if side == "l" else Effect.m00(stats.s[l])
-        if tl == 0:  # parent type 1, right child carries the hole
-            return Effect.m10a(0) if side == "l" else Effect.m11a(stats.s[l], 0)
-        # tl == 1, tr == 0
-        return Effect.m11a(0, 0) if side == "l" else Effect.m10b(stats.s[l])
+    tau = stats.tau
+    if g.kinds[parent] == HC:
+        if tau[l] == 0:
+            if tau[r] == 0:  # M00(0), M00(s_l)
+                return (0, 0, 0, 0), (0, stats.s[l], 0, 0)
+            # parent type 1, right child carries the hole: M10a(0), M11a(s_l, 0)
+            return (0, 0, 0, 0), (0, stats.s[l], 1, 0)
+        # tl == 1, tr == 0: M11a(0, 0), M10b(s_l)
+        return (0, 0, 1, 0), (1, stats.s[l], 0, 0)
     # VC
-    if tr == 0:  # parent type 0
-        return Effect.m01(0, stats.s[r]) if side == "l" else Effect.m00(stats.ell[l])
-    return Effect.m11a(0, stats.s[r]) if side == "l" else Effect.m11a(stats.ell[l], 0)
+    if tau[r] == 0:  # parent type 0: M01(0, s_r), M00(ell_l)
+        return (0, 0, 0, stats.s[r]), (0, stats.ell[l], 0, 0)
+    # M11a(0, s_r), M11a(ell_l, 0)
+    return (0, 0, 1, stats.s[r]), (0, stats.ell[l], 1, 0)
 
 
 def path_preorder(g: FSLP, stats: VertexStats, start: int, path: Iterable[str]) -> int:

@@ -1,14 +1,18 @@
 """Answer-set enumeration for automaton queries over f-SLP-compressed forests.
 
-The preprocessing is one bottom-up sweep over the f-SLP.  Each node's
-state pairs (left child's active/empty states x right child's) are
-evaluated once, and that one walk yields both the node's configuration
-rows -- the states reachable with a nonempty selection (active), with
-both children selecting (useful), or with the empty selection -- and its
-part of the product DAG: the successor tuples of the useful states and
-the edges of the active states that skip an empty-selection sibling.  The
-product DAG goes straight into the path-enumeration normalizer with the
-useful configurations as targets, and is stored only in normalized form.
+The preprocessing is one bottom-up sweep over the f-SLP.  One walk over
+a node's state pairs (left child's active/empty states x right child's)
+yields both the node's configuration rows -- the states reachable with a
+nonempty selection (active), with both children selecting (useful), or
+with the empty selection -- and its part of the product DAG: the
+successor tuples of the useful states and the edges of the active states
+that skip an empty-selection sibling.  The walk depends only on the
+node's row shape (its operation and its children's active and empty
+rows), of which a fixed query has a bounded number, so it runs once per
+shape; every other node with that shape costs one dict lookup plus its
+own pids and edge effects.  The product DAG goes straight into the
+path-enumeration normalizer with the useful configurations as targets,
+and is stored only in normalized form.
 
 Enumeration then walks witness trees: unary nodes draw (useful config,
 composed effect) pairs from frozen path sessions; binary nodes step
@@ -29,7 +33,7 @@ from typing import Iterator, Optional
 from .automata import DBUTA
 from .dagenum import Normalizer, PathSession
 from .effects import PRE_CATEGORY
-from .fslp import FSLP, compute_stats, edge_effect
+from .fslp import FSLP, LEAFCTX, _edge_tuples, compute_stats
 
 
 @dataclass
@@ -60,6 +64,17 @@ class ProductIndex:
     appended to ``g`` later is unknown to every table until it is fed.  The
     table from node definitions to nodes is ``g.ids``.
 
+    ``shapes`` maps a row shape -- ``(label, is_context)`` for a leaf,
+    ``(op, al, el, ar, er)`` (the children's active and empty rows) for an
+    inner node -- to what the state-pair walk (``_walk``) found for it:
+    ``(act, useful, emp, order, succ, rows, work)``.  ``order`` lists the
+    node's states in pid order; ``succ`` holds the useful states'
+    successor tuples as index pairs into ``al`` x ``ar``; ``rows`` holds,
+    per active state, its offset in ``order``, its left- and right-edge
+    children as sorted indices into ``al`` / ``ar``, and its target flag;
+    ``work`` is the walk's ``work`` increment.  Entries hold states only,
+    never pids or nodes, so one entry serves every node of its shape.
+
     ``rigid[pid]`` is the pair's rigid record (``fill_rigid``), or None if
     its witness subtree holds a choice.  Records are filled lazily, the
     first time a stream meets a pair, so building, extending and
@@ -81,6 +96,7 @@ class ProductIndex:
         self.eff_r: list[Optional[tuple]] = []
         self.norm = Normalizer(PRE_CATEGORY)
         self.rigid: dict[int, Optional[tuple]] = {}
+        self.shapes: dict[tuple, tuple] = {}
         self.work = 0  # state-pair iterations, for maintenance-cost checks
         self.built = 0
         self.extend_for(len(g))
@@ -88,60 +104,89 @@ class ProductIndex:
     def extend_for(self, upto: int) -> None:
         """Feed nodes [built, upto) into every table (children come first).
 
-        One walk over the state pairs per node: active x active gives the
-        useful states and their successor tuples, active x empty (and
-        mirrored) the remaining active states and the product edges, and
-        empty x empty the empty states.
+        The state-pair walk (``_walk``) runs once per row shape, on the
+        first node that has it (see ``shapes``).  Every node then costs one
+        lookup of its shape, the pids of its own states (useful states
+        first, in walk order, then the other active ones ascending) and of
+        its children's, its two edge effects, and one
+        ``Normalizer.add_original`` per active state.  ``work`` still counts
+        the walk that each node stands for.
         """
-        g, b, conf, pair_id = self.g, self.b, self.conf, self.pair_id
-        self.stats.extend_for(g)
+        g, conf, pair_id, pairs = self.g, self.conf, self.pair_id, self.pairs
+        stats = self.stats
+        stats.extend_for(g)
+        shapes, add = self.shapes, self.norm.add_original
         for i in range(self.built, upto):
-            ledges: dict[int, set[int]] = {}
-            redges: dict[int, set[int]] = {}
-            if g.is_leaf_node(i):
-                label, ctx = g.labels[i], g.kinds[i] == "leafctx"
-                qa = b.delta0(label, ctx, 1)
-                succ: dict[int, list[tuple[int, int]]] = {qa: []}  # useful, no successor tuples
-                act, emp = (qa,), (b.delta0(label, ctx, 0),)
+            l, r = g.lefts[i], g.rights[i]
+            if l is None:
+                key = (g.labels[i], g.kinds[i] == LEAFCTX)
+                al = ar = ()
                 eff_l = eff_r = None
             else:
-                l, r = g.lefts[i], g.rights[i]
-                op = g.kinds[i]
-                al, el, ar, er = conf.active[l], conf.empty[l], conf.active[r], conf.empty[r]
-                pr = [pair_id[(r, q2)] for q2 in ar]
-                succ = {}
-                for q1 in al:
-                    p1 = pair_id[(l, q1)]
-                    for q2, p2 in zip(ar, pr):
-                        succ.setdefault(b.delta2(q1, q2, op), []).append((p1, p2))
-                    for qe in er:
-                        ledges.setdefault(b.delta2(q1, qe, op), set()).add(q1)
-                emp_s = set()
-                for qe in el:
-                    for q2 in ar:
-                        redges.setdefault(b.delta2(qe, q2, op), set()).add(q2)
-                    for qf in er:
-                        emp_s.add(b.delta2(qe, qf, op))
-                act = tuple(sorted(succ.keys() | ledges.keys() | redges.keys()))
-                emp = tuple(sorted(emp_s))
-                eff_l = edge_effect(g, self.stats, i, "l").as_tuple()
-                eff_r = edge_effect(g, self.stats, i, "r").as_tuple()
-                self.work += (len(al) + len(el)) * (len(ar) + len(er))
-                for q, tuples in succ.items():  # useful states take the first pids, in loop order
-                    self.succ_a[self._pid(i, q)] = tuple(tuples)
+                al, ar = conf.active[l], conf.active[r]
+                key = (g.kinds[i], al, conf.empty[l], ar, conf.empty[r])
+                eff_l, eff_r = _edge_tuples(g, stats, i)
+            shape = shapes.get(key)
+            if shape is None:
+                shape = shapes[key] = self._walk(key)
+            act, useful, emp, order, succ, rows, work = shape
             conf.active.append(act)
-            conf.useful.append(tuple(sorted(succ)))
+            conf.useful.append(useful)
             conf.empty.append(emp)
             self.eff_l.append(eff_l)
             self.eff_r.append(eff_r)
-            obj = self.stats.tau[i]
-            for q in act:  # leaves have no edges: ledges and redges stay empty
-                pid = self._pid(i, q)
-                edges = [(eff_l, pair_id[(l, q1)]) for q1 in sorted(ledges.get(q, ()))]
-                edges += [(eff_r, pair_id[(r, q2)]) for q2 in sorted(redges.get(q, ()))]
-                self.work += 1 + len(edges)
-                self.norm.add_original(pid, obj, edges, q in succ)
-        self.built = upto
+            base = len(pairs)
+            for q in order:
+                pair = (i, q)  # one tuple serves both directions
+                pair_id[pair] = len(pairs)
+                pairs.append(pair)
+            pl = [pair_id[(l, q)] for q in al]
+            pr = [pair_id[(r, q)] for q in ar]
+            for k, tuples in enumerate(succ):
+                self.succ_a[base + k] = tuple([(pl[a], pr[c]) for a, c in tuples])
+            obj = stats.tau[i]
+            for k, li, ri, target in rows:
+                add(base + k, obj, [(eff_l, pl[a]) for a in li] + [(eff_r, pr[c]) for c in ri], target)
+            self.work += work
+            self.built = i + 1  # a walk that raises leaves every table at the fed nodes
+
+    def _walk(self, key: tuple) -> tuple:
+        """The state-pair walk of one row shape; returns its ``shapes`` entry.
+
+        A leaf's one active state is useful and has no successor tuples.
+        For an inner node, active x active gives the useful states and their
+        successor tuples, active x empty (and mirrored) the other active
+        states and the product edges, and empty x empty the empty states.
+        """
+        b = self.b
+        if len(key) == 2:
+            qa = b.delta0(*key, 1)
+            return (qa,), (qa,), (b.delta0(*key, 0),), (qa,), (), ((0, (), (), True),), 1
+        op, al, el, ar, er = key
+        succ: dict[int, list[tuple[int, int]]] = {}
+        ledges: dict[int, set[int]] = {}
+        redges: dict[int, set[int]] = {}
+        for a, q1 in enumerate(al):
+            for c, q2 in enumerate(ar):
+                succ.setdefault(b.delta2(q1, q2, op), []).append((a, c))
+            for qe in er:
+                ledges.setdefault(b.delta2(q1, qe, op), set()).add(a)
+        emp = set()
+        for qe in el:
+            for c, q2 in enumerate(ar):
+                redges.setdefault(b.delta2(qe, q2, op), set()).add(c)
+            for qf in er:
+                emp.add(b.delta2(qe, qf, op))
+        act = tuple(sorted(succ.keys() | ledges.keys() | redges.keys()))
+        order = (*succ, *(q for q in act if q not in succ))
+        pos = {q: k for k, q in enumerate(order)}
+        rows = tuple(
+            (pos[q], tuple(sorted(ledges.get(q, ()))), tuple(sorted(redges.get(q, ()))), q in succ)
+            for q in act
+        )
+        work = (len(al) + len(el)) * (len(ar) + len(er))
+        work += sum(1 + len(li) + len(ri) for _, li, ri, _ in rows)
+        return act, tuple(sorted(succ)), tuple(sorted(emp)), order, tuple(map(tuple, succ.values())), rows, work
 
     def fill_rigid(self, pid: int) -> Optional[tuple]:
         """Fill the rigid records of ``pid`` and of the pairs its record
@@ -200,15 +245,6 @@ class ProductIndex:
                 pr, eps + re * kappa, ce + re * de + rc, rk * kappa, rk * de + rd,
             )
         return rec[pid]
-
-    def _pid(self, node: int, q: int) -> int:
-        key = (node, q)  # one tuple serves both directions
-        pid = self.pair_id.get(key)
-        if pid is None:
-            pid = len(self.pairs)
-            self.pair_id[key] = pid
-            self.pairs.append(key)
-        return pid
 
 
 # ---------------------------------------------------------------------------

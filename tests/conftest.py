@@ -1,8 +1,11 @@
-"""Shared random instance generators for the property tests."""
+"""Shared random instance generators for the property tests, and the
+timing helper of the doubling tests."""
 
 from __future__ import annotations
 
+import gc
 import random
+import time
 
 import pytest
 
@@ -88,6 +91,23 @@ def random_labelled_dag(rng: random.Random, max_n: int, symbols=("x", "y")) -> D
             if rng.random() < 0.4:
                 d.add_edge(v, rng.choice([None, None, *symbols]), w)
     return d
+
+
+def doubling_ratios(sizes, inputs, run):
+    """Time ratios of ``run(inputs[n])`` between consecutive sizes:
+    interleaved, best of five, CPU time of this process, each timed call
+    starting from a collected heap that no longer holds the last result."""
+    best = dict.fromkeys(sizes, float("inf"))
+    for _ in range(5):
+        for n in sizes:
+            out = None
+            gc.collect()
+            gc.disable()
+            t0 = time.process_time()
+            out = run(inputs[n])
+            best[n] = min(best[n], time.process_time() - t0)
+            gc.enable()
+    return [best[sizes[i]] / best[sizes[i - 1]] for i in range(1, len(sizes))]
 
 
 @pytest.fixture

@@ -1,5 +1,3 @@
-import gc
-import time
 from itertools import combinations, product
 
 import pytest
@@ -33,7 +31,7 @@ from fslpenum.fixtures import (
     select_labels_nsta,
 )
 
-from conftest import random_any_expr, random_expr, random_forest, random_nsta
+from conftest import doubling_ratios, random_any_expr, random_expr, random_forest, random_nsta
 
 
 def brute_run_accept(a: NSTA, f, sel) -> bool:
@@ -366,26 +364,19 @@ class TestTextFormat:
 
     def test_iota_lines_for_one_key_load_in_linear_time(self):
         # n iota lines for one key, each adding a state: each doubling of n
-        # must cost at most 3x (interleaved, best of five, CPU time of this
-        # process from a collected heap)
+        # must cost at most 3x (``doubling_ratios``: interleaved, best of
+        # five, CPU time of this process from a collected heap)
         sizes = [5000, 10000, 20000]
         texts = {
             n: "\n".join(["nsta v1", f"states {n}", *(f"iota a 0 {q}" for q in range(n)),
                           "trans 0 0 0", "init 0", "final 0"]) + "\n"
             for n in sizes
         }
-        best = dict.fromkeys(sizes, float("inf"))
-        for _ in range(5):
-            for n in sizes:
-                a = None
-                gc.collect()
-                gc.disable()
-                t0 = time.process_time()
-                a = am.loads(texts[n])
-                best[n] = min(best[n], time.process_time() - t0)
-                gc.enable()
-                assert a.iota_set("a", 0) == frozenset(range(n))
-        ratios = [best[sizes[i]] / best[sizes[i - 1]] for i in range(1, len(sizes))]
+
+        def run(n):
+            assert am.loads(texts[n]).iota_set("a", 0) == frozenset(range(n))
+
+        ratios = doubling_ratios(sizes, {n: n for n in sizes}, run)
         assert all(1.0 <= r <= 3.0 for r in ratios), ratios
 
     @pytest.mark.parametrize(

@@ -1,6 +1,3 @@
-import gc
-import time
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,7 +25,7 @@ from fslpenum import (
 from fslpenum.fixtures import random_term
 from fslpenum.oracle import expr_leaves
 
-from conftest import random_expr, random_forest
+from conftest import doubling_ratios, random_expr, random_forest
 
 
 class TestParse:
@@ -95,21 +92,11 @@ class TestForestCheck:
 
     def test_parse_time_doubles_with_size(self):
         # a row of n roots was quadratic in the consistency check; each
-        # doubling must now cost at most 3x (interleaved, best of five, each
-        # timed parse starting from a collected heap; CPU time of this
-        # process, so a neighbour's load does not count)
+        # doubling must now cost at most 3x (``doubling_ratios``: interleaved,
+        # best of five, CPU time of this process from a collected heap)
         sizes = [50000, 100000, 200000]
         texts = {n: "a" * n for n in sizes}
-        best = dict.fromkeys(sizes, float("inf"))
-        for _ in range(5):
-            for n in sizes:
-                gc.collect()
-                gc.disable()
-                t0 = time.process_time()
-                parse_term(texts[n])
-                best[n] = min(best[n], time.process_time() - t0)
-                gc.enable()
-        ratios = [best[sizes[i]] / best[sizes[i - 1]] for i in range(1, len(sizes))]
+        ratios = doubling_ratios(sizes, texts, parse_term)
         assert all(1.0 <= r <= 3.0 for r in ratios), ratios
 
 

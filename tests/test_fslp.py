@@ -1,7 +1,5 @@
-import gc
 import math
 import random
-import time
 
 import pytest
 
@@ -42,7 +40,7 @@ from fslpenum.fixtures import (
     shared_subtree_fslp,
 )
 
-from conftest import random_expr, random_forest
+from conftest import doubling_ratios, random_expr, random_forest
 
 
 def first_ids(g):
@@ -51,23 +49,6 @@ def first_ids(g):
     for i in range(len(g)):
         first.setdefault(g.node_def(i), i)
     return first
-
-
-def doubling_ratios(sizes, inputs, run):
-    """Time ratios of ``run(inputs[n])`` between consecutive sizes:
-    interleaved, best of five, CPU time of this process, each timed call
-    starting from a collected heap that no longer holds the last result."""
-    best = dict.fromkeys(sizes, float("inf"))
-    for _ in range(5):
-        for n in sizes:
-            out = None
-            gc.collect()
-            gc.disable()
-            t0 = time.process_time()
-            out = run(inputs[n])
-            best[n] = min(best[n], time.process_time() - t0)
-            gc.enable()
-    return [best[sizes[i]] / best[sizes[i - 1]] for i in range(1, len(sizes))]
 
 
 def all_paths(g, stats, start):
@@ -368,26 +349,20 @@ class TestUnfoldEvaluate:
 
     def test_evaluate_time_doubles_with_size(self):
         # one preorder walk over the f-SLP: each doubling of the forest must
-        # cost at most 3x (interleaved, best of five, each timed evaluation
-        # starting from a collected heap that no longer holds the last result;
-        # CPU time of this process, so a neighbour's load does not count)
+        # cost at most 3x (``doubling_ratios``: interleaved, best of five,
+        # CPU time of this process from a collected heap that no longer
+        # holds the last result)
         sizes = [25000, 50000, 100000]
         rng = random.Random(11)
         programs = {n: compress_forest(parse_term(random_term(rng, n))) for n in sizes}
         stats = {n: compute_stats(g) for n, g in programs.items()}
-        best = dict.fromkeys(sizes, float("inf"))
-        for _ in range(5):
-            for n in sizes:
-                g = programs[n]
-                f = None
-                gc.collect()
-                gc.disable()
-                t0 = time.process_time()
-                f = evaluate(g, g.root, stats=stats[n])
-                best[n] = min(best[n], time.process_time() - t0)
-                gc.enable()
-                assert len(f) == n
-        ratios = [best[sizes[i]] / best[sizes[i - 1]] for i in range(1, len(sizes))]
+
+        def run(n):
+            g = programs[n]
+            f = evaluate(g, g.root, stats=stats[n])
+            assert len(f) == n
+
+        ratios = doubling_ratios(sizes, {n: n for n in sizes}, run)
         assert all(1.0 <= r <= 3.0 for r in ratios), ratios
 
 

@@ -4,12 +4,15 @@ from itertools import islice
 import pytest
 
 from fslpenum import (
+    DBUTA,
     FSLP,
+    NSTA,
     AnswerStream,
     Normalizer,
     PathSession,
     ProductIndex,
     build_conf_sets,
+    build_enum_structure,
     compress_forest,
     compute_stats,
     enumerate_select_uncompressed,
@@ -39,7 +42,7 @@ from fslpenum.fixtures import (
 )
 from fslpenum.oracle import _TreeEnum, brute_dbuta_select, brute_select
 
-from conftest import random_expr, random_forest, random_nsta
+from conftest import doubling_ratios, random_expr, random_forest, random_nsta
 
 
 def answer_family(idx, node, **kw):
@@ -558,3 +561,73 @@ class TestDelayAtScale:
             stream = AnswerStream(idx, g.root, record_steps=True)
             for ans in stream:
                 assert stream.last_steps <= 40 * max(1, len(ans))
+
+
+def root_selecting_nsta(alphabet) -> NSTA:
+    """Accepts (F, S) iff S is one root of F: state 1 is a selected vertex
+    with nothing selected below it, and 2 a forest read with that root."""
+    iota = {(a, bit): frozenset([bit]) for a in alphabet for bit in (0, 1)}
+    return NSTA(3, frozenset([(0, 0, 0), (1, 0, 1), (0, 1, 2), (2, 0, 2)]), iota, 0, 2)
+
+
+class TestShapeMemo:
+    """The state-pair walk runs once per row shape (``ProductIndex.shapes``)."""
+
+    @pytest.mark.parametrize("hc_first", [True, False])
+    def test_key_includes_the_operation(self, hc_first):
+        # hc(l, r) and vc(l, r) over one context l = a(*) and one forest
+        # r = b have identical child rows; only the operation tells them
+        # apart: vc(l, r) = a(b) has one root, vc(hc(l, r), c) = a(c) b two
+        g = FSLP()
+        l, r = g.add_leafctx("a"), g.add_leaf("b")
+        if hc_first:
+            h, v = g.add_hc(l, r), g.add_vc(l, r)
+        else:
+            v, h = g.add_vc(l, r), g.add_hc(l, r)
+        w = g.add_vc(h, g.add_leaf("c"))
+        a = root_selecting_nsta("abc")
+        idx = build(g, a)
+        assert idx.conf.active[v] != idx.conf.active[h]
+        for node, want in ((v, {frozenset({0})}), (w, {frozenset({0}), frozenset({2})})):
+            assert brute_select(a, evaluate(g, node)) == want
+            assert answer_family(idx, node) == want
+
+    def test_delta2_calls_follow_the_row_shapes(self, monkeypatch):
+        # the walk's delta2 calls are bounded by the shapes, not the nodes:
+        # an 8x larger forest (over the same alphabet and query) makes no
+        # more calls, and every call belongs to one shape's walk
+        calls = [0]
+        delta2 = DBUTA.delta2
+
+        def counted(self, q1, q2, op):
+            calls[0] += 1
+            return delta2(self, q1, q2, op)
+
+        monkeypatch.setattr(DBUTA, "delta2", counted)
+        counts, built = [], []
+        for n in (2000, 16000):
+            g = compress_forest(parse_term(random_term(random.Random(5), n)))
+            calls[0] = 0
+            built.append(build_enum_structure(g, exactly_one_nsta("ab")))
+            counts.append(calls[0])
+        assert 0 < counts[1] <= counts[0], counts
+        for eds, count in zip(built, counts):
+            shapes, states = len(eds.product.shapes), eds.dbuta.state_count
+            assert count < shapes * states**2, (count, shapes, states)
+            assert shapes < len(eds.fslp) // 10
+
+    def test_build_time_doubles_with_size(self):
+        # compressed random forests of 25k, 50k and 100k vertices over an
+        # alphabet of n/8 labels, so every size meets new leaf shapes and the
+        # memo grows with the forest: each doubling must cost at most 3x
+        # (``doubling_ratios``: interleaved, best of five, CPU time of this
+        # process from a collected heap)
+        sizes = [25000, 50000, 100000]
+        rng = random.Random(11)
+        inputs = {}
+        for n in sizes:
+            alphabet = "".join(chr(0x4E00 + k) for k in range(n // 8))  # CJK letters
+            inputs[n] = compress_forest(parse_term(random_term(rng, n, alphabet)))
+        query = exactly_one_nsta("ab")
+        ratios = doubling_ratios(sizes, inputs, lambda g: build_enum_structure(g, query))
+        assert all(1.0 <= r <= 3.0 for r in ratios), ratios

@@ -10,8 +10,10 @@ from fslpenum import (
     AnswerStream,
     compress_forest,
     evaluate,
+    nsta_to_dbuta,
     parse_term,
 )
+from fslpenum.automata import StateLimitExceeded
 from fslpenum.fixtures import (
     accept_all_nsta,
     exactly_one_nsta,
@@ -259,6 +261,27 @@ class TestUnfedNode:
             with pytest.raises(ValueError, match=f"^unknown node {bad}$"):
                 relabel(eds, bad, 0, "c")
         assert len(eds.fslp) == node + 1  # nothing was appended
+
+    def test_a_walk_that_raises_leaves_only_fed_nodes(self):
+        # a relabel whose second appended node needs a state past the cap:
+        # the index keeps exactly the nodes it fed, so a later relabel
+        # feeds the rest and matches a rebuild (the old feed kept a row of
+        # the failed batch, and the next relabel raised a bare KeyError)
+        rng = random.Random(3)
+        g = compress_forest(parse_term(random_term(rng, 30, "ab")))
+        b = nsta_to_dbuta(random_nsta(rng, 3, "abc"))
+        eds = build_enum_structure(g, b)
+        fed = len(g)
+        b.max_states = b.state_count + 1
+        with pytest.raises(StateLimitExceeded):
+            relabel(eds, g.root, rng.randrange(30), "c")
+        p = eds.product
+        assert fed < p.built < len(g)
+        assert len(p.conf.active) == len(p.eff_l) == p.built
+        assert all(node < p.built for node, _ in p.pairs)
+        b.max_states = None
+        eds, _, _ = relabel(eds, g.root, 0, "a")
+        assert canonical_form(eds) == canonical_form(build_enum_structure(eds.fslp, b))
 
 
 class TestLongRelabelRun:
