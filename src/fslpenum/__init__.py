@@ -47,6 +47,7 @@ from .oracle import (
     ExprNode,
     OracleBudget,
     brute_dbuta_select,
+    brute_path_order,
     brute_paths,
     brute_select,
     brute_word_paths,

@@ -1,12 +1,15 @@
 """Constant-delay enumeration of source-to-target paths in decorated DAGs.
 
 Preprocessing normalizes the DAG bottom-up: dead ends are pruned,
-non-leaf targets get a cloned leaf behind an identity edge, out-degree-1
-vertices become shortcuts with composed morphisms, and larger out-degrees
-are binarized along a right spine of identity edges.  Each normalized
-vertex knows the leaf reached by right edges (``omega``) and the morphism
-of that right path (``gam``), so the enumeration loop emits one pair per
-step with at most one silent stack pop in between.
+out-degree-1 vertices become shortcuts with composed morphisms, and larger
+out-degrees are binarized along a right spine of identity edges.  A
+target's spine emits the target itself before its edges' paths, so no
+leaf is cloned for it; only a target with a single live edge gets a cloned
+leaf behind an identity edge, as its spine's second arm.  Each normalized
+vertex knows the vertex emitted first from it (``omega``: the leaf reached
+by right edges, or a target spine's head) and the morphism of the way
+there (``gam``), so the enumeration loop emits one pair per step with at
+most one silent stack pop in between.
 
 The normalizer is incremental: vertices are fed children-first, and new
 vertices may be appended later without touching existing ones (the update
@@ -20,7 +23,7 @@ each emitted rope into its word, which makes the delay linear in the word.
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Optional
+from typing import Iterable, Optional
 
 from .effects import Category
 
@@ -80,12 +83,36 @@ class DecoratedDAG:
 PRUNED = "pruned"
 NODE = "node"
 SHORTCUT = "shortcut"
+_PRUNED = (PRUNED,)
 
 
 class Normalizer:
     """Bottom-up construction of the normalized binary DAG with omega/gam tables.
 
-    The normalized DAG is the only stored form of the input edges."""
+    The normalized DAG is the only stored form of the input edges.  A vertex
+    with d >= 2 live edges becomes a right spine of d - 1 vertices: vertex k
+    has the k-th edge as its left arm and the next spine vertex (behind an
+    identity) as its right one, and the last vertex has the last edge as
+    its right arm.  ``omega`` and ``gam`` give the vertex whose original is
+    emitted first, and the morphism of the way there.  A non-target spine
+    emits the first path of its last edge first: every spine vertex has
+    the ``omega`` of that edge's child, and as ``gam`` the edge's morphism
+    composed with the child's ``gam``.  A
+    target's spine emits the target itself first: its head holds
+    ``leaf_orig``, and every spine vertex has ``omega`` = head and ``gam``
+    = identity.  A target with one live edge would have an empty spine,
+    so it gets a cloned leaf as its second edge, behind an identity.
+
+    ``arm[v]`` is the flag with which ``PathSession`` pushes ``v``'s right
+    arm: 1 on the last vertex of a target's spine (the arm's first path is
+    not emitted yet), 0 when the arm is a non-leaf below the same ``omega``
+    (its first path is), and -1 when the arm is a leaf whose one path
+    ``omega`` already gave (it is not pushed).
+
+    ``source[orig]`` is the disposition of the original vertex ``orig``,
+    or None if it was not fed: ``(PRUNED,)``, ``(NODE, head)`` or
+    ``(SHORTCUT, vertex, morphism)``.
+    """
 
     def __init__(self, category: Category):
         self.category = category
@@ -95,69 +122,92 @@ class Normalizer:
         self.right: list[int] = []
         self.lm: list = []
         self.rm: list = []
-        self.leaf_orig: list = []  # original vertex represented, for leaves
+        self.arm: list[int] = []
+        self.leaf_orig: list = []  # original vertex emitted, for leaves and target heads
         self.omega: list[int] = []
         self.gam: list = []
-        # original-vertex dispositions (a NODE's edges lie on its right spine)
-        self.source: dict[Hashable, tuple] = {}
-
-    def _new_vertex(self, obj) -> int:
-        self.obj.append(obj)
-        self.left.append(-1)
-        self.right.append(-1)
-        self.lm.append(None)
-        self.rm.append(None)
-        self.leaf_orig.append(None)
-        self.omega.append(-1)
-        self.gam.append(None)
-        return len(self.obj) - 1
+        self.source: list[Optional[tuple]] = []
 
     def is_leaf(self, nid: int) -> bool:
         return self.left[nid] < 0
 
     def _new_leaf(self, obj, orig) -> int:
-        nid = self._new_vertex(obj)
-        self.leaf_orig[nid] = orig
-        self.omega[nid] = nid
-        self.gam[nid] = self.category.identity(obj)
+        nid = len(self.obj)
+        self.obj.append(obj)
+        self.left.append(-1)
+        self.right.append(-1)
+        self.lm.append(None)
+        self.rm.append(None)
+        self.arm.append(-1)
+        self.leaf_orig.append(orig)
+        self.omega.append(nid)
+        self.gam.append(self.category.identity(obj))
         return nid
 
-    def resolve(self, morphism, child) -> Optional[tuple]:
-        """Rewrite an original edge against the child's disposition."""
-        disp = self.source[child]
-        if disp[0] == PRUNED:
-            return None
-        if disp[0] == NODE:
-            return (morphism, disp[1])
-        # shortcut: compose the contracted chain's morphism on the right
-        return (self.category.compose(morphism, disp[2]), disp[1])
-
-    def add_original(self, orig, obj, edges: Iterable[tuple], is_target: bool) -> tuple:
+    def add_original(self, orig: int, obj, edges: Iterable[tuple], is_target: bool) -> tuple:
         """Feed one original vertex (children must have been fed already).
 
         ``edges`` is the ordered list of (morphism, original child) pairs,
-        not kept.  Returns and records the vertex's disposition.
+        not kept: each is rewritten against its child's disposition (a
+        pruned child drops it, a shortcut composes the contracted chain's
+        morphism on the right).  Returns and records the vertex's
+        disposition.
         """
+        if orig < 0:
+            raise ValueError(f"unknown vertex {orig!r}")
+        source, compose = self.source, self.category.compose
         live = []
         for morphism, child in edges:
-            r = self.resolve(morphism, child)
-            if r is not None:
-                live.append(r)
-        if not live and not is_target:
-            disp = (PRUNED,)
-        elif not live:
-            disp = (NODE, self._new_leaf(obj, orig))
-        elif not is_target and len(live) == 1:
-            disp = (SHORTCUT, live[0][1], live[0][0])
+            disp = source[child]
+            if disp[0] == NODE:
+                live.append((morphism, disp[1]))
+            elif disp[0] == SHORTCUT:
+                live.append((compose(morphism, disp[2]), disp[1]))
+        if not live:
+            disp = (NODE, self._new_leaf(obj, orig)) if is_target else _PRUNED
+        elif not is_target:
+            disp = (SHORTCUT, live[0][1], live[0][0]) if len(live) == 1 else (NODE, self._spine(obj, live, None))
+        elif len(live) == 1:
+            live.append((self.category.identity(obj), self._new_leaf(obj, orig)))
+            disp = (NODE, self._spine(obj, live, None))
         else:
-            if is_target:
-                clone = self._new_leaf(obj, orig)
-                live.append((self.category.identity(obj), clone))
-            disp = (NODE, self._spine(obj, live))
-        self.source[orig] = disp
+            disp = (NODE, self._spine(obj, live, orig))
+        if orig >= len(source):
+            source.extend([None] * (orig + 1 - len(source)))
+        source[orig] = disp
         return disp
 
-    def only_pair(self, source) -> Optional[tuple]:
+    def _spine(self, obj, live: list[tuple], target: Optional[int]) -> int:
+        """Binarize >= 2 edges into a right spine; returns its head.
+
+        ``target`` is the original vertex the head emits first, or None.
+        """
+        ident = self.category.identity(obj)
+        head = len(self.obj)
+        last_m, last = live[-1]
+        # interior right arms are identities, so the whole spine shares one
+        # omega and gam: the last arm's, or the target's own
+        if target is None:
+            arm = 0 if self.left[last] >= 0 else -1
+            omega, gam = self.omega[last], self.category.compose(last_m, self.gam[last])
+        else:
+            arm, omega, gam = 1, head, ident
+        for k in range(len(live) - 1):
+            m, child = live[k]
+            self.obj.append(obj)
+            self.left.append(child)
+            self.lm.append(m)
+            self.right.append(head + k + 1)
+            self.rm.append(ident)
+            self.arm.append(0)
+            self.leaf_orig.append(None)
+            self.omega.append(omega)
+            self.gam.append(gam)
+        self.right[-1], self.rm[-1], self.arm[-1] = last, last_m, arm
+        self.leaf_orig[head] = target
+        return head
+
+    def only_pair(self, source: int) -> Optional[tuple]:
         """The one ⟨target, morphism⟩ pair of ``source``, or None unless it
         has exactly one path.
 
@@ -167,34 +217,14 @@ class Normalizer:
         shortcut's morphism (or the identity) with the leaf's ``gam``, which
         is the identity, so the composite is the morphism itself.
         """
-        disp = self.source.get(source)
+        src = self.source
+        disp = src[source] if 0 <= source < len(src) else None
         if disp is None:
             raise ValueError(f"unknown vertex {source!r}")
         if disp[0] == PRUNED or self.left[disp[1]] >= 0:
             return None
         v = disp[1]
         return (self.leaf_orig[v], disp[2] if disp[0] == SHORTCUT else self.gam[v])
-
-    def _spine(self, obj, live: list[tuple]) -> int:
-        """Binarize >=2 edges into a right spine of identity edges."""
-        ident = self.category.identity(obj)
-        d = len(live)
-        spine = [self._new_vertex(obj) for _ in range(d - 1)]
-        for k, nid in enumerate(spine):
-            self.left[nid] = live[k][1]
-            self.lm[nid] = live[k][0]
-            if k + 1 < d - 1:
-                self.right[nid] = spine[k + 1]
-                self.rm[nid] = ident
-            else:
-                self.right[nid] = live[d - 1][1]
-                self.rm[nid] = live[d - 1][0]
-        # omega/gam bottom-up along the spine
-        for nid in reversed(spine):
-            r = self.right[nid]
-            self.omega[nid] = self.omega[r]
-            self.gam[nid] = self.category.compose(self.rm[nid], self.gam[r])
-        return spine[0]
 
 
 def _normalize(d: DecoratedDAG, category: Category) -> Normalizer:
@@ -217,30 +247,36 @@ class PathSession:
 
     ``next`` returns the next pair or None once exhausted.  ``last_steps``
     counts loop iterations of the most recent call (at most 2).
+
+    The walk goes left from the current vertex ``v`` and keeps the right
+    arms still to visit on ``stack`` as ``(vertex, morphism, flag)``
+    entries, pushed with the vertex's ``Normalizer.arm`` flag.  Entering a
+    vertex with flag 1 emits its ``omega`` pair; flag 0 means that pair
+    was already emitted higher up, so the walk only goes on to the left.
+    So a spine emits its ``omega`` pair first, then its left arms' paths
+    in spine order, then those of its last right arm not emitted yet (all
+    of them below a target's spine).
     """
 
     __slots__ = ("norm", "v", "gamma", "stack", "flag", "exhausted", "last_steps")
 
-    def __init__(self, norm: Normalizer, source):
+    def __init__(self, norm: Normalizer, source: int):
         self.norm = norm
-        disp = norm.source.get(source)
+        src = norm.source
+        disp = src[source] if 0 <= source < len(src) else None
         if disp is None:
             raise ValueError(f"unknown vertex {source!r}")
         self.stack: list[tuple] = []
         self.flag = 1
         self.last_steps = 0
-        if disp[0] == PRUNED:
-            self.exhausted = True
+        self.exhausted = disp[0] == PRUNED
+        if self.exhausted:
             self.v = -1
             self.gamma = None
-        elif disp[0] == NODE:
-            self.exhausted = False
+        else:
             self.v = disp[1]
-            self.gamma = norm.category.identity(norm.obj[disp[1]])
-        else:  # shortcut: enumerate from the chain target, morphism pre-composed
-            self.exhausted = False
-            self.v = disp[1]
-            self.gamma = disp[2]
+            # a shortcut enumerates from the chain's end, its morphism pre-composed
+            self.gamma = disp[2] if disp[0] == SHORTCUT else norm.category.identity(norm.obj[disp[1]])
 
     def __iter__(self):
         while True:
@@ -254,27 +290,29 @@ class PathSession:
             self.last_steps = 0
             return None
         norm = self.norm
-        compose = norm.category.compose
+        compose, left, stack = norm.category.compose, norm.left, self.stack
+        v, gamma, flag = self.v, self.gamma, self.flag
         it = 0
         emit = None
         while True:
             it += 1
-            if self.flag:
-                w = norm.omega[self.v]
-                emit = (norm.leaf_orig[w], compose(self.gamma, norm.gam[self.v]))
-            self.flag = 1
-            if norm.left[self.v] >= 0:
-                r = norm.right[self.v]
-                if norm.left[r] >= 0:
-                    self.stack.append((r, compose(self.gamma, norm.rm[self.v])))
-                self.gamma = compose(self.gamma, norm.lm[self.v])
-                self.v = norm.left[self.v]
-            elif self.stack:
-                self.v, self.gamma = self.stack.pop()
-                self.flag = 0
+            if flag:
+                emit = (norm.leaf_orig[norm.omega[v]], compose(gamma, norm.gam[v]))
+            nxt = left[v]
+            if nxt >= 0:
+                a = norm.arm[v]
+                if a >= 0:
+                    stack.append((norm.right[v], compose(gamma, norm.rm[v]), a))
+                gamma = compose(gamma, norm.lm[v])
+                v, flag = nxt, 1
+            elif stack:
+                v, gamma, flag = stack.pop()
             else:
                 self.exhausted = True
-            if emit is not None or self.exhausted:
+                self.last_steps = it
+                return emit
+            if emit is not None:
+                self.v, self.gamma, self.flag = v, gamma, flag
                 self.last_steps = it
                 return emit
 

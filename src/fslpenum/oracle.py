@@ -288,6 +288,47 @@ def brute_paths(d: DecoratedDAG, source: int, budget: OracleBudget = DEFAULT_BUD
     return out
 
 
+def brute_path_order(d: DecoratedDAG, source: int, budget: OracleBudget = DEFAULT_BUDGET) -> list:
+    """⟨target, morphism⟩ over all source-to-target paths, in the order a
+    path session emits them.
+
+    Computed children-first on the vertices reachable from ``source``,
+    from the edge lists alone.  An edge is live when its child's sequence
+    is not empty, and it contributes that sequence with its morphism
+    composed on the left.  A target emits itself, then each live edge's
+    sequence in edge order.  A non-target with two or more live edges
+    emits the first item of its last live edge's sequence, then the other
+    live edges' sequences in full, in edge order, then the rest of the
+    last one's.  A non-target with one live edge passes its edge's
+    sequence through.
+    """
+    if d.category is None:
+        raise ValueError("decorated DAG needs a category")
+    cat = d.category
+    reach = {source}
+    stack = [source]
+    while stack:
+        for _, w in d.edges[stack.pop()]:
+            if w not in reach:
+                reach.add(w)
+                stack.append(w)
+    seq: dict[int, list] = {}
+    for v in d.topo_order():
+        if v not in reach:
+            continue
+        live = [[(t, cat.compose(m, mm)) for t, mm in seq[w]] for m, w in d.edges[v] if seq[w]]
+        if v in d.targets:
+            out = [(v, cat.identity(d.obj[v]))] + [x for s in live for x in s]
+        elif len(live) >= 2:
+            out = live[-1][:1] + [x for s in live[:-1] for x in s] + live[-1][1:]
+        else:
+            out = live[0] if live else []
+        if len(out) > budget.max_paths:
+            raise ValueError("path count exceeds the oracle budget")
+        seq[v] = out
+    return seq[source]
+
+
 def brute_word_paths(d: DecoratedDAG, source: int, budget: OracleBudget = DEFAULT_BUDGET) -> Counter:
     """Multiset of ⟨target, label word⟩; labels None are skipped (ε)."""
     out: Counter = Counter()
@@ -538,7 +579,7 @@ def canonical_form(eds) -> tuple:
         return (node, sval(q))
 
     owner = {
-        disp[1]: orig for orig, disp in norm.source.items() if disp[0] == NODE
+        disp[1]: orig for orig, disp in enumerate(norm.source) if disp[0] == NODE
     }
 
     def normval(nid: int):
@@ -564,6 +605,9 @@ def canonical_form(eds) -> tuple:
                     edges.append((norm.rm[v], normval(r)))
                     break
                 v = r
+            if not norm.is_leaf(nid) and norm.omega[nid] == nid:
+                # a target's spine emits the target itself first, as a leaf edge would
+                edges.append((norm.category.identity(norm.obj[nid]), ("leaf", pairval(pid))))
             omega = pairval(norm.leaf_orig[norm.omega[nid]])
             prod_part.append((pairval(pid), NODE, tuple(edges), omega, norm.gam[nid]))
     return (conf_part, succ_part, eff_part, tuple(prod_part))

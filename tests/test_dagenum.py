@@ -22,9 +22,9 @@ from fslpenum.fixtures import (
     sample_annotation_case,
     sample_weighted_dag,
 )
-from fslpenum.oracle import brute_paths, brute_word_paths
+from fslpenum.oracle import brute_path_order, brute_paths, brute_word_paths
 
-from conftest import random_labelled_dag, random_weighted_dag
+from conftest import doubling_ratios, random_labelled_dag, random_weighted_dag
 
 
 def session_multiset(idx, source):
@@ -144,10 +144,15 @@ class TestSessions:
     def test_unknown_vertex(self):
         d = sample_weighted_dag()
         idx = preprocess(d)
-        with pytest.raises(ValueError):
-            PathSession(idx, 99)
-        with pytest.raises(ValueError):
-            idx.only_pair(99)
+        # -1 must not wrap around to the last disposition
+        for v in (-1, len(idx.source), 99):
+            with pytest.raises(ValueError, match="unknown vertex"):
+                PathSession(idx, v)
+            with pytest.raises(ValueError, match="unknown vertex"):
+                idx.only_pair(v)
+        with pytest.raises(ValueError, match="unknown vertex"):
+            idx.add_original(-1, None, [], True)
+        assert idx.source[-1] is not None and len(idx.source) == len(d)
 
     def test_multisets_match_oracle(self, rng):
         for _ in range(150):
@@ -155,6 +160,24 @@ class TestSessions:
             idx = preprocess(d)
             for s in range(len(d)):
                 assert session_multiset(idx, s) == brute_paths(d, s)
+
+    def test_order_matches_oracle(self, rng):
+        # the emitted sequence itself, not only its multiset
+        target_spines = 0
+        for _ in range(200):
+            d = random_weighted_dag(rng, 13)
+            idx = preprocess(d)
+            for s in range(len(d)):
+                sess = PathSession(idx, s)
+                got = []
+                for item in sess:
+                    got.append(item)
+                    assert sess.last_steps <= 2
+                assert got == brute_path_order(d, s)
+                head = idx.source[s][1] if idx.source[s][0] == "node" else -1
+                target_spines += head >= 0 and not idx.is_leaf(head) and idx.omega[head] == head
+        # 247 of the 1 491 sources head a spine that emits its own target
+        assert target_spines >= 100
 
     def test_only_pair_is_the_single_session_pair(self, rng):
         # pruned sources (no path), shortcuts and spines over random DAGs
@@ -229,6 +252,23 @@ class TestPreprocessLinearity:
         ratios = [ts[i] / ts[i - 1] for i in range(1, len(ts))]
         # linear growth doubles; quadratic would quadruple
         assert all(1.2 <= r <= 3.5 for r in ratios), ratios
+
+    def test_target_spines_double_linearly(self):
+        # every vertex is a target with 2-4 out-edges, so each one gets a
+        # target spine (the sink is a leaf target)
+        def build(n):
+            rng = random.Random(n)
+            d = DecoratedDAG(INT_SUM)
+            for _ in range(n):
+                d.add_vertex(None, target=True)
+            for v in range(n - 1):
+                for _ in range(rng.randint(2, 4)):
+                    d.add_edge(v, rng.randint(0, 5), rng.randrange(v + 1, min(n, v + 50)))
+            return d
+
+        sizes = [25000, 50000, 100000]
+        ratios = doubling_ratios(sizes, {n: build(n) for n in sizes}, preprocess)
+        assert all(1.0 <= r <= 3.0 for r in ratios), ratios
 
 
 class TestConstantDelay:

@@ -13,6 +13,7 @@ from fslpenum import (
     brute_paths,
     brute_select,
     brute_word_paths,
+    build_enum_structure,
     hc,
     leaf,
     nsta_to_dbuta,
@@ -26,6 +27,7 @@ from fslpenum.fixtures import (
     reject_all_nsta,
     select_labels_nsta,
 )
+from fslpenum.oracle import canonical_form
 
 from conftest import random_forest, random_nsta
 
@@ -89,6 +91,43 @@ class TestBrutePaths:
         d.add_edge(s, None, t)
         d.add_edge(s, "x", t)
         assert brute_word_paths(d, s) == Counter({(t, ()): 1, (t, ("x",)): 1})
+
+
+class TestCanonicalForm:
+    def test_target_spines_list_their_own_leaf_edge(self):
+        # b(b(aa)) under select-b: the pairs (3, P), (2, P) and (4, P) are
+        # targets with 1, 2 and 3 live edges; each lists the edge to itself
+        # as a leaf last, however the normalizer stores its emission
+        g = compress_forest(parse_term("b(b(aa))"))
+        eds = build_enum_structure(g, select_labels_nsta("b", "ab"))
+        P, Q, PQ = ("p", ()), ("q", ((0, 0, 0, 0),)), ("p", ((0, 0),))
+        ID0, ID1 = (0, 0, 0, 0), (0, 0, 1, 0)
+        assert canonical_form(eds)[3] == (
+            ((0, Q), "node", (), (0, Q), ID1),
+            ((1, P), "node", (), (1, P), ID0),
+            (
+                (2, P),
+                "node",
+                ((ID0, ("leaf", (1, P))), ((0, 1, 0, 0), ("leaf", (1, P))), (ID0, ("leaf", (2, P)))),
+                (2, P),
+                ID0,
+            ),
+            ((3, P), "node", (((0, 1, 0, 0), ("vertex", (2, P))), (ID0, ("leaf", (3, P)))), (3, P), ID0),
+            ((3, PQ), "shortcut", ("leaf", (0, Q)), (0, 0, 0, 2)),
+            (
+                (4, P),
+                "node",
+                (
+                    ((0, 0, 0, 3), ("leaf", (0, Q))),
+                    ((0, 1, 0, 0), ("vertex", (3, P))),
+                    ((0, 1, 0, 2), ("leaf", (0, Q))),
+                    (ID0, ("leaf", (4, P))),
+                ),
+                (4, P),
+                ID0,
+            ),
+            ((4, PQ), "node", (), (4, PQ), ID0),
+        )
 
 
 class TestBruteDbutaSelect:
