@@ -112,6 +112,10 @@ class Normalizer:
     ``source[orig]`` is the disposition of the original vertex ``orig``,
     or None if it was not fed: ``(PRUNED,)``, ``(NODE, head)`` or
     ``(SHORTCUT, vertex, morphism)``.
+
+    Vertices come in one at a time with their edge lists (``add_original``,
+    for a ``DecoratedDAG``) or one product node's block at a time, from its
+    shape rows (``add_rows``); both place them through ``_place``.
     """
 
     def __init__(self, category: Category):
@@ -163,35 +167,53 @@ class Normalizer:
                 live.append((morphism, disp[1]))
             elif disp[0] == SHORTCUT:
                 live.append((compose(morphism, disp[2]), disp[1]))
-        if not live:
-            disp = (NODE, self._new_leaf(obj, orig)) if is_target else _PRUNED
-        elif not is_target:
-            disp = (SHORTCUT, live[0][1], live[0][0]) if len(live) == 1 else (NODE, self._spine(obj, live, None))
-        elif len(live) == 1:
-            live.append((self.category.identity(obj), self._new_leaf(obj, orig)))
-            disp = (NODE, self._spine(obj, live, None))
-        else:
-            disp = (NODE, self._spine(obj, live, orig))
+        disp = self._place(orig, obj, live, is_target)
         if orig >= len(source):
             source.extend([None] * (orig + 1 - len(source)))
         source[orig] = disp
         return disp
 
-    def _spine(self, obj, live: list[tuple], target: Optional[int]) -> int:
-        """Binarize >= 2 edges into a right spine; returns its head.
-
-        ``target`` is the original vertex the head emits first, or None.
+    def add_rows(self, obj, rows: Iterable[tuple], lm, rm, pl: list[int], pr: list[int]) -> None:
+        """Feed one product node's block of original vertices, from ``base =
+        len(source)`` on; every child must be fed and live already.  The
+        vertex ``base + k`` of a row ``(k, li, ri, target)`` has the edges
+        ``(lm, pl[a])`` for ``a`` in ``li``, then ``(rm, pr[c])`` for ``c`` in ``ri``.
         """
+        source, compose = self.source, self.category.compose
+        base = len(source)
+        source += [None] * len(rows)
+        for k, li, ri, target in rows:
+            live = []
+            for a in li:
+                disp = source[pl[a]]
+                live.append((lm, disp[1]) if disp[0] == NODE else (compose(lm, disp[2]), disp[1]))
+            for c in ri:
+                disp = source[pr[c]]
+                live.append((rm, disp[1]) if disp[0] == NODE else (compose(rm, disp[2]), disp[1]))
+            assert live or target, f"vertex {base + k} has no live edge and is no target"
+            source[base + k] = self._place(base + k, obj, live, target)
+
+    def _place(self, orig: int, obj, live: list[tuple], is_target: bool) -> tuple:
+        """Place ``orig`` from its resolved live edges; returns its disposition:
+        pruned or a leaf (no live edge), a shortcut (one, and no target), or
+        a right spine (see the class docstring for a target's spine)."""
+        if not live:
+            return (NODE, self._new_leaf(obj, orig)) if is_target else _PRUNED
+        if len(live) == 1 and not is_target:
+            return (SHORTCUT, live[0][1], live[0][0])
         ident = self.category.identity(obj)
+        if len(live) == 1:  # a target: a cloned leaf is its spine's second arm
+            live.append((ident, self._new_leaf(obj, orig)))
+            is_target = False
         head = len(self.obj)
         last_m, last = live[-1]
         # interior right arms are identities, so the whole spine shares one
         # omega and gam: the last arm's, or the target's own
-        if target is None:
+        if is_target:
+            arm, omega, gam = 1, head, ident
+        else:
             arm = 0 if self.left[last] >= 0 else -1
             omega, gam = self.omega[last], self.category.compose(last_m, self.gam[last])
-        else:
-            arm, omega, gam = 1, head, ident
         for k in range(len(live) - 1):
             m, child = live[k]
             self.obj.append(obj)
@@ -204,8 +226,8 @@ class Normalizer:
             self.omega.append(omega)
             self.gam.append(gam)
         self.right[-1], self.rm[-1], self.arm[-1] = last, last_m, arm
-        self.leaf_orig[head] = target
-        return head
+        self.leaf_orig[head] = orig if is_target else None
+        return (NODE, head)
 
     def only_pair(self, source: int) -> Optional[tuple]:
         """The one ⟨target, morphism⟩ pair of ``source``, or None unless it

@@ -10,9 +10,10 @@ that skip an empty-selection sibling.  The walk depends only on the
 node's row shape (its operation and its children's active and empty
 rows), of which a fixed query has a bounded number, so it runs once per
 shape; every other node with that shape costs one dict lookup plus its
-own pids and edge effects.  The product DAG goes straight into the
-path-enumeration normalizer with the useful configurations as targets,
-and is stored only in normalized form.
+own block of pids and its edge effects.  The product DAG goes straight
+into the path-enumeration normalizer, one node's block at a time, with
+the useful configurations as targets, and is stored only in normalized
+form.
 
 Enumeration then walks witness trees: unary nodes draw (useful config,
 composed effect) pairs from frozen path sessions; binary nodes step
@@ -27,8 +28,7 @@ size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .automata import DBUTA
 from .dagenum import Normalizer, PathSession
@@ -36,29 +36,34 @@ from .effects import PRE_CATEGORY
 from .fslp import FSLP, LEAFCTX, _edge_tuples, compute_stats
 
 
-@dataclass
-class ConfSets:
+class ConfSets(NamedTuple):
     """Per (node, state) membership in the active/useful/empty classes."""
 
-    active: list[tuple[int, ...]] = field(default_factory=list)
-    useful: list[tuple[int, ...]] = field(default_factory=list)
-    empty: list[tuple[int, ...]] = field(default_factory=list)
+    active: list[tuple[int, ...]]
+    useful: list[tuple[int, ...]]
+    empty: list[tuple[int, ...]]
 
 
 def build_conf_sets(g: FSLP, b: DBUTA) -> ConfSets:
-    return ProductIndex(g, b).conf
+    """The configuration rows of every node of ``g``: a view read off the
+    per-node shapes of a fresh ``ProductIndex``, not a build phase."""
+    shape_of = ProductIndex(g, b).shape_of
+    return ConfSets(*([s[k] for s in shape_of] for k in range(3)))
 
 
 class ProductIndex:
-    """Preprocessed bundle: configuration sets, ordered successor tuples,
+    """Preprocessed bundle: configuration rows, ordered successor tuples,
     per-edge effects, and the normalized product DAG with its path index.
 
-    ``eff_l[i]`` / ``eff_r[i]`` hold the effects of node i's edges as
-    ``(eps, c, kappa, d)`` tuples (None for leaves).  ``pairs[pid]`` is the
-    active (node, state) pair ``pid`` and ``pair_id`` its inverse.
-    ``succ_a[pid]`` lists a useful pair's successor tuples in order, each as
-    the pids ``(pid_l, pid_r)`` of its left and right child's pairs; the
-    product edges between pairs are stored only in the normalizer ``norm``.
+    Node i's active (node, state) pairs are one block of pids, ``first[i]``
+    on, in the ``order`` of its ``shapes`` entry ``shape_of[i]``;
+    ``node_of[pid]`` is the node of pair ``pid``, and ``pair`` / ``pid``
+    convert both ways.  ``eff_l[i]`` / ``eff_r[i]`` hold the effects of
+    node i's edges as ``(eps, c, kappa, d)`` tuples (None for leaves).
+    ``succ_a[pid]`` lists a useful pair's successor tuples in order (None
+    for a pair with none), each as the pids ``(pid_l, pid_r)`` of its left
+    and right child's pairs; the product edges between pairs are stored
+    only in the normalizer ``norm``.
 
     ``built`` counts the nodes of ``g`` fed so far (``extend_for``): a node
     appended to ``g`` later is unknown to every table until it is fed.  The
@@ -67,13 +72,13 @@ class ProductIndex:
     ``shapes`` maps a row shape -- ``(label, is_context)`` for a leaf,
     ``(op, al, el, ar, er)`` (the children's active and empty rows) for an
     inner node -- to what the state-pair walk (``_walk``) found for it:
-    ``(act, useful, emp, order, succ, rows, work)``.  ``order`` lists the
-    node's states in pid order; ``succ`` holds the useful states'
-    successor tuples as index pairs into ``al`` x ``ar``; ``rows`` holds,
-    per active state, its offset in ``order``, its left- and right-edge
-    children as sorted indices into ``al`` / ``ar``, and its target flag;
-    ``work`` is the walk's ``work`` increment.  Entries hold states only,
-    never pids or nodes, so one entry serves every node of its shape.
+    ``(act, useful, emp, order, off, succ, rows, work)``: the node's
+    configuration rows; its active states in pid order and, per state of
+    ``act``, its pid offset; the useful states' successor tuples as index
+    pairs into ``al`` x ``ar``; per active state, its offset, its left- and
+    right-edge children as sorted indices into ``al`` / ``ar``, and its
+    target flag; and the walk's ``work`` increment.  Entries hold states
+    only, never pids or nodes, so one entry serves every node of its shape.
 
     ``rigid[pid]`` is the pair's rigid record (``fill_rigid``), or None if
     its witness subtree holds a choice.  Records are filled lazily, the
@@ -87,11 +92,11 @@ class ProductIndex:
     def __init__(self, g: FSLP, b: DBUTA):
         self.g = g
         self.b = b
-        self.conf = ConfSets()
         self.stats = compute_stats(g)
-        self.pair_id: dict[tuple[int, int], int] = {}
-        self.pairs: list[tuple[int, int]] = []
-        self.succ_a: dict[int, tuple[tuple[int, int], ...]] = {}
+        self.first: list[int] = []
+        self.shape_of: list[tuple] = []
+        self.node_of: list[int] = []
+        self.succ_a: list[Optional[tuple[tuple[int, int], ...]]] = []
         self.eff_l: list[Optional[tuple]] = []
         self.eff_r: list[Optional[tuple]] = []
         self.norm = Normalizer(PRE_CATEGORY)
@@ -101,52 +106,60 @@ class ProductIndex:
         self.built = 0
         self.extend_for(len(g))
 
+    @property
+    def pairs(self) -> range:
+        """The pids, one per active (node, state) pair."""
+        return range(len(self.node_of))
+
+    def pair(self, pid: int) -> tuple[int, int]:
+        """The (node, state) pair of ``pid``."""
+        node = self.node_of[pid]
+        return node, self.shape_of[node][3][pid - self.first[node]]
+
+    def pid(self, node: int, q: int) -> int:
+        """The pid of the active pair (node, q); ValueError if q is not active."""
+        shape = self.shape_of[node]
+        return self.first[node] + shape[4][shape[0].index(q)]
+
     def extend_for(self, upto: int) -> None:
         """Feed nodes [built, upto) into every table (children come first).
 
         The state-pair walk (``_walk``) runs once per row shape, on the
         first node that has it (see ``shapes``).  Every node then costs one
-        lookup of its shape, the pids of its own states (useful states
-        first, in walk order, then the other active ones ascending) and of
-        its children's, its two edge effects, and one
-        ``Normalizer.add_original`` per active state.  ``work`` still counts
+        lookup of its shape, its block of pids, its children's pids (their
+        first pid plus the shape's ``off``), its two edge effects, and one
+        ``Normalizer.add_rows`` for its whole block.  ``work`` still counts
         the walk that each node stands for.
         """
-        g, conf, pair_id, pairs = self.g, self.conf, self.pair_id, self.pairs
-        stats = self.stats
+        g, stats, shapes = self.g, self.stats, self.shapes
+        first, shape_of, node_of, succ_a = self.first, self.shape_of, self.node_of, self.succ_a
         stats.extend_for(g)
-        shapes, add = self.shapes, self.norm.add_original
+        add = self.norm.add_rows
         for i in range(self.built, upto):
             l, r = g.lefts[i], g.rights[i]
             if l is None:
                 key = (g.labels[i], g.kinds[i] == LEAFCTX)
-                al = ar = ()
+                pl = pr = ()
                 eff_l = eff_r = None
             else:
-                al, ar = conf.active[l], conf.active[r]
-                key = (g.kinds[i], al, conf.empty[l], ar, conf.empty[r])
+                sl, sr = shape_of[l], shape_of[r]
+                key = (g.kinds[i], sl[0], sl[2], sr[0], sr[2])
+                fl, fr = first[l], first[r]
+                pl = [fl + o for o in sl[4]]
+                pr = [fr + o for o in sr[4]]
                 eff_l, eff_r = _edge_tuples(g, stats, i)
             shape = shapes.get(key)
             if shape is None:
                 shape = shapes[key] = self._walk(key)
-            act, useful, emp, order, succ, rows, work = shape
-            conf.active.append(act)
-            conf.useful.append(useful)
-            conf.empty.append(emp)
+            _, _, _, order, _, succ, rows, work = shape
+            add(stats.tau[i], rows, eff_l, eff_r, pl, pr)
+            succ_a += [tuple([(pl[a], pr[c]) for a, c in tuples]) for tuples in succ]
+            succ_a += [None] * (len(order) - len(succ))
+            first.append(len(node_of))
+            shape_of.append(shape)
+            node_of += [i] * len(order)
             self.eff_l.append(eff_l)
             self.eff_r.append(eff_r)
-            base = len(pairs)
-            for q in order:
-                pair = (i, q)  # one tuple serves both directions
-                pair_id[pair] = len(pairs)
-                pairs.append(pair)
-            pl = [pair_id[(l, q)] for q in al]
-            pr = [pair_id[(r, q)] for q in ar]
-            for k, tuples in enumerate(succ):
-                self.succ_a[base + k] = tuple([(pl[a], pr[c]) for a, c in tuples])
-            obj = stats.tau[i]
-            for k, li, ri, target in rows:
-                add(base + k, obj, [(eff_l, pl[a]) for a in li] + [(eff_r, pr[c]) for c in ri], target)
             self.work += work
             self.built = i + 1  # a walk that raises leaves every table at the fed nodes
 
@@ -161,7 +174,7 @@ class ProductIndex:
         b = self.b
         if len(key) == 2:
             qa = b.delta0(*key, 1)
-            return (qa,), (qa,), (b.delta0(*key, 0),), (qa,), (), ((0, (), (), True),), 1
+            return (qa,), (qa,), (b.delta0(*key, 0),), (qa,), (0,), (), ((0, (), (), True),), 1
         op, al, el, ar, er = key
         succ: dict[int, list[tuple[int, int]]] = {}
         ledges: dict[int, set[int]] = {}
@@ -186,7 +199,8 @@ class ProductIndex:
         )
         work = (len(al) + len(el)) * (len(ar) + len(er))
         work += sum(1 + len(li) + len(ri) for _, li, ri, _ in rows)
-        return act, tuple(sorted(succ)), tuple(sorted(emp)), order, tuple(map(tuple, succ.values())), rows, work
+        off = tuple(row[0] for row in rows)
+        return act, tuple(sorted(succ)), tuple(sorted(emp)), order, off, tuple(map(tuple, succ.values())), rows, work
 
     def fill_rigid(self, pid: int) -> Optional[tuple]:
         """Fill the rigid records of ``pid`` and of the pairs its record
@@ -205,14 +219,14 @@ class ProductIndex:
         ``_PATH_NODES`` per single-path unary node with the child it draws.
         A non-rigid pair's record is None.
         """
-        rec, pairs, lefts = self.rigid, self.pairs, self.g.lefts
+        rec, node_of, lefts = self.rigid, self.node_of, self.g.lefts
         stack: list[tuple[int, Optional[tuple]]] = [(pid, None)]
         while stack:
             p, only = stack.pop()
             if only is None:  # first visit
                 if p in rec:
                     continue
-                if lefts[pairs[p][0]] is None:
+                if lefts[node_of[p]] is None:
                     rec[p] = _LEAF_RECORD
                     continue
                 only = self.norm.only_pair(p)
@@ -220,7 +234,7 @@ class ProductIndex:
                     rec[p] = None
                     continue
                 u, (eps, ce, kappa, de) = only
-                if lefts[pairs[u][0]] is None:
+                if lefts[node_of[u]] is None:
                     rec[p] = (_PATH_STEPS, _PATH_NODES, -1, eps, ce)
                     continue
                 succ = self.succ_a[u]
@@ -236,7 +250,7 @@ class ProductIndex:
             if rl is None or rr is None:
                 rec[p] = None
                 continue
-            unode = pairs[u][0]
+            unode = node_of[u]
             le, lc, lk, ld = self.eff_l[unode]
             re, rc, rk, rd = self.eff_r[unode]
             rec[p] = (
@@ -322,8 +336,8 @@ class AnswerStream:
         self.idx = idx
         self.node = node
         b = idx.b
-        self._finals = [idx.pair_id[(node, q)] for q in idx.conf.active[node] if b.is_final(q)]
-        self._emit_empty = any(b.is_final(q) for q in idx.conf.empty[node])
+        self._finals = [idx.pid(node, q) for q in idx.shape_of[node][0] if b.is_final(q)]
+        self._emit_empty = any(b.is_final(q) for q in idx.shape_of[node][2])
         self._state_pos = -1
         self._root: Optional[_WNode] = None
         self._pre: list[_WNode] = []
@@ -337,7 +351,7 @@ class AnswerStream:
     def _start_active(self, pid: int, c: int, d: int) -> _WNode:
         """Fresh node for an active pair; its choice is not drawn yet."""
         idx = self.idx
-        node = idx.pairs[pid][0]
+        node = idx.node_of[pid]
         if idx.g.lefts[node] is None:
             self.last_steps += _LEAF_STEPS
             return _WNode(_LEAF, node, pid, c, d)
@@ -363,7 +377,7 @@ class AnswerStream:
         self.last_steps += session.last_steps + 1
         w.maximal = w.buf is None
         idx = self.idx
-        node = idx.pairs[pid][0]
+        node = idx.node_of[pid]
         c, d = w.c + eps * w.d + ce, kappa * w.d + de
         if idx.g.lefts[node] is None:
             w.child = _WNode(_LEAF, node, pid, c, d)

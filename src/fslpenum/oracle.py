@@ -25,7 +25,7 @@ from itertools import combinations
 from typing import Iterable, Iterator, Optional
 
 from .automata import DBUTA, NSTA, nsta_accepts
-from .dagenum import NODE, PRUNED, SHORTCUT, DecoratedDAG
+from .dagenum import NODE, SHORTCUT, DecoratedDAG
 from .forest import Forest
 from .fslp import (
     FSLP,
@@ -552,31 +552,24 @@ def canonical_form(eds) -> tuple:
     on one shared automaton).
     """
     product = eds.product
-    g, conf, norm, pairs = product.g, product.conf, product.norm, product.pairs
+    norm = product.norm
     sval = product.b.value
 
+    def pairval(pid: int):
+        node, q = product.pair(pid)
+        return (node, sval(q))
+
     conf_part = tuple(
-        (
-            tuple(map(sval, conf.active[i])),
-            tuple(map(sval, conf.useful[i])),
-            tuple(map(sval, conf.empty[i])),
-        )
-        for i in range(len(g))
+        tuple(tuple(map(sval, row)) for row in shape[:3]) for shape in product.shape_of
     )
     succ_part = tuple(
         sorted(
-            (
-                (pairs[pid][0], sval(pairs[pid][1])),
-                tuple((sval(pairs[p1][1]), sval(pairs[p2][1])) for p1, p2 in tuples),
-            )
-            for pid, tuples in product.succ_a.items()
+            (pairval(pid), tuple((pairval(p1)[1], pairval(p2)[1]) for p1, p2 in tuples))
+            for pid, tuples in enumerate(product.succ_a)
+            if tuples
         )
     )
     eff_part = tuple(zip(product.eff_l, product.eff_r))
-
-    def pairval(pid: int):
-        node, q = pairs[pid]
-        return (node, sval(q))
 
     owner = {
         disp[1]: orig for orig, disp in enumerate(norm.source) if disp[0] == NODE
@@ -588,11 +581,9 @@ def canonical_form(eds) -> tuple:
         return ("vertex", pairval(owner[nid]))
 
     prod_part = []
-    for pid in range(len(pairs)):
+    for pid in product.pairs:
         disp = norm.source[pid]
-        if disp[0] == PRUNED:
-            prod_part.append((pairval(pid), PRUNED))
-        elif disp[0] == SHORTCUT:
+        if disp[0] == SHORTCUT:
             prod_part.append((pairval(pid), SHORTCUT, normval(disp[1]), disp[2]))
         else:
             # the resolved edges, read off the right spine below the head

@@ -93,11 +93,30 @@ def random_labelled_dag(rng: random.Random, max_n: int, symbols=("x", "y")) -> D
     return d
 
 
+def check_pid_blocks(p) -> None:
+    """A ``ProductIndex``'s pids are one block per fed node: node i holds
+    exactly ``[first[i], first[i] + len(order))``, and ``pair`` and ``pid``
+    are inverse to each other."""
+    blocks: list[int] = []
+    for i, shape in enumerate(p.shape_of):
+        assert p.first[i] == len(blocks)
+        blocks += [i] * len(shape[3])
+    assert len(p.shape_of) == len(p.first) == len(p.eff_l) == p.built
+    assert p.node_of == blocks
+    assert len(p.pairs) == len(p.succ_a) == len(p.norm.source) == len(blocks)
+    for pid in p.pairs:
+        assert p.pid(*p.pair(pid)) == pid
+    for i, shape in enumerate(p.shape_of):
+        assert [p.pair(p.pid(i, q)) for q in shape[0]] == [(i, q) for q in shape[0]]
+
+
 def doubling_ratios(sizes, inputs, run):
     """Time ratios of ``run(inputs[n])`` between consecutive sizes:
     interleaved, best of five, CPU time of this process, each timed call
-    starting from a collected heap that no longer holds the last result."""
-    best = dict.fromkeys(sizes, float("inf"))
+    starting from a collected heap that no longer holds the last result.
+    Returns the ratios and, for the assertion message, each size's five
+    times in seconds."""
+    times: dict = {n: [] for n in sizes}
     for _ in range(5):
         for n in sizes:
             out = None
@@ -105,9 +124,10 @@ def doubling_ratios(sizes, inputs, run):
             gc.disable()
             t0 = time.process_time()
             out = run(inputs[n])
-            best[n] = min(best[n], time.process_time() - t0)
+            times[n].append(time.process_time() - t0)
             gc.enable()
-    return [best[sizes[i]] / best[sizes[i - 1]] for i in range(1, len(sizes))]
+    best = [min(times[n]) for n in sizes]
+    return [best[i] / best[i - 1] for i in range(1, len(sizes))], times
 
 
 @pytest.fixture

@@ -376,8 +376,8 @@ class TestTextFormat:
         def run(n):
             assert am.loads(texts[n]).iota_set("a", 0) == frozenset(range(n))
 
-        ratios = doubling_ratios(sizes, {n: n for n in sizes}, run)
-        assert all(1.0 <= r <= 3.0 for r in ratios), ratios
+        ratios, times = doubling_ratios(sizes, {n: n for n in sizes}, run)
+        assert all(1.0 <= r <= 3.0 for r in ratios), (ratios, times)
 
     @pytest.mark.parametrize(
         "line, lineno, message",

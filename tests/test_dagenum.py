@@ -267,8 +267,8 @@ class TestPreprocessLinearity:
             return d
 
         sizes = [25000, 50000, 100000]
-        ratios = doubling_ratios(sizes, {n: build(n) for n in sizes}, preprocess)
-        assert all(1.0 <= r <= 3.0 for r in ratios), ratios
+        ratios, times = doubling_ratios(sizes, {n: build(n) for n in sizes}, preprocess)
+        assert all(1.0 <= r <= 3.0 for r in ratios), (ratios, times)
 
 
 class TestConstantDelay:

@@ -96,8 +96,8 @@ class TestForestCheck:
         # best of five, CPU time of this process from a collected heap)
         sizes = [50000, 100000, 200000]
         texts = {n: "a" * n for n in sizes}
-        ratios = doubling_ratios(sizes, texts, parse_term)
-        assert all(1.0 <= r <= 3.0 for r in ratios), ratios
+        ratios, times = doubling_ratios(sizes, texts, parse_term)
+        assert all(1.0 <= r <= 3.0 for r in ratios), (ratios, times)
 
 
 class TestSerialize:

@@ -362,8 +362,8 @@ class TestUnfoldEvaluate:
             f = evaluate(g, g.root, stats=stats[n])
             assert len(f) == n
 
-        ratios = doubling_ratios(sizes, {n: n for n in sizes}, run)
-        assert all(1.0 <= r <= 3.0 for r in ratios), ratios
+        ratios, times = doubling_ratios(sizes, {n: n for n in sizes}, run)
+        assert all(1.0 <= r <= 3.0 for r in ratios), (ratios, times)
 
 
 class TestFold:
@@ -569,14 +569,14 @@ class TestLinearBuilds:
     def test_compress_time_doubles_with_size(self):
         rng = random.Random(11)
         forests = {n: parse_term(random_term(rng, n)) for n in self.SIZES}
-        ratios = doubling_ratios(self.SIZES, forests, compress_forest)
-        assert all(1.0 <= r <= 3.0 for r in ratios), ratios
+        ratios, times = doubling_ratios(self.SIZES, forests, compress_forest)
+        assert all(1.0 <= r <= 3.0 for r in ratios), (ratios, times)
 
     def test_loads_time_doubles_with_size(self):
         rng = random.Random(11)
         texts = {n: fslp_mod.dumps(compress_forest(parse_term(random_term(rng, n)))) for n in self.SIZES}
-        ratios = doubling_ratios(self.SIZES, texts, fslp_mod.loads)
-        assert all(1.0 <= r <= 3.0 for r in ratios), ratios
+        ratios, times = doubling_ratios(self.SIZES, texts, fslp_mod.loads)
+        assert all(1.0 <= r <= 3.0 for r in ratios), (ratios, times)
 
 
 class TestDeepInputs:

@@ -25,12 +25,13 @@ from fslpenum import (
     nsta_accepts,
     nsta_to_dbuta,
     parse_term,
+    relabel,
     row_fslp,
     unfold,
     vc,
 )
 from fslpenum import msoenum
-from fslpenum.dagenum import NODE
+from fslpenum.dagenum import NODE, PRUNED
 from fslpenum.fixtures import (
     accept_all_nsta,
     at_least_one_nsta,
@@ -42,7 +43,7 @@ from fslpenum.fixtures import (
 )
 from fslpenum.oracle import _TreeEnum, brute_dbuta_select, brute_select
 
-from conftest import doubling_ratios, random_expr, random_forest, random_nsta
+from conftest import check_pid_blocks, doubling_ratios, random_expr, random_forest, random_nsta
 
 
 def answer_family(idx, node, **kw):
@@ -126,12 +127,13 @@ class TestProduct:
             a = random_nsta(rng, rng.randint(1, 3))
             g = compress_forest(random_forest(rng, 8))
             idx = build(g, a)
-            for pid, (node, q) in enumerate(idx.pairs):
-                sess = PathSession(idx.norm, idx.pair_id[(node, q)])
+            for pid in idx.pairs:
+                node, q = idx.pair(pid)
+                sess = PathSession(idx.norm, idx.pid(node, q))
                 first = sess.next()
                 assert first is not None, (node, q)
-                tnode, tq = idx.pairs[first[0]]
-                assert tq in set(idx.conf.useful[tnode])
+                tnode, tq = idx.pair(first[0])
+                assert tq in set(idx.shape_of[tnode][1])  # its useful row
 
     def test_leaf_only_product_has_no_edges(self):
         g = FSLP()
@@ -159,8 +161,8 @@ class TestProduct:
                     continue
                 for p in te.act[pos]:
                     want = {(pos_node[upos], q) for upos, q in te.succ_u((pos, p))}
-                    sess = PathSession(idx.norm, idx.pair_id[(node, p)])
-                    got = {idx.pairs[pid] for pid, _ in sess}
+                    sess = PathSession(idx.norm, idx.pid(node, p))
+                    got = {idx.pair(pid) for pid, _ in sess}
                     assert got == want, (pos, node, p)
 
     def test_succ_tuples_match_pair_scan(self, rng):
@@ -169,22 +171,21 @@ class TestProduct:
             g = compress_forest(random_forest(rng, 8))
             idx = build(g, a)
             b = idx.b
-            conf = idx.conf
             for i in range(len(g)):
                 if g.is_leaf_node(i):
                     continue
                 l, r = g.lefts[i], g.rights[i]
                 op = g.kinds[i]
                 want = {}
-                for q1 in conf.active[l]:
-                    for q2 in conf.active[r]:
+                for q1 in idx.shape_of[l][0]:  # the active rows
+                    for q2 in idx.shape_of[r][0]:
                         want.setdefault(b.delta2(q1, q2, op), []).append((q1, q2))
                 for q, tuples in want.items():
-                    pid = idx.pair_id[(i, q)]
+                    pid = idx.pid(i, q)
                     # succ_a names the children's pairs by pid
                     for pl, pr in idx.succ_a[pid]:
-                        assert idx.pairs[pl][0] == l and idx.pairs[pr][0] == r
-                    got = tuple((idx.pairs[pl][1], idx.pairs[pr][1]) for pl, pr in idx.succ_a[pid])
+                        assert idx.node_of[pl] == l and idx.node_of[pr] == r
+                    got = tuple((idx.pair(pl)[1], idx.pair(pr)[1]) for pl, pr in idx.succ_a[pid])
                     assert got == tuple(tuples)
 
 
@@ -587,7 +588,7 @@ class TestShapeMemo:
         w = g.add_vc(h, g.add_leaf("c"))
         a = root_selecting_nsta("abc")
         idx = build(g, a)
-        assert idx.conf.active[v] != idx.conf.active[h]
+        assert idx.shape_of[v][0] != idx.shape_of[h][0]  # the active rows
         for node, want in ((v, {frozenset({0})}), (w, {frozenset({0}), frozenset({2})})):
             assert brute_select(a, evaluate(g, node)) == want
             assert answer_family(idx, node) == want
@@ -629,5 +630,32 @@ class TestShapeMemo:
             alphabet = "".join(chr(0x4E00 + k) for k in range(n // 8))  # CJK letters
             inputs[n] = compress_forest(parse_term(random_term(rng, n, alphabet)))
         query = exactly_one_nsta("ab")
-        ratios = doubling_ratios(sizes, inputs, lambda g: build_enum_structure(g, query))
-        assert all(1.0 <= r <= 3.0 for r in ratios), ratios
+        ratios, times = doubling_ratios(sizes, inputs, lambda g: build_enum_structure(g, query))
+        assert all(1.0 <= r <= 3.0 for r in ratios), (ratios, times)
+
+
+class TestPidBlocks:
+    """A node's pairs are one block of pids, and no pair is pruned."""
+
+    @staticmethod
+    def _relabelled(rng, relabels):
+        # random queries on random forests: the built index, then the same
+        # index after chained relabels (labels c are outside the alphabet)
+        for _ in range(40):
+            f = random_forest(rng, 10)
+            eds = build_enum_structure(compress_forest(f), random_nsta(rng, rng.randint(1, 3)))
+            yield eds.product
+            root = eds.fslp.root
+            for _ in range(relabels):
+                eds, root, _ = relabel(eds, root, rng.randrange(len(f)), rng.choice("abc"))
+            yield eds.product
+
+    def test_blocks_and_accessors_hold_across_relabels(self, rng):
+        for product in self._relabelled(rng, 50):
+            check_pid_blocks(product)
+
+    def test_no_pair_is_pruned(self, rng):
+        # every active pair reaches a useful one, so the per-node feed
+        # never meets a pruned child (it asserts a row with no edge is a target)
+        for product in self._relabelled(rng, 30):
+            assert all(disp[0] != PRUNED for disp in product.norm.source)
