@@ -214,7 +214,7 @@ def cmd_bench(args) -> int:
         sess = PathSession(idx, fixtures.SAMPLE_DAG_SOURCE)
         outputs = 0
         max_steps = 0
-        for _ in sess:
+        while outputs < args.limit and sess.next() is not None:  # no pair is drawn past the limit
             outputs += 1
             max_steps = max(max_steps, sess.last_steps)
         t2 = time.perf_counter()
@@ -233,8 +233,9 @@ def cmd_bench(args) -> int:
             node = g.add_hc(node, leaf)
         g.root = node
     elif args.family == "wide":
-        if args.size > MAX_WIDE_SIZE:
-            print(f"--size must be at most {MAX_WIDE_SIZE} for the wide family", file=sys.stderr)
+        if not 0 <= args.size <= MAX_WIDE_SIZE:
+            bound = "non-negative" if args.size < 0 else f"at most {MAX_WIDE_SIZE}"
+            print(f"--size must be {bound} for the wide family", file=sys.stderr)
             return 1
         g = row_fslp("a", 2 ** args.size)
     elif args.family == "random":

@@ -268,10 +268,12 @@ class PathSession:
     """One enumeration of ⟨target, morphism⟩ pairs; persistent over the normalizer.
 
     ``next`` returns the next pair or None once exhausted.  ``last_steps``
-    counts loop iterations of the most recent call (at most 2).
+    counts loop iterations of the most recent call (at most 2).  Given a
+    ``point``, the session carries it instead of a morphism, moves it with
+    the category's ``act``, and emits ⟨target, moved point⟩ pairs.
 
     The walk goes left from the current vertex ``v`` and keeps the right
-    arms still to visit on ``stack`` as ``(vertex, morphism, flag)``
+    arms still to visit on ``stack`` as ``(vertex, morphism or point, flag)``
     entries, pushed with the vertex's ``Normalizer.arm`` flag.  Entering a
     vertex with flag 1 emits its ``omega`` pair; flag 0 means that pair
     was already emitted higher up, so the walk only goes on to the left.
@@ -280,10 +282,12 @@ class PathSession:
     of them below a target's spine).
     """
 
-    __slots__ = ("norm", "v", "gamma", "stack", "flag", "exhausted", "last_steps")
+    __slots__ = ("norm", "op", "v", "gamma", "stack", "flag", "exhausted", "last_steps")
 
-    def __init__(self, norm: Normalizer, source: int):
+    def __init__(self, norm: Normalizer, source: int, point=None):
         self.norm = norm
+        cat = norm.category
+        self.op = cat.compose if point is None else cat.act
         src = norm.source
         disp = src[source] if 0 <= source < len(src) else None
         if disp is None:
@@ -292,13 +296,12 @@ class PathSession:
         self.flag = 1
         self.last_steps = 0
         self.exhausted = disp[0] == PRUNED
-        if self.exhausted:
-            self.v = -1
-            self.gamma = None
+        self.v = v = -1 if self.exhausted else disp[1]
+        # a shortcut enumerates from the chain's end, its morphism pre-composed
+        if disp[0] == SHORTCUT:
+            self.gamma = disp[2] if point is None else cat.act(point, disp[2])
         else:
-            self.v = disp[1]
-            # a shortcut enumerates from the chain's end, its morphism pre-composed
-            self.gamma = disp[2] if disp[0] == SHORTCUT else norm.category.identity(norm.obj[disp[1]])
+            self.gamma = point if point is not None or v < 0 else cat.identity(norm.obj[v])
 
     def __iter__(self):
         while True:
@@ -312,20 +315,20 @@ class PathSession:
             self.last_steps = 0
             return None
         norm = self.norm
-        compose, left, stack = norm.category.compose, norm.left, self.stack
+        op, left, stack = self.op, norm.left, self.stack
         v, gamma, flag = self.v, self.gamma, self.flag
         it = 0
         emit = None
         while True:
             it += 1
             if flag:
-                emit = (norm.leaf_orig[norm.omega[v]], compose(gamma, norm.gam[v]))
+                emit = (norm.leaf_orig[norm.omega[v]], op(gamma, norm.gam[v]))
             nxt = left[v]
             if nxt >= 0:
                 a = norm.arm[v]
                 if a >= 0:
-                    stack.append((norm.right[v], compose(gamma, norm.rm[v]), a))
-                gamma = compose(gamma, norm.lm[v])
+                    stack.append((norm.right[v], op(gamma, norm.rm[v]), a))
+                gamma = op(gamma, norm.lm[v])
                 v, flag = nxt, 1
             elif stack:
                 v, gamma, flag = stack.pop()

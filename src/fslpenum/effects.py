@@ -18,10 +18,11 @@ arises only through composition across a type-0 node.
 Two representations share these rules.  ``Effect`` is the public,
 validated form: it carries its objects, checks every field when built,
 and names its shape.  The engine carries the bare ``(eps, c, kappa, d)``
-int 4-tuple (``Effect.as_tuple``), composed by ``compose`` under
-``PRE_CATEGORY``; the objects are implied by where a tuple sits in the
-DAG.  A witness tree's cumulative effect always starts at object 0, so
-the answer stream keeps only its two ints c and d (see ``msoenum``).
+int 4-tuple (``Effect.as_tuple``), whose objects are implied by where it
+sits in the DAG; ``compose`` checks each composite and runs at build
+time only.  A witness tree's cumulative effect starts at object 0, so
+the answer stream keeps only its point (c, d), moved along paths by the
+unchecked ``act`` (see ``msoenum``).
 """
 
 from __future__ import annotations
@@ -171,10 +172,17 @@ def compose(f: tuple, g: tuple) -> tuple:
     return (eps, c, kappa, d)
 
 
+def act(p: tuple, f: tuple) -> tuple:
+    """The point ``p = (c, d)`` moved by ``f``; not checked, like an edge step."""
+    (c, d), (eps, ce, kappa, de) = p, f
+    return (c + eps * d + ce, kappa * d + de)
+
+
 class PreorderCategory(Category):
-    """Preorder effects as ``(eps, c, kappa, d)`` tuples."""
+    """Preorder effects as ``(eps, c, kappa, d)`` tuples, acting on points ``(c, d)``."""
 
     compose = staticmethod(compose)
+    act = staticmethod(act)
 
     def identity(self, obj):
         return ID1 if obj else ID0

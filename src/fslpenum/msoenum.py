@@ -16,14 +16,14 @@ the useful configurations as targets, and is stored only in normalized
 form.
 
 Enumeration then walks witness trees: unary nodes draw (useful config,
-composed effect) pairs from frozen path sessions; binary nodes step
-through the ordered successor tuples, which name the children's pairs by
-pid; and each emitted answer is the set of preorder numbers read off the
-root-to-leaf composed effects.  A subtree with no choice at all (a rigid
-pair, see ``ProductIndex.fill_rigid``) is one node, expanded by the walk
-from per-pair records, while steps are still counted on the full witness
-tree.  Answers come out duplicate-free with delay linear in the answer
-size.
+point) pairs from frozen path sessions that carry their point; binary
+nodes step through the ordered successor tuples, which name the
+children's pairs by pid; and each emitted answer is the set of preorder
+numbers read off the root-to-leaf points.  A subtree with no choice at
+all (a rigid pair, see ``ProductIndex.fill_rigid``) is one node,
+expanded by the walk from per-pair records, while steps are still
+counted on the full witness tree.  Answers come out duplicate-free with
+delay linear in the answer size.
 """
 
 from __future__ import annotations
@@ -280,15 +280,15 @@ class _WNode:
     Its cumulative effect from the stream's type-0 root is x -> x + c, or
     x -> (x + c, d) below a context, so two ints hold it: composed with an
     edge or path effect (eps, c_e, kappa, d_e) it becomes
-    (c + eps*d + c_e, kappa*d + d_e).  A unary node draws its pairs from a
-    path session and keeps the next one in ``buf``, for the maximality test;
-    its child is the only place a binary node is built.  A rigid pair (no
-    choice below it) is one ``_RIGID`` node that holds the effect reaching
-    the pair, with ``folded`` set to the other nodes of its full subtree;
-    the walk expands the subtree from ``ProductIndex.rigid`` and never
-    advances it.  ``pos`` is the node's index in the preorder of the full
-    witness tree (for a rigid node, that of the last node of its
-    subtree).
+    (c + eps*d + c_e, kappa*d + d_e).  A unary node's path session moves
+    its point (c, d) so, edge by edge; the node keeps the next pair in
+    ``buf``, for the maximality test, and its child is the only place a
+    binary node is built.  A rigid pair (no choice below it) is one
+    ``_RIGID`` node that holds the effect reaching the pair, with
+    ``folded`` set to the other nodes of its full subtree; the walk
+    expands the subtree from ``ProductIndex.rigid`` and never advances it.
+    ``pos`` is the node's index in the preorder of the full witness tree
+    (for a rigid node, that of the last node of its subtree).
     """
 
     __slots__ = (
@@ -363,22 +363,21 @@ class AnswerStream:
                 x.folded = rec[1] - 1
                 return x
         w = _WNode(_UNARY, node, pid, c, d)
-        session = w.session = PathSession(idx.norm, pid)
+        session = w.session = PathSession(idx.norm, pid, (c, d))
         w.buf = session.next()
         self.last_steps += 1 + session.last_steps
         return w
 
     def _draw_unary(self, w: _WNode) -> None:
-        """Draw the next (useful pair, effect) for a unary node and start its
+        """Draw the next (useful pair, point) for a unary node and start its
         child at that useful pair."""
-        pid, (eps, ce, kappa, de) = w.buf
+        pid, (c, d) = w.buf
         session = w.session
         w.buf = session.next()
         self.last_steps += session.last_steps + 1
         w.maximal = w.buf is None
         idx = self.idx
         node = idx.node_of[pid]
-        c, d = w.c + eps * w.d + ce, kappa * w.d + de
         if idx.g.lefts[node] is None:
             w.child = _WNode(_LEAF, node, pid, c, d)
         else:
@@ -468,7 +467,8 @@ class AnswerStream:
         # advance the last non-maximal node, then complete minimally below it
         if w.kind == _UNARY:
             self._draw_unary(w)
-            self._complete_below(w.child)
+            if w.child.kind != _LEAF:  # a leaf is complete as drawn
+                self._complete_below(w.child)
         else:
             w.succ_idx += 1
             w.maximal = w.succ_idx == len(w.succ) - 1

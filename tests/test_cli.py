@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from fslpenum import AnswerStream, automata, cli, compute_stats, fslp, relabel_path, row_fslp
+from fslpenum import AnswerStream, PathSession, automata, cli, compute_stats, fslp, relabel_path, row_fslp
 from fslpenum.cli import main
 from fslpenum.fixtures import exactly_one_nsta, select_labels_nsta, shared_subtree_fslp
 
@@ -399,6 +399,29 @@ class TestBench:
     def test_fig2_family(self, workdir, capsys):
         code, out, _ = run(capsys, "bench", "--family", "fig2")
         assert code == 0 and "outputs=16" in out and "max_steps=2" in out
+
+    @pytest.mark.parametrize("limit", [0, 1, 5])
+    def test_fig2_limit_draws_no_pair_past_it(self, workdir, capsys, monkeypatch, limit):
+        drawn = []
+        real_next = PathSession.next
+
+        def counting_next(sess):
+            drawn.append(1)
+            return real_next(sess)
+
+        monkeypatch.setattr(PathSession, "next", counting_next)
+        code, out, _ = run(capsys, "bench", "--family", "fig2", "--limit", limit)
+        assert code == 0 and f"outputs={limit} " in out
+        assert len(drawn) == limit
+
+    def test_wide_family_negative_size_exits_1(self, workdir, capsys, monkeypatch):
+        built = []
+        monkeypatch.setattr(cli, "row_fslp", lambda label, n: built.append(n) or row_fslp(label, n))
+        code, out, err = run(capsys, "bench", "--family", "wide", "--size", "-1")
+        assert (code, out, built) == (1, "", [])
+        assert err == "--size must be non-negative for the wide family\n"
+        code, out, _ = run(capsys, "bench", "--family", "wide", "--size", "0", "--limit", "5")
+        assert code == 0 and built == [1] and "answers=1 " in out
 
     def test_chain_and_random(self, workdir, capsys):
         code, out, _ = run(capsys, "bench", "--family", "chain", "--size", "64", "--limit", "10")

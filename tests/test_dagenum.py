@@ -13,7 +13,8 @@ from fslpenum import (
     fm_preprocess,
     preprocess,
 )
-from fslpenum.dagenum import WORDS, _expand
+from fslpenum.dagenum import PRUNED, SHORTCUT, WORDS, _expand
+from fslpenum.effects import act
 from fslpenum.fixtures import (
     INT_SUM,
     SAMPLE_DAG_PAIRS,
@@ -219,6 +220,26 @@ class TestSessions:
         idx = preprocess(d)
         got = session_multiset(idx, 0)
         assert got == Counter({(1, first): 1, (1, second): 1})
+
+    def test_point_sessions_from_pruned_and_shortcut_sources(self, rng):
+        d = DecoratedDAG(PRE_CATEGORY)
+        leaf1, leaf0 = d.add_vertex(1, target=True), d.add_vertex(0, target=True)
+        dead = d.add_vertex(1)  # no edge and no target: pruned
+        short = d.add_vertex(1)  # one live edge: a shortcut
+        d.add_edge(short, Effect.m11b(2, 3).as_tuple(), leaf1)
+        d.add_edge(short, Effect.m11a(1, 1).as_tuple(), dead)
+        top = d.add_vertex(1)
+        d.add_edge(top, Effect.m11a(0, 4).as_tuple(), short)
+        d.add_edge(top, Effect.m10b(5).as_tuple(), leaf0)
+        d.add_edge(top, Effect.m11a(2, 0).as_tuple(), leaf1)
+        norm = preprocess(d)
+        assert norm.source[dead] == (PRUNED,) and norm.source[short][0] == SHORTCUT
+        for v in range(len(d)):
+            for _ in range(10):
+                p = (rng.randrange(100), rng.randrange(100))
+                want = [(t, act(p, m)) for t, m in PathSession(norm, v)]
+                assert list(PathSession(norm, v, p)) == want, v
+        assert list(PathSession(norm, dead, (1, 2))) == []
 
 
 class TestPreprocessLinearity:

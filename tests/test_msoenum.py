@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import islice
 
@@ -30,8 +31,8 @@ from fslpenum import (
     unfold,
     vc,
 )
-from fslpenum import msoenum
-from fslpenum.dagenum import NODE, PRUNED
+from fslpenum import effects, msoenum
+from fslpenum.dagenum import NODE, PRUNED, SHORTCUT
 from fslpenum.fixtures import (
     accept_all_nsta,
     at_least_one_nsta,
@@ -189,6 +190,21 @@ class TestProduct:
                     assert got == tuple(tuples)
 
 
+class TestPointSessions:
+    def test_point_session_is_the_morphism_session_acted_on(self, rng):
+        shortcuts = 0
+        for _ in range(40):
+            a = random_nsta(rng, rng.randint(1, 3))
+            idx = build(compress_forest(random_forest(rng, 10)), a)
+            norm = idx.norm
+            for pid in idx.pairs:
+                shortcuts += norm.source[pid][0] == SHORTCUT
+                p = (rng.randrange(100), rng.randrange(100))
+                want = [(t, effects.act(p, m)) for t, m in PathSession(norm, pid)]
+                assert list(PathSession(norm, pid, p)) == want, pid
+        assert shortcuts  # a shortcut source starts from its acted-on morphism
+
+
 class TestSinglePath:
     def test_only_pair_is_the_single_session_pair(self, rng):
         single = several = 0
@@ -214,9 +230,9 @@ class TestSinglePath:
         class CountingSession(PathSession):
             __slots__ = ()
 
-            def __init__(self, norm, source):
+            def __init__(self, norm, source, *args):
                 opened.append(source)
-                super().__init__(norm, source)
+                super().__init__(norm, source, *args)
 
         monkeypatch.setattr(msoenum, "PathSession", CountingSession)
         return opened
@@ -235,6 +251,28 @@ class TestSinglePath:
         idx = build(g, exactly_one_nsta("abc"))
         assert len(list(AnswerStream(idx, g.root))) == 300
         assert opened
+
+    def test_exactly_one_stream_composes_no_effect(self, monkeypatch):
+        g = compress_forest(parse_term(random_term(random.Random(17), 300, "abc")))
+        idx = build(g, exactly_one_nsta("abc"))  # every stored morphism is composed here
+        calls = []
+        real = effects.compose
+
+        def counting(f, h):
+            calls.append(1)
+            return real(f, h)
+
+        monkeypatch.setattr(effects, "compose", counting)
+        monkeypatch.setattr(effects.PreorderCategory, "compose", staticmethod(counting))
+        stream = AnswerStream(idx, g.root, record_steps=True)
+        answers = list(stream)
+        assert len(answers) == 300 and calls == []
+        # the stored run: morphism sessions made 803 compose calls for it
+        digest = hashlib.sha256(repr((answers, stream.step_log)).encode()).hexdigest()
+        assert digest == "973c75ad0cc97528126cabef32c6285743da72825116c7b470b73d4891ab9b29"
+        for pid in idx.pairs:  # the counter does see a morphism session
+            list(PathSession(idx.norm, pid))
+        assert calls
 
     def test_select_labels_witness_tree_has_no_unary_node(self, rng):
         g = compress_forest(parse_term(random_term(rng, 300, "abc")))
