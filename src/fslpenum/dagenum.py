@@ -173,25 +173,24 @@ class Normalizer:
         source[orig] = disp
         return disp
 
-    def add_rows(self, obj, rows: Iterable[tuple], lm, rm, pl: list[int], pr: list[int]) -> None:
-        """Feed one product node's block of original vertices, from ``base =
-        len(source)`` on; every child must be fed and live already.  The
-        vertex ``base + k`` of a row ``(k, li, ri, target)`` has the edges
-        ``(lm, pl[a])`` for ``a`` in ``li``, then ``(rm, pr[c])`` for ``c`` in ``ri``.
+    def add_rows(self, obj, rows: Iterable[tuple], lm, rm, fl: int, fr: int) -> None:
+        """Feed one product node's block of original vertices, one per row,
+        from ``len(source)`` on; every child must be fed and live already.
+        The vertex of a row ``(li, ri, target)`` has the edges
+        ``(lm, fl + a)`` for ``a`` in ``li``, then ``(rm, fr + c)`` for ``c`` in ``ri``.
         """
         source, compose = self.source, self.category.compose
-        base = len(source)
-        source += [None] * len(rows)
-        for k, li, ri, target in rows:
+        for li, ri, target in rows:
             live = []
             for a in li:
-                disp = source[pl[a]]
+                disp = source[fl + a]
                 live.append((lm, disp[1]) if disp[0] == NODE else (compose(lm, disp[2]), disp[1]))
             for c in ri:
-                disp = source[pr[c]]
+                disp = source[fr + c]
                 live.append((rm, disp[1]) if disp[0] == NODE else (compose(rm, disp[2]), disp[1]))
-            assert live or target, f"vertex {base + k} has no live edge and is no target"
-            source[base + k] = self._place(base + k, obj, live, target)
+            orig = len(source)
+            assert live or target, f"vertex {orig} has no live edge and is no target"
+            source.append(self._place(orig, obj, live, target))
 
     def _place(self, orig: int, obj, live: list[tuple], is_target: bool) -> tuple:
         """Place ``orig`` from its resolved live edges; returns its disposition:

@@ -261,59 +261,37 @@ def path_preorder(g: FSLP, stats: VertexStats, start: int, path: Iterable[str]) 
 
 
 def preorder_to_path(g: FSLP, stats: VertexStats, start: int, k: int) -> str:
-    """Ten-case descent from ``start`` to the leaf with preorder number ``k``."""
+    """Descent from ``start`` to the leaf with preorder number ``k`` by the
+    edge effects (``_edge_tuples``).  At plug size ``p``, a right edge
+    ``(eps, c, kappa, d)`` puts the right child's vertices and plug at ``c +
+    eps*p`` on, spanning ``s[r] + kappa*p + d``; the rest is the left child's,
+    from 0 on, with plug ``kappa_l*p + d_l``."""
     if stats.tau[start] != 0:
         raise ValueError("start node must have type 0")
     if not (0 <= k < stats.nverts[start]):
         raise ValueError(f"preorder {k} out of range [0, {_size_text(stats.nverts[start])})")
     path: list[str] = []
-    node, m = start, k
-    p: Optional[int] = None  # size of the forest plugged below, when tau=1
+    node, m, p = start, k, 0
     while not g.is_leaf_node(node):
-        l, r = g.lefts[node], g.rights[node]
-        kind = g.kinds[node]
-        s1 = stats.s[l]
-        if stats.tau[node] == 0:
-            if kind == HC:
-                if m < s1:
-                    node, m = l, m
-                    path.append("l")
-                else:
-                    node, m = r, m - s1
-                    path.append("r")
-            else:  # VC, tau(l)=1, tau(r)=0
-                e1 = stats.ell[l]
-                if m < e1 or e1 + stats.s[r] <= m:
-                    node, m, p = l, m, stats.s[r]
-                    path.append("l")
-                else:
-                    node, m, p = r, m - e1, None
-                    path.append("r")
+        (_, _, kl, dl), (eps, c, kr, dr) = _edge_tuples(g, stats, node)
+        r = g.rights[node]
+        lo = c + eps * p
+        if lo <= m < lo + stats.s[r] + kr * p + dr:
+            node, m, p = r, m - lo, kr * p + dr
+            path.append("r")
         else:
-            if kind == HC:
-                if stats.tau[l] == 0:
-                    if m < s1:
-                        node, m, p = l, m, None
-                        path.append("l")
-                    else:
-                        node, m = r, m - s1
-                        path.append("r")
-                else:  # tau(l)=1, tau(r)=0
-                    if m < s1 + p:
-                        node, m = l, m
-                        path.append("l")
-                    else:
-                        node, m, p = r, m - s1 - p, None
-                        path.append("r")
-            else:  # VC, tau(l)=tau(r)=1
-                e1 = stats.ell[l]
-                if m < e1 or e1 + stats.s[r] + p <= m:
-                    node, m, p = l, m, stats.s[r] + p
-                    path.append("l")
-                else:
-                    node, m = r, m - e1
-                    path.append("r")
+            node, p = g.lefts[node], kl * p + dl
+            path.append("l")
     return "".join(path)
+
+
+def check_leaf_def(offset: int, d: tuple) -> None:
+    """Reject the leaf definition ``d``, number ``offset`` of its batch,
+    unless its label is a non-empty string other than the hole."""
+    if not (isinstance(d[1], str) and d[1]):
+        raise ValueError(f"definition {offset} needs a non-empty string label: {d!r}")
+    if d[1] == HOLE:
+        raise ValueError(f"definition {offset}: the hole {HOLE!r} is not a label: {d!r}")
 
 
 def relabel_path(g: FSLP, stats: VertexStats, node: int, k: int, label: str) -> tuple[int, int]:
@@ -330,10 +308,7 @@ def relabel_path(g: FSLP, stats: VertexStats, node: int, k: int, label: str) -> 
         cur = chain[-1]
         chain.append(g.lefts[cur] if side == "l" else g.rights[cur])
     leaf = (g.kinds[chain[-1]], label)
-    if not (isinstance(label, str) and label):
-        raise ValueError(f"definition 0 needs a non-empty string label: {leaf!r}")
-    if label == HOLE:
-        raise ValueError(f"definition 0: the hole {HOLE!r} is not a label: {leaf!r}")
+    check_leaf_def(0, leaf)
     before = len(g)
     copy = g.mk(*leaf)
     for depth in range(len(path) - 1, -1, -1):

@@ -55,15 +55,16 @@ class ProductIndex:
     """Preprocessed bundle: configuration rows, ordered successor tuples,
     per-edge effects, and the normalized product DAG with its path index.
 
-    Node i's active (node, state) pairs are one block of pids, ``first[i]``
-    on, in the ``order`` of its ``shapes`` entry ``shape_of[i]``;
+    Node i's active (node, state) pairs are one block of pids that follows
+    its active row ``act``, the first row of its ``shapes`` entry
+    ``shape_of[i]``: pid ``first[i] + k`` is ``(i, act[k])``.
     ``node_of[pid]`` is the node of pair ``pid``, and ``pair`` / ``pid``
     convert both ways.  ``eff_l[i]`` / ``eff_r[i]`` hold the effects of
     node i's edges as ``(eps, c, kappa, d)`` tuples (None for leaves).
-    ``succ_a[pid]`` lists a useful pair's successor tuples in order (None
-    for a pair with none), each as the pids ``(pid_l, pid_r)`` of its left
-    and right child's pairs; the product edges between pairs are stored
-    only in the normalizer ``norm``.
+    ``succ_a[pid]`` lists a useful pair's successor tuples in order (empty
+    for a leaf's, None for a pair outside the useful row), each as the
+    pids ``(pid_l, pid_r)`` of its left and right child's pairs; the
+    product edges between pairs are stored only in the normalizer ``norm``.
 
     ``built`` counts the nodes of ``g`` fed so far (``extend_for``): a node
     appended to ``g`` later is unknown to every table until it is fed.  The
@@ -72,13 +73,14 @@ class ProductIndex:
     ``shapes`` maps a row shape -- ``(label, is_context)`` for a leaf,
     ``(op, al, el, ar, er)`` (the children's active and empty rows) for an
     inner node -- to what the state-pair walk (``_walk``) found for it:
-    ``(act, useful, emp, order, off, succ, rows, work)``: the node's
-    configuration rows; its active states in pid order and, per state of
-    ``act``, its pid offset; the useful states' successor tuples as index
-    pairs into ``al`` x ``ar``; per active state, its offset, its left- and
-    right-edge children as sorted indices into ``al`` / ``ar``, and its
-    target flag; and the walk's ``work`` increment.  Entries hold states
-    only, never pids or nodes, so one entry serves every node of its shape.
+    ``(act, useful, emp, succ, rows, work)``: the node's configuration
+    rows; per active state, its successor tuples as index pairs into
+    ``al`` x ``ar`` (None outside the useful row); per active state, its
+    left- and right-edge children as sorted indices into ``al`` / ``ar``
+    and its target flag; and the walk's ``work`` increment.  An index
+    into a child's active row is also its offset in the child's pid
+    block.  Entries hold states only, never pids or nodes, so one entry
+    serves every node of its shape.
 
     ``rigid[pid]`` is the pair's rigid record (``fill_rigid``), or None if
     its witness subtree holds a choice.  Records are filled lazily, the
@@ -114,22 +116,21 @@ class ProductIndex:
     def pair(self, pid: int) -> tuple[int, int]:
         """The (node, state) pair of ``pid``."""
         node = self.node_of[pid]
-        return node, self.shape_of[node][3][pid - self.first[node]]
+        return node, self.shape_of[node][0][pid - self.first[node]]
 
     def pid(self, node: int, q: int) -> int:
         """The pid of the active pair (node, q); ValueError if q is not active."""
-        shape = self.shape_of[node]
-        return self.first[node] + shape[4][shape[0].index(q)]
+        return self.first[node] + self.shape_of[node][0].index(q)
 
     def extend_for(self, upto: int) -> None:
         """Feed nodes [built, upto) into every table (children come first).
 
         The state-pair walk (``_walk``) runs once per row shape, on the
         first node that has it (see ``shapes``).  Every node then costs one
-        lookup of its shape, its block of pids, its children's pids (their
-        first pid plus the shape's ``off``), its two edge effects, and one
-        ``Normalizer.add_rows`` for its whole block.  ``work`` still counts
-        the walk that each node stands for.
+        lookup of its shape, its block of pids, its two edge effects, and
+        one ``Normalizer.add_rows`` for its whole block, which finds the
+        children's pairs at their first pids plus their row indices.
+        ``work`` still counts the walk that each node stands for.
         """
         g, stats, shapes = self.g, self.stats, self.shapes
         first, shape_of, node_of, succ_a = self.first, self.shape_of, self.node_of, self.succ_a
@@ -139,25 +140,22 @@ class ProductIndex:
             l, r = g.lefts[i], g.rights[i]
             if l is None:
                 key = (g.labels[i], g.kinds[i] == LEAFCTX)
-                pl = pr = ()
+                fl = fr = 0
                 eff_l = eff_r = None
             else:
                 sl, sr = shape_of[l], shape_of[r]
                 key = (g.kinds[i], sl[0], sl[2], sr[0], sr[2])
                 fl, fr = first[l], first[r]
-                pl = [fl + o for o in sl[4]]
-                pr = [fr + o for o in sr[4]]
                 eff_l, eff_r = _edge_tuples(g, stats, i)
             shape = shapes.get(key)
             if shape is None:
                 shape = shapes[key] = self._walk(key)
-            _, _, _, order, _, succ, rows, work = shape
-            add(stats.tau[i], rows, eff_l, eff_r, pl, pr)
-            succ_a += [tuple([(pl[a], pr[c]) for a, c in tuples]) for tuples in succ]
-            succ_a += [None] * (len(order) - len(succ))
+            act, _, _, succ, rows, work = shape
+            add(stats.tau[i], rows, eff_l, eff_r, fl, fr)
+            succ_a += [None if t is None else tuple([(fl + a, fr + c) for a, c in t]) for t in succ]
             first.append(len(node_of))
             shape_of.append(shape)
-            node_of += [i] * len(order)
+            node_of += [i] * len(act)
             self.eff_l.append(eff_l)
             self.eff_r.append(eff_r)
             self.work += work
@@ -174,7 +172,7 @@ class ProductIndex:
         b = self.b
         if len(key) == 2:
             qa = b.delta0(*key, 1)
-            return (qa,), (qa,), (b.delta0(*key, 0),), (qa,), (0,), (), ((0, (), (), True),), 1
+            return (qa,), (qa,), (b.delta0(*key, 0),), ((),), (((), (), True),), 1
         op, al, el, ar, er = key
         succ: dict[int, list[tuple[int, int]]] = {}
         ledges: dict[int, set[int]] = {}
@@ -191,16 +189,13 @@ class ProductIndex:
             for qf in er:
                 emp.add(b.delta2(qe, qf, op))
         act = tuple(sorted(succ.keys() | ledges.keys() | redges.keys()))
-        order = (*succ, *(q for q in act if q not in succ))
-        pos = {q: k for k, q in enumerate(order)}
         rows = tuple(
-            (pos[q], tuple(sorted(ledges.get(q, ()))), tuple(sorted(redges.get(q, ()))), q in succ)
-            for q in act
+            (tuple(sorted(ledges.get(q, ()))), tuple(sorted(redges.get(q, ()))), q in succ) for q in act
         )
         work = (len(al) + len(el)) * (len(ar) + len(er))
-        work += sum(1 + len(li) + len(ri) for _, li, ri, _ in rows)
-        off = tuple(row[0] for row in rows)
-        return act, tuple(sorted(succ)), tuple(sorted(emp)), order, off, tuple(map(tuple, succ.values())), rows, work
+        work += sum(1 + len(li) + len(ri) for li, ri, _ in rows)
+        succ_act = tuple(tuple(succ[q]) if q in succ else None for q in act)
+        return act, tuple(sorted(succ)), tuple(sorted(emp)), succ_act, rows, work
 
     def fill_rigid(self, pid: int) -> Optional[tuple]:
         """Fill the rigid records of ``pid`` and of the pairs its record

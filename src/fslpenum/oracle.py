@@ -544,9 +544,10 @@ def canonical_form(eds) -> tuple:
 
     State ids are mapped back to state values, and pids and normalized
     vertices to (node, state value) pairs.  The orders are not
-    canonicalized: configuration rows are sorted by state id, and pid
-    order, successor tuples and spine edges follow them, so they
-    follow the order in which the automaton interned its states.  Two
+    canonicalized: configuration rows are sorted by state id, a node's
+    pids follow its active row, and successor tuples and spine edges
+    follow the rows too, so they follow the order in which the
+    automaton interned its states.  Two
     builds compare equal only if their automata interned states in the
     same order (for example, each build on a fresh automaton, or both
     on one shared automaton).

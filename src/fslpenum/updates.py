@@ -19,8 +19,7 @@ from dataclasses import dataclass
 from typing import Iterable, Union
 
 from .automata import DBUTA, NSTA, nsta_to_dbuta
-from .forest import HOLE
-from .fslp import FSLP, VertexStats, node_type, relabel_path
+from .fslp import FSLP, VertexStats, check_leaf_def, node_type, relabel_path
 from .msoenum import AnswerStream, ProductIndex
 
 
@@ -79,10 +78,7 @@ def extend(eds: EnumDataStructure, defs: Iterable[NodeDef]) -> tuple[EnumDataStr
             tl, tr = (tau[c] if c < before else new_tau[c - before] for c in d[1:])
             new_tau.append(node_type(before + offset, kind, tl, tr))
         elif kind in ("leaf", "leafctx") and len(d) == 2:
-            if not (isinstance(d[1], str) and d[1]):
-                raise ValueError(f"definition {offset} needs a non-empty string label: {d!r}")
-            if d[1] == HOLE:
-                raise ValueError(f"definition {offset}: the hole {HOLE!r} is not a label: {d!r}")
+            check_leaf_def(offset, d)
             new_tau.append(int(kind == "leafctx"))
         else:
             raise ValueError(f"definition {offset} is not a node definition: {d!r}")

@@ -94,20 +94,25 @@ def random_labelled_dag(rng: random.Random, max_n: int, symbols=("x", "y")) -> D
 
 
 def check_pid_blocks(p) -> None:
-    """A ``ProductIndex``'s pids are one block per fed node: node i holds
-    exactly ``[first[i], first[i] + len(order))``, and ``pair`` and ``pid``
-    are inverse to each other."""
+    """A ``ProductIndex``'s pids are one block per fed node that follows
+    the node's active row: node i holds exactly ``[first[i], first[i] +
+    len(act))``, pid ``first[i] + k`` is ``(i, act[k])``, ``pair`` and
+    ``pid`` are inverse to each other, and ``succ_a[pid]`` is None exactly
+    for the states outside the node's useful row."""
     blocks: list[int] = []
     for i, shape in enumerate(p.shape_of):
         assert p.first[i] == len(blocks)
-        blocks += [i] * len(shape[3])
+        blocks += [i] * len(shape[0])
     assert len(p.shape_of) == len(p.first) == len(p.eff_l) == p.built
     assert p.node_of == blocks
     assert len(p.pairs) == len(p.succ_a) == len(p.norm.source) == len(blocks)
     for pid in p.pairs:
         assert p.pid(*p.pair(pid)) == pid
-    for i, shape in enumerate(p.shape_of):
-        assert [p.pair(p.pid(i, q)) for q in shape[0]] == [(i, q) for q in shape[0]]
+    for i, (act, useful, *_) in enumerate(p.shape_of):
+        for k, q in enumerate(act):
+            pid = p.first[i] + k
+            assert p.pair(pid) == (i, q) and p.pid(i, q) == pid
+            assert (p.succ_a[pid] is None) == (q not in useful), (i, q)
 
 
 def doubling_ratios(sizes, inputs, run):

@@ -223,6 +223,16 @@ class TestPathNavigation:
             for k in range(st.s[g.root]):
                 p = preorder_to_path(g, st, g.root, k)
                 assert path_preorder(g, st, g.root, p) == k
+        # every type-0 node of compressed forests, whose deep vc chains
+        # plug nonzero forests into the contexts they descend through
+        for _ in range(30):
+            g = compress_forest(parse_term(random_term(rng, rng.randint(1, 200), "abc")))
+            st = compute_stats(g)
+            for node in range(len(g)):
+                if st.tau[node] == 0:
+                    for k in range(st.s[node]):
+                        p = preorder_to_path(g, st, node, k)
+                        assert path_preorder(g, st, node, p) == k, (node, k)
 
     def test_effect_constants_bit_bounded(self, rng):
         # register-width style bound: composed constants stay within O(|g|) bits

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import random
 import time
 
@@ -227,6 +228,35 @@ class TestRelabel:
                 assert eds.ops - ops_before <= 4 * q * q * (height + 1) + 4
             rebuilt = build_enum_structure(eds.fslp, a)
             assert canonical_form(eds) == canonical_form(rebuilt), trial
+
+    @pytest.mark.parametrize("query, want", [
+        (exactly_one_nsta("abc"), (
+            "4b107bee03e3963054146a6ccd4c60028a260e1e13ff663db86a3a2cea9bd78f",
+            "df37988c07c50b46f785f01145bd980d4c7efafeb0bc713e3522c63f1b2ba7b0",
+        )),
+        (select_labels_nsta({"b"}, "abc"), (
+            "7d7a7035c9326d0469f618c5ad5194faf7d0d063775b9d40508962eefeb76b8f",
+            "e212b447717dbca48dcca4e1db67f99a294a47c43ee683173d1704ded106773e",
+        )),
+    ], ids=["exactly-one", "select-b"])
+    def test_streams_across_relabels_match_the_stored_run(self, query, want):
+        # SHA-256 of the answers and step logs of a stored run: the full
+        # stream from the root, then the full streams after each of 20
+        # chained relabels
+        text = random_term(random.Random(2000), 2000, "abc")
+        eds = build_enum_structure(compress_forest(parse_term(text)), query)
+        root, rng = eds.fslp.root, random.Random(20)
+
+        def stream_digest(h, node):
+            stream = eds.enumerate(node, record_steps=True)
+            h.update(repr((list(stream), stream.step_log)).encode())
+
+        from_root, after = hashlib.sha256(), hashlib.sha256()
+        stream_digest(from_root, root)
+        for _ in range(20):
+            eds, root, _ = relabel(eds, root, rng.randrange(2000), rng.choice("abc"))
+            stream_digest(after, root)
+        assert (from_root.hexdigest(), after.hexdigest()) == want
 
 
 def exactly_one_b_nsta(alphabet):
