@@ -173,13 +173,15 @@ class Normalizer:
         source[orig] = disp
         return disp
 
-    def add_rows(self, obj, rows: Iterable[tuple], lm, rm, fl: int, fr: int) -> None:
+    def add_rows(self, obj, rows: Iterable[tuple], edges: Optional[tuple]) -> None:
         """Feed one product node's block of original vertices, one per row,
         from ``len(source)`` on; every child must be fed and live already.
-        The vertex of a row ``(li, ri, target)`` has the edges
+        With ``edges`` = ``(fl, lm, fr, rm)`` (None if no row has an edge),
+        the vertex of a row ``(li, ri, target)`` has the edges
         ``(lm, fl + a)`` for ``a`` in ``li``, then ``(rm, fr + c)`` for ``c`` in ``ri``.
         """
         source, compose = self.source, self.category.compose
+        fl, lm, fr, rm = edges or (0, None, 0, None)
         for li, ri, target in rows:
             live = []
             for a in li:

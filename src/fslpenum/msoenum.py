@@ -9,21 +9,22 @@ successor tuples of the useful states and the edges of the active states
 that skip an empty-selection sibling.  The walk depends only on the
 node's row shape (its operation and its children's active and empty
 rows), of which a fixed query has a bounded number, so it runs once per
-shape; every other node with that shape costs one dict lookup plus its
-own block of pids and its edge effects.  The product DAG goes straight
-into the path-enumeration normalizer, one node's block at a time, with
-the useful configurations as targets, and is stored only in normalized
-form.
+shape and is kept per shape, successor tuples included.  Every other
+node with that shape costs one dict lookup, its block of pids, and one
+entry of its children's first pids and edge effects.  The product DAG
+goes straight into the path-enumeration normalizer, one node's block at
+a time, with the useful configurations as targets, and is stored only
+in normalized form.
 
 Enumeration then walks witness trees: unary nodes draw (useful config,
 point) pairs from frozen path sessions that carry their point; binary
-nodes step through the ordered successor tuples, which name the
-children's pairs by pid; and each emitted answer is the set of preorder
-numbers read off the root-to-leaf points.  A subtree with no choice at
-all (a rigid pair, see ``ProductIndex.fill_rigid``) is one node,
-expanded by the walk from per-pair records, while steps are still
-counted on the full witness tree.  Answers come out duplicate-free with
-delay linear in the answer size.
+nodes step through their pair's ordered successor tuples; and each
+emitted answer is the set of preorder numbers read off the root-to-leaf
+points.  A subtree with no choice at all (a rigid pair, see
+``ProductIndex.fill_rigid``) is one node, expanded by the walk from
+per-pair records, while steps are still counted on the full witness
+tree.  Answers come out duplicate-free with delay linear in the answer
+size.
 """
 
 from __future__ import annotations
@@ -59,12 +60,12 @@ class ProductIndex:
     its active row ``act``, the first row of its ``shapes`` entry
     ``shape_of[i]``: pid ``first[i] + k`` is ``(i, act[k])``.
     ``node_of[pid]`` is the node of pair ``pid``, and ``pair`` / ``pid``
-    convert both ways.  ``eff_l[i]`` / ``eff_r[i]`` hold the effects of
-    node i's edges as ``(eps, c, kappa, d)`` tuples (None for leaves).
-    ``succ_a[pid]`` lists a useful pair's successor tuples in order (empty
-    for a leaf's, None for a pair outside the useful row), each as the
-    pids ``(pid_l, pid_r)`` of its left and right child's pairs; the
-    product edges between pairs are stored only in the normalizer ``norm``.
+    convert both ways.  ``edges[i]`` is ``(fl, lm, fr, rm)``: the first
+    pids of node i's left and right child and the effects of its left and
+    right edge as ``(eps, c, kappa, d)`` tuples (None for a leaf).
+    Successor tuples are kept only in the shapes: ``succ(pid)`` reads a
+    pair's tuples off its shape row and adds ``fl`` / ``fr``.  The product
+    edges between pairs are stored only in the normalizer ``norm``.
 
     ``built`` counts the nodes of ``g`` fed so far (``extend_for``): a node
     appended to ``g`` later is unknown to every table until it is fed.  The
@@ -98,9 +99,7 @@ class ProductIndex:
         self.first: list[int] = []
         self.shape_of: list[tuple] = []
         self.node_of: list[int] = []
-        self.succ_a: list[Optional[tuple[tuple[int, int], ...]]] = []
-        self.eff_l: list[Optional[tuple]] = []
-        self.eff_r: list[Optional[tuple]] = []
+        self.edges: list[Optional[tuple]] = []
         self.norm = Normalizer(PRE_CATEGORY)
         self.rigid: dict[int, Optional[tuple]] = {}
         self.shapes: dict[tuple, tuple] = {}
@@ -122,42 +121,49 @@ class ProductIndex:
         """The pid of the active pair (node, q); ValueError if q is not active."""
         return self.first[node] + self.shape_of[node][0].index(q)
 
+    def succ(self, pid: int) -> Optional[list]:
+        """The successor tuples of ``pid`` in order, as the pids ``(pid_l, pid_r)``
+        of its children's pairs: () for a leaf pair, None outside the useful row."""
+        node = self.node_of[pid]
+        tuples = self.shape_of[node][3][pid - self.first[node]]
+        if not tuples:
+            return tuples
+        fl, _, fr, _ = self.edges[node]
+        return [(fl + a, fr + c) for a, c in tuples]
+
     def extend_for(self, upto: int) -> None:
         """Feed nodes [built, upto) into every table (children come first).
 
         The state-pair walk (``_walk``) runs once per row shape, on the
         first node that has it (see ``shapes``).  Every node then costs one
-        lookup of its shape, its block of pids, its two edge effects, and
+        lookup of its shape, its block of pids, its ``edges`` entry, and
         one ``Normalizer.add_rows`` for its whole block, which finds the
         children's pairs at their first pids plus their row indices.
         ``work`` still counts the walk that each node stands for.
         """
         g, stats, shapes = self.g, self.stats, self.shapes
-        first, shape_of, node_of, succ_a = self.first, self.shape_of, self.node_of, self.succ_a
+        first, shape_of, node_of = self.first, self.shape_of, self.node_of
         stats.extend_for(g)
         add = self.norm.add_rows
         for i in range(self.built, upto):
             l, r = g.lefts[i], g.rights[i]
             if l is None:
                 key = (g.labels[i], g.kinds[i] == LEAFCTX)
-                fl = fr = 0
-                eff_l = eff_r = None
+                edges = None
             else:
                 sl, sr = shape_of[l], shape_of[r]
                 key = (g.kinds[i], sl[0], sl[2], sr[0], sr[2])
-                fl, fr = first[l], first[r]
-                eff_l, eff_r = _edge_tuples(g, stats, i)
+                lm, rm = _edge_tuples(g, stats, i)
+                edges = (first[l], lm, first[r], rm)
             shape = shapes.get(key)
             if shape is None:
                 shape = shapes[key] = self._walk(key)
-            act, _, _, succ, rows, work = shape
-            add(stats.tau[i], rows, eff_l, eff_r, fl, fr)
-            succ_a += [None if t is None else tuple([(fl + a, fr + c) for a, c in t]) for t in succ]
+            act, _, _, _, rows, work = shape
+            add(stats.tau[i], rows, edges)
             first.append(len(node_of))
             shape_of.append(shape)
             node_of += [i] * len(act)
-            self.eff_l.append(eff_l)
-            self.eff_r.append(eff_r)
+            self.edges.append(edges)
             self.work += work
             self.built = i + 1  # a walk that raises leaves every table at the fed nodes
 
@@ -194,8 +200,8 @@ class ProductIndex:
         )
         work = (len(al) + len(el)) * (len(ar) + len(er))
         work += sum(1 + len(li) + len(ri) for li, ri, _ in rows)
-        succ_act = tuple(tuple(succ[q]) if q in succ else None for q in act)
-        return act, tuple(sorted(succ)), tuple(sorted(emp)), succ_act, rows, work
+        succ_rows = tuple(tuple(succ[q]) if q in succ else None for q in act)
+        return act, tuple(sorted(succ)), tuple(sorted(emp)), succ_rows, rows, work
 
     def fill_rigid(self, pid: int) -> Optional[tuple]:
         """Fill the rigid records of ``pid`` and of the pairs its record
@@ -208,16 +214,16 @@ class ProductIndex:
         (c, d), its one element is ``c + eps*d + ce``.  A binary one is
         ``(steps, nodes, pid_l, *effect_l, pid_r, *effect_r)``, each effect
         an ``(eps, c, kappa, d)`` tuple: the single path's effect
-        precomposed with ``eff_l`` or ``eff_r``.  ``steps`` and ``nodes``
+        precomposed with the left or right edge's.  ``steps`` and ``nodes``
         are what the full witness subtree charges and holds:
         ``_LEAF_STEPS`` and 1 per leaf pair, ``_PATH_STEPS`` and
         ``_PATH_NODES`` per single-path unary node with the child it draws.
         A non-rigid pair's record is None.
         """
         rec, node_of, lefts = self.rigid, self.node_of, self.g.lefts
-        stack: list[tuple[int, Optional[tuple]]] = [(pid, None)]
+        stack: list[tuple] = [(pid, None, None)]
         while stack:
-            p, only = stack.pop()
+            p, only, kids = stack.pop()
             if only is None:  # first visit
                 if p in rec:
                     continue
@@ -232,22 +238,20 @@ class ProductIndex:
                 if lefts[node_of[u]] is None:
                     rec[p] = (_PATH_STEPS, _PATH_NODES, -1, eps, ce)
                     continue
-                succ = self.succ_a[u]
+                succ = self.succ(u)
                 if len(succ) > 1:
                     rec[p] = None
                     continue
-                stack.append((p, only))  # compose once both children are filled
-                stack.extend((q, None) for q in succ[0][::-1] if q not in rec)
+                stack.append((p, only, succ[0]))  # compose once both children are filled
+                stack.extend((q, None, None) for q in succ[0][::-1] if q not in rec)
                 continue
             u, (eps, ce, kappa, de) = only
-            pl, pr = self.succ_a[u][0]
+            pl, pr = kids
             rl, rr = rec[pl], rec[pr]
             if rl is None or rr is None:
                 rec[p] = None
                 continue
-            unode = node_of[u]
-            le, lc, lk, ld = self.eff_l[unode]
-            re, rc, rk, rd = self.eff_r[unode]
+            _, (le, lc, lk, ld), _, (re, rc, rk, rd) = self.edges[node_of[u]]
             rec[p] = (
                 _PATH_STEPS + rl[0] + rr[0], _PATH_NODES + rl[1] + rr[1],
                 pl, eps + le * kappa, ce + le * de + lc, lk * kappa, lk * de + ld,
@@ -302,7 +306,7 @@ class _WNode:
         self.right: Optional[_WNode] = None
         self.session: Optional[PathSession] = None
         self.buf: Optional[tuple] = None
-        self.succ: Optional[tuple] = None
+        self.succ: Optional[list] = None
         self.succ_idx = 0
         self.maximal = True
         self.pos = 0
@@ -331,7 +335,8 @@ class AnswerStream:
         self.idx = idx
         self.node = node
         b = idx.b
-        self._finals = [idx.pid(node, q) for q in idx.shape_of[node][0] if b.is_final(q)]
+        first = idx.first[node]
+        self._finals = [first + k for k, q in enumerate(idx.shape_of[node][0]) if b.is_final(q)]
         self._emit_empty = any(b.is_final(q) for q in idx.shape_of[node][2])
         self._state_pos = -1
         self._root: Optional[_WNode] = None
@@ -377,18 +382,14 @@ class AnswerStream:
             w.child = _WNode(_LEAF, node, pid, c, d)
         else:
             x = w.child = _WNode(_BINARY, node, pid, c, d)
-            x.succ = idx.succ_a[pid]
+            x.succ = idx.succ(pid)
             x.maximal = len(x.succ) == 1
 
-    def _set_binary_children(self, w: _WNode) -> None:
-        """(Re)create the children named by the current successor tuple."""
-        pl, pr = w.succ[w.succ_idx]
-        idx = self.idx
-        c, d = w.c, w.d
-        eps, ce, kappa, de = idx.eff_l[w.node]
-        w.left = self._start_active(pl, c + eps * d + ce, kappa * d + de)
-        eps, ce, kappa, de = idx.eff_r[w.node]
-        w.right = self._start_active(pr, c + eps * d + ce, kappa * d + de)
+    def _start_child(self, w: _WNode, side: int) -> _WNode:
+        """(Re)create w's left (side 0) or right (side 1) child, the pair
+        named by its current successor tuple, reached over that edge."""
+        eps, ce, kappa, de = self.idx.edges[w.node][2 * side + 1]
+        return self._start_active(w.succ[w.succ_idx][side], w.c + eps * w.d + ce, kappa * w.d + de)
 
     def _complete_below(self, w: _WNode) -> None:
         """Minimal completion of a fresh node whose choice is not yet drawn."""
@@ -397,7 +398,7 @@ class AnswerStream:
             x = work.pop()
             kind = x.kind
             if kind == _BINARY:
-                self._set_binary_children(x)
+                x.left, x.right = self._start_child(x, 0), self._start_child(x, 1)
                 work.append(x.right)
                 work.append(x.left)
             elif kind == _UNARY:
@@ -467,19 +468,15 @@ class AnswerStream:
         else:
             w.succ_idx += 1
             w.maximal = w.succ_idx == len(w.succ) - 1
-            self._set_binary_children(w)
+            w.left, w.right = self._start_child(w, 0), self._start_child(w, 1)
             self._complete_below(w.left)
             self._complete_below(w.right)
         # children of kept nodes that fell into the discarded suffix are
         # rebuilt minimally (their labels are fixed by the kept choice)
-        idx = self.idx
         for j in range(i):
             x = self._pre[j]
             if x.kind == _BINARY and x.right is not None and x.right.pos > w.pos:
-                eps, ce, kappa, de = idx.eff_r[x.node]
-                x.right = self._start_active(
-                    x.succ[x.succ_idx][1], x.c + eps * x.d + ce, kappa * x.d + de
-                )
+                x.right = self._start_child(x, 1)
                 self._complete_below(x.right)
 
     # -- public -------------------------------------------------------------

@@ -465,7 +465,7 @@ class _TreeEnum:
         self.use_sets = [frozenset(u) for u in use]
         # product forest edges per active configuration
         self.adj: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        self.succ_a: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        self.succ: dict[tuple[int, int], list[tuple[int, int]]] = {}
         for pos in range(n):
             if flat.kind[pos] == "leaf":
                 continue
@@ -473,7 +473,7 @@ class _TreeEnum:
             op = flat.kind[pos]
             for q1 in act[l]:
                 for q2 in act[r]:
-                    self.succ_a.setdefault((pos, b.delta2(q1, q2, op)), []).append((q1, q2))
+                    self.succ.setdefault((pos, b.delta2(q1, q2, op)), []).append((q1, q2))
             for p in act[pos]:
                 edges = []
                 for q1 in act[l]:
@@ -519,7 +519,7 @@ class _TreeEnum:
                 yield frozenset((self.leaf_no[upos],))
                 continue
             l, r = self.flat.left[upos], self.flat.right[upos]
-            for q1, q2 in self.succ_a[(upos, uq)]:
+            for q1, q2 in self.succ[(upos, uq)]:
                 for s1 in self._answers_from((l, q1)):
                     for s2 in self._answers_from((r, q2)):
                         yield s1 | s2
@@ -566,11 +566,11 @@ def canonical_form(eds) -> tuple:
     succ_part = tuple(
         sorted(
             (pairval(pid), tuple((pairval(p1)[1], pairval(p2)[1]) for p1, p2 in tuples))
-            for pid, tuples in enumerate(product.succ_a)
-            if tuples
+            for pid in product.pairs
+            if (tuples := product.succ(pid))
         )
     )
-    eff_part = tuple(zip(product.eff_l, product.eff_r))
+    eff_part = tuple(e[1::2] if e else (None, None) for e in product.edges)
 
     owner = {
         disp[1]: orig for orig, disp in enumerate(norm.source) if disp[0] == NODE

@@ -18,6 +18,7 @@ from fslpenum import (
     parse_term,
 )
 from fslpenum.fixtures import INT_SUM, random_term
+from fslpenum.fslp import _edge_tuples
 
 
 def random_forest(rng: random.Random, max_n: int, labels: str = "ab") -> Forest:
@@ -96,23 +97,37 @@ def random_labelled_dag(rng: random.Random, max_n: int, symbols=("x", "y")) -> D
 def check_pid_blocks(p) -> None:
     """A ``ProductIndex``'s pids are one block per fed node that follows
     the node's active row: node i holds exactly ``[first[i], first[i] +
-    len(act))``, pid ``first[i] + k`` is ``(i, act[k])``, ``pair`` and
-    ``pid`` are inverse to each other, and ``succ_a[pid]`` is None exactly
-    for the states outside the node's useful row."""
+    len(act))``, pid ``first[i] + k`` is ``(i, act[k])``, and ``pair`` and
+    ``pid`` are inverse to each other.  ``edges[i]`` is None exactly for
+    leaves, and otherwise holds the children's first pids and the edge
+    effects of the ten-case rule.  Every successor tuple indexes into the
+    children's active rows, and ``succ(pid)`` is None exactly for the
+    states outside the node's useful row."""
     blocks: list[int] = []
     for i, shape in enumerate(p.shape_of):
         assert p.first[i] == len(blocks)
         blocks += [i] * len(shape[0])
-    assert len(p.shape_of) == len(p.first) == len(p.eff_l) == p.built
+    assert len(p.shape_of) == len(p.first) == len(p.edges) == p.built
     assert p.node_of == blocks
-    assert len(p.pairs) == len(p.succ_a) == len(p.norm.source) == len(blocks)
+    assert len(p.pairs) == len(p.norm.source) == len(blocks)
     for pid in p.pairs:
         assert p.pid(*p.pair(pid)) == pid
-    for i, (act, useful, *_) in enumerate(p.shape_of):
+    g = p.g
+    for i, (act, useful, _, succ, *_) in enumerate(p.shape_of):
+        l, r = g.lefts[i], g.rights[i]
+        if l is None:
+            assert p.edges[i] is None, i
+        else:
+            fl, lm, fr, rm = p.edges[i]
+            assert (fl, fr) == (p.first[l], p.first[r]), i
+            assert (lm, rm) == _edge_tuples(g, p.stats, i), i
+            for t in succ:
+                for a, c in t or ():
+                    assert 0 <= a < len(p.shape_of[l][0]) and 0 <= c < len(p.shape_of[r][0]), (i, t)
         for k, q in enumerate(act):
             pid = p.first[i] + k
             assert p.pair(pid) == (i, q) and p.pid(i, q) == pid
-            assert (p.succ_a[pid] is None) == (q not in useful), (i, q)
+            assert (p.succ(pid) is None) == (q not in useful), (i, q)
 
 
 def doubling_ratios(sizes, inputs, run):

@@ -182,11 +182,11 @@ class TestProduct:
                     for q2 in idx.shape_of[r][0]:
                         want.setdefault(b.delta2(q1, q2, op), []).append((q1, q2))
                 for q, tuples in want.items():
-                    pid = idx.pid(i, q)
-                    # succ_a names the children's pairs by pid
-                    for pl, pr in idx.succ_a[pid]:
+                    succ = idx.succ(idx.pid(i, q))
+                    # succ names the children's pairs by pid
+                    for pl, pr in succ:
                         assert idx.node_of[pl] == l and idx.node_of[pr] == r
-                    got = tuple((idx.pair(pl)[1], idx.pair(pr)[1]) for pl, pr in idx.succ_a[pid])
+                    got = tuple((idx.pair(pl)[1], idx.pair(pr)[1]) for pl, pr in succ)
                     assert got == tuple(tuples)
 
 
