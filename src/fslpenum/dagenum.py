@@ -1,15 +1,12 @@
 """Constant-delay enumeration of source-to-target paths in decorated DAGs.
 
 Preprocessing normalizes the DAG bottom-up: dead ends are pruned,
-out-degree-1 vertices become shortcuts with composed morphisms, and larger
-out-degrees are binarized along a right spine of identity edges.  A
-target's spine emits the target itself before its edges' paths, so no
-leaf is cloned for it; only a target with a single live edge gets a cloned
-leaf behind an identity edge, as its spine's second arm.  Each normalized
-vertex knows the vertex emitted first from it (``omega``: the leaf reached
-by right edges, or a target spine's head) and the morphism of the way
-there (``gam``), so the enumeration loop emits one pair per step with at
-most one silent stack pop in between.
+out-degree-1 vertices become shortcuts with composed morphisms, and every
+other vertex becomes one normalized vertex, a fan whose arms are its live
+edges.  Each normalized vertex knows the target emitted first from it
+(``omega``: itself for a target, else its last arm's) and the morphism of
+the way there (``gam``), so the enumeration loop emits one pair per step
+with at most one silent step in between.
 
 The normalizer is incremental: vertices are fed children-first, and new
 vertices may be appended later without touching existing ones (the update
@@ -87,30 +84,23 @@ _PRUNED = (PRUNED,)
 
 
 class Normalizer:
-    """Bottom-up construction of the normalized binary DAG with omega/gam tables.
+    """Bottom-up construction of the normalized DAG with omega/gam tables.
 
-    The normalized DAG is the only stored form of the input edges.  A vertex
-    with d >= 2 live edges becomes a right spine of d - 1 vertices: vertex k
-    has the k-th edge as its left arm and the next spine vertex (behind an
-    identity) as its right one, and the last vertex has the last edge as
-    its right arm.  ``omega`` and ``gam`` give the vertex whose original is
-    emitted first, and the morphism of the way there.  A non-target spine
-    emits the first path of its last edge first: every spine vertex has
-    the ``omega`` of that edge's child, and as ``gam`` the edge's morphism
-    composed with the child's ``gam``.  A
-    target's spine emits the target itself first: its head holds
-    ``leaf_orig``, and every spine vertex has ``omega`` = head and ``gam``
-    = identity.  A target with one live edge would have an empty spine,
-    so it gets a cloned leaf as its second edge, behind an identity.
+    The normalized DAG is the only stored form of the input edges.  Each
+    original vertex that is neither pruned nor a shortcut is one normalized
+    vertex ``v``, a fan whose arms are its live edges in order: arm ``j``,
+    for ``lo[v] <= j < lo[v + 1]``, goes by ``morph[j]`` to the normalized
+    vertex ``child[j]``.  A vertex with no arm is a leaf: a target with no
+    live edge.  ``obj[v]`` is the vertex's object.
 
-    ``arm[v]`` is the flag with which ``PathSession`` pushes ``v``'s right
-    arm: 1 on the last vertex of a target's spine (the arm's first path is
-    not emitted yet), 0 when the arm is a non-leaf below the same ``omega``
-    (its first path is), and -1 when the arm is a leaf whose one path
-    ``omega`` already gave (it is not pushed).
+    ``omega[v]`` is the original target emitted first from ``v`` and
+    ``gam[v]`` the morphism of the way there.  A target emits itself first
+    (``gam`` is the identity); any other vertex emits its last arm's first
+    pair first (the child's ``omega``, and the arm's morphism composed with
+    the child's ``gam``).
 
     ``source[orig]`` is the disposition of the original vertex ``orig``,
-    or None if it was not fed: ``(PRUNED,)``, ``(NODE, head)`` or
+    or None if it was not fed: ``(PRUNED,)``, ``(NODE, vertex)`` or
     ``(SHORTCUT, vertex, morphism)``.
 
     Vertices come in one at a time with their edge lists (``add_original``,
@@ -120,33 +110,16 @@ class Normalizer:
 
     def __init__(self, category: Category):
         self.category = category
-        # normalized binary DAG
         self.obj: list = []
-        self.left: list[int] = []
-        self.right: list[int] = []
-        self.lm: list = []
-        self.rm: list = []
-        self.arm: list[int] = []
-        self.leaf_orig: list = []  # original vertex emitted, for leaves and target heads
+        self.lo: list[int] = [0]  # arms of v: lo[v]:lo[v + 1]
+        self.morph: list = []
+        self.child: list[int] = []
         self.omega: list[int] = []
         self.gam: list = []
         self.source: list[Optional[tuple]] = []
 
     def is_leaf(self, nid: int) -> bool:
-        return self.left[nid] < 0
-
-    def _new_leaf(self, obj, orig) -> int:
-        nid = len(self.obj)
-        self.obj.append(obj)
-        self.left.append(-1)
-        self.right.append(-1)
-        self.lm.append(None)
-        self.rm.append(None)
-        self.arm.append(-1)
-        self.leaf_orig.append(orig)
-        self.omega.append(nid)
-        self.gam.append(self.category.identity(obj))
-        return nid
+        return self.lo[nid] == self.lo[nid + 1]
 
     def add_original(self, orig: int, obj, edges: Iterable[tuple], is_target: bool) -> tuple:
         """Feed one original vertex (children must have been fed already).
@@ -196,39 +169,24 @@ class Normalizer:
 
     def _place(self, orig: int, obj, live: list[tuple], is_target: bool) -> tuple:
         """Place ``orig`` from its resolved live edges; returns its disposition:
-        pruned or a leaf (no live edge), a shortcut (one, and no target), or
-        a right spine (see the class docstring for a target's spine)."""
-        if not live:
-            return (NODE, self._new_leaf(obj, orig)) if is_target else _PRUNED
-        if len(live) == 1 and not is_target:
-            return (SHORTCUT, live[0][1], live[0][0])
-        ident = self.category.identity(obj)
-        if len(live) == 1:  # a target: a cloned leaf is its spine's second arm
-            live.append((ident, self._new_leaf(obj, orig)))
-            is_target = False
-        head = len(self.obj)
-        last_m, last = live[-1]
-        # interior right arms are identities, so the whole spine shares one
-        # omega and gam: the last arm's, or the target's own
+        pruned (no live edge, no target), a shortcut (one, no target), or
+        else one vertex with an arm per live edge."""
+        if not is_target and len(live) < 2:
+            return (SHORTCUT, live[0][1], live[0][0]) if live else _PRUNED
+        v = len(self.obj)
+        self.obj.append(obj)
+        for m, c in live:
+            self.morph.append(m)
+            self.child.append(c)
+        self.lo.append(len(self.child))
         if is_target:
-            arm, omega, gam = 1, head, ident
+            self.omega.append(orig)
+            self.gam.append(self.category.identity(obj))
         else:
-            arm = 0 if self.left[last] >= 0 else -1
-            omega, gam = self.omega[last], self.category.compose(last_m, self.gam[last])
-        for k in range(len(live) - 1):
-            m, child = live[k]
-            self.obj.append(obj)
-            self.left.append(child)
-            self.lm.append(m)
-            self.right.append(head + k + 1)
-            self.rm.append(ident)
-            self.arm.append(0)
-            self.leaf_orig.append(None)
-            self.omega.append(omega)
-            self.gam.append(gam)
-        self.right[-1], self.rm[-1], self.arm[-1] = last, last_m, arm
-        self.leaf_orig[head] = orig if is_target else None
-        return (NODE, head)
+            m, c = live[-1]
+            self.omega.append(self.omega[c])
+            self.gam.append(self.category.compose(m, self.gam[c]))
+        return (NODE, v)
 
     def only_pair(self, source: int) -> Optional[tuple]:
         """The one ⟨target, morphism⟩ pair of ``source``, or None unless it
@@ -244,10 +202,12 @@ class Normalizer:
         disp = src[source] if 0 <= source < len(src) else None
         if disp is None:
             raise ValueError(f"unknown vertex {source!r}")
-        if disp[0] == PRUNED or self.left[disp[1]] >= 0:
+        if disp[0] == PRUNED:
             return None
         v = disp[1]
-        return (self.leaf_orig[v], disp[2] if disp[0] == SHORTCUT else self.gam[v])
+        if self.lo[v] < self.lo[v + 1]:
+            return None
+        return (self.omega[v], disp[2] if disp[0] == SHORTCUT else self.gam[v])
 
 
 def _normalize(d: DecoratedDAG, category: Category) -> Normalizer:
@@ -273,17 +233,21 @@ class PathSession:
     ``point``, the session carries it instead of a morphism, moves it with
     the category's ``act``, and emits ⟨target, moved point⟩ pairs.
 
-    The walk goes left from the current vertex ``v`` and keeps the right
-    arms still to visit on ``stack`` as ``(vertex, morphism or point, flag)``
-    entries, pushed with the vertex's ``Normalizer.arm`` flag.  Entering a
-    vertex with flag 1 emits its ``omega`` pair; flag 0 means that pair
-    was already emitted higher up, so the walk only goes on to the left.
-    So a spine emits its ``omega`` pair first, then its left arms' paths
-    in spine order, then those of its last right arm not emitted yet (all
-    of them below a target's spine).
+    The walk stands at vertex ``v`` with next arm index ``j`` (an index
+    into the normalizer's arm lists) and keeps the rest of the walk on
+    ``stack`` as ``(vertex, next arm index, morphism or point)`` entries.
+    Arm index -1 means: enter the vertex and emit its ``omega`` pair
+    first.  Each iteration takes one arm down to its child, entered with
+    -1, and leaves the vertex's later arms on the stack: the vertex itself
+    while two or more remain, else the last arm's child.  That child is
+    entered with -1 if its first pair is still to come (below a target),
+    at its first arm if that pair was the vertex's ``omega`` pair, and not
+    at all if it was the child's only pair (a leaf).  So a vertex emits
+    its ``omega`` pair, then its arms' paths in order, less the one
+    already emitted.
     """
 
-    __slots__ = ("norm", "op", "v", "gamma", "stack", "flag", "exhausted", "last_steps")
+    __slots__ = ("norm", "op", "v", "j", "gamma", "stack", "exhausted", "last_steps")
 
     def __init__(self, norm: Normalizer, source: int, point=None):
         self.norm = norm
@@ -294,7 +258,7 @@ class PathSession:
         if disp is None:
             raise ValueError(f"unknown vertex {source!r}")
         self.stack: list[tuple] = []
-        self.flag = 1
+        self.j = -1
         self.last_steps = 0
         self.exhausted = disp[0] == PRUNED
         self.v = v = -1 if self.exhausted else disp[1]
@@ -316,31 +280,36 @@ class PathSession:
             self.last_steps = 0
             return None
         norm = self.norm
-        op, left, stack = self.op, norm.left, self.stack
-        v, gamma, flag = self.v, self.gamma, self.flag
-        it = 0
+        op, lo, stack = self.op, norm.lo, self.stack
+        v, j, gamma = self.v, self.j, self.gamma
+        steps = 1
         emit = None
         while True:
-            it += 1
-            if flag:
-                emit = (norm.leaf_orig[norm.omega[v]], op(gamma, norm.gam[v]))
-            nxt = left[v]
-            if nxt >= 0:
-                a = norm.arm[v]
-                if a >= 0:
-                    stack.append((norm.right[v], op(gamma, norm.rm[v]), a))
-                gamma = op(gamma, norm.lm[v])
-                v, flag = nxt, 1
+            if j < 0:
+                emit = (norm.omega[v], op(gamma, norm.gam[v]))
+                j = lo[v]
+            r = lo[v + 1] - j  # arms left, arm j included
+            if r:
+                if r == 2:
+                    c = norm.child[j + 1]
+                    if norm.omega[c] != norm.omega[v]:
+                        stack.append((c, -1, op(gamma, norm.morph[j + 1])))
+                    elif lo[c] < lo[c + 1]:
+                        stack.append((c, lo[c], op(gamma, norm.morph[j + 1])))
+                elif r > 2:
+                    stack.append((v, j + 1, gamma))
+                v, j, gamma = norm.child[j], -1, op(gamma, norm.morph[j])
             elif stack:
-                v, gamma, flag = stack.pop()
+                v, j, gamma = stack.pop()
             else:
                 self.exhausted = True
-                self.last_steps = it
+                self.last_steps = steps
                 return emit
-            if emit is not None:
-                self.v, self.gamma, self.flag = v, gamma, flag
-                self.last_steps = it
+            if emit:
+                self.v, self.j, self.gamma = v, j, gamma
+                self.last_steps = steps
                 return emit
+            steps = 2
 
 
 # ---------------------------------------------------------------------------

@@ -545,7 +545,7 @@ def canonical_form(eds) -> tuple:
     State ids are mapped back to state values, and pids and normalized
     vertices to (node, state value) pairs.  The orders are not
     canonicalized: configuration rows are sorted by state id, a node's
-    pids follow its active row, and successor tuples and spine edges
+    pids follow its active row, and successor tuples and a vertex's arms
     follow the rows too, so they follow the order in which the
     automaton interned its states.  Two
     builds compare equal only if their automata interned states in the
@@ -577,9 +577,7 @@ def canonical_form(eds) -> tuple:
     }
 
     def normval(nid: int):
-        if norm.is_leaf(nid):
-            return ("leaf", pairval(norm.leaf_orig[nid]))
-        return ("vertex", pairval(owner[nid]))
+        return ("leaf" if norm.is_leaf(nid) else "vertex", pairval(owner[nid]))
 
     prod_part = []
     for pid in product.pairs:
@@ -587,19 +585,11 @@ def canonical_form(eds) -> tuple:
         if disp[0] == SHORTCUT:
             prod_part.append((pairval(pid), SHORTCUT, normval(disp[1]), disp[2]))
         else:
-            # the resolved edges, read off the right spine below the head
-            nid = v = disp[1]
-            edges = []
-            while not norm.is_leaf(v):
-                edges.append((norm.lm[v], normval(norm.left[v])))
-                r = norm.right[v]
-                if norm.is_leaf(r) or r in owner:
-                    edges.append((norm.rm[v], normval(r)))
-                    break
-                v = r
-            if not norm.is_leaf(nid) and norm.omega[nid] == nid:
-                # a target's spine emits the target itself first, as a leaf edge would
-                edges.append((norm.category.identity(norm.obj[nid]), ("leaf", pairval(pid))))
-            omega = pairval(norm.leaf_orig[norm.omega[nid]])
-            prod_part.append((pairval(pid), NODE, tuple(edges), omega, norm.gam[nid]))
+            v = disp[1]
+            arms = range(norm.lo[v], norm.lo[v + 1])
+            edges = [(norm.morph[j], normval(norm.child[j])) for j in arms]
+            if arms and norm.omega[v] == pid:
+                # a target emits itself first, as a leaf edge would
+                edges.append((norm.category.identity(norm.obj[v]), ("leaf", pairval(pid))))
+            prod_part.append((pairval(pid), NODE, tuple(edges), pairval(norm.omega[v]), norm.gam[v]))
     return (conf_part, succ_part, eff_part, tuple(prod_part))

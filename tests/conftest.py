@@ -17,6 +17,7 @@ from fslpenum import (
     Forest,
     parse_term,
 )
+from fslpenum.dagenum import NODE, SHORTCUT
 from fslpenum.fixtures import INT_SUM, random_term
 from fslpenum.fslp import _edge_tuples
 
@@ -102,7 +103,9 @@ def check_pid_blocks(p) -> None:
     leaves, and otherwise holds the children's first pids and the edge
     effects of the ten-case rule.  Every successor tuple indexes into the
     children's active rows, and ``succ(pid)`` is None exactly for the
-    states outside the node's useful row."""
+    states outside the node's useful row.  The normalizer has one vertex
+    per ``NODE`` pid, and a pid's arms (or its shortcut) are its shape
+    row's edges resolved through the children's dispositions."""
     blocks: list[int] = []
     for i, shape in enumerate(p.shape_of):
         assert p.first[i] == len(blocks)
@@ -128,6 +131,25 @@ def check_pid_blocks(p) -> None:
             pid = p.first[i] + k
             assert p.pair(pid) == (i, q) and p.pid(i, q) == pid
             assert (p.succ(pid) is None) == (q not in useful), (i, q)
+    norm = p.norm
+    assert len(norm.obj) == sum(disp[0] == NODE for disp in norm.source)
+    assert len(norm.lo) == len(norm.obj) + 1
+    compose = norm.category.compose
+    for pid in p.pairs:
+        i = p.node_of[pid]
+        li, ri, target = p.shape_of[i][4][pid - p.first[i]]
+        fl, lm, fr, rm = p.edges[i] or (0, None, 0, None)
+        want = []
+        for m, child in [(lm, fl + a) for a in li] + [(rm, fr + c) for c in ri]:
+            disp = norm.source[child]
+            want.append((m, disp[1]) if disp[0] == NODE else (compose(m, disp[2]), disp[1]))
+        disp = norm.source[pid]
+        if disp[0] == SHORTCUT:
+            assert not target and want == [(disp[2], disp[1])], pid
+        else:
+            assert disp[0] == NODE, pid
+            arms = range(norm.lo[disp[1]], norm.lo[disp[1] + 1])
+            assert [(norm.morph[j], norm.child[j]) for j in arms] == want, pid
 
 
 def doubling_ratios(sizes, inputs, run):

@@ -45,7 +45,7 @@ from fslpenum.fixtures import (
 from fslpenum.oracle import brute_paths, brute_select, brute_word_paths, canonical_form
 from fslpenum.updates import build_enum_structure, relabel
 
-from conftest import random_expr, random_forest, random_nsta
+from conftest import doubling_ratios, random_expr, random_forest, random_nsta
 
 
 def ok(n: int, message: str) -> None:
@@ -197,25 +197,15 @@ def _chain_fslp_row(n: int) -> FSLP:
 
 
 def test_criterion_08_preprocessing_linearity():
-    def measure(n: int) -> float:
-        g = _chain_fslp_row(n)
-        gc.collect()
-        gc.disable()
-        t0 = time.perf_counter()
-        eds = build_enum_structure(g, exactly_one_nsta({"a"}))
-        elapsed = time.perf_counter() - t0  # freeing eds is not preprocessing
-        gc.enable()
-        del eds
-        return elapsed
-
     # the sizes take turns, so a slow spell of a shared machine reaches all
-    # of them, and each size keeps its best time
+    # of them, and each size keeps its best process time
     sizes = [5000, 10000, 20000, 40000]
-    ts = [float("inf")] * len(sizes)
-    for _ in range(5):
-        ts = [min(t, measure(n)) for t, n in zip(ts, sizes)]
-    ratios = [ts[i] / ts[i - 1] for i in range(1, len(ts))]
-    assert all(1.5 <= r <= 3.0 for r in ratios), ratios
+    ratios, times = doubling_ratios(
+        sizes,
+        {n: _chain_fslp_row(n) for n in sizes},
+        lambda g: build_enum_structure(g, exactly_one_nsta({"a"})),
+    )
+    assert all(1.5 <= r <= 3.0 for r in ratios), (ratios, times)
     ok(8, "chain preprocessing ratios across 3 doublings: " + ", ".join(f"{r:.2f}" for r in ratios))
 
 

@@ -47,26 +47,22 @@ class TestPreprocess:
         idx = preprocess(d)
         assert session_multiset(idx, 0) == Counter({(1, 1): 1, (2, 2): 1})
 
-    def test_high_outdegree_binarized_with_identity_spine(self):
+    def test_high_outdegree_is_one_fan(self):
         d = DecoratedDAG(INT_SUM)
         d.add_vertex(None)
         leaves = [d.add_vertex(None, target=True) for _ in range(4)]
         for w, v in enumerate(leaves):
             d.add_edge(0, w + 1, v)
-        idx = preprocess(d)
-        # 4 outgoing edges become a 3-vertex right spine
-        disp = idx.source[0]
-        norm = idx
-        spine = []
-        cur = disp[1]
-        while not norm.is_leaf(cur):
-            spine.append(cur)
-            cur = norm.right[cur]
-        assert len(spine) == 3
-        # interior spine right arms carry the monoid identity
-        assert norm.rm[spine[0]] == 0 and norm.rm[spine[1]] == 0
-        assert norm.rm[spine[2]] == 4  # last arm keeps the original edge weight
-        assert session_multiset(idx, 0) == Counter(
+        norm = preprocess(d)
+        # 4 outgoing edges become one vertex with 4 arms, in edge order,
+        # with the original weights and no identity arm
+        fan = norm.source[0][1]
+        arms = range(norm.lo[fan], norm.lo[fan + 1])
+        assert [norm.morph[j] for j in arms] == [1, 2, 3, 4]
+        assert [norm.child[j] for j in arms] == [norm.source[t][1] for t in leaves]
+        assert all(norm.is_leaf(norm.child[j]) for j in arms)
+        assert len(norm.obj) == 5  # the fan and its four leaves, nothing cloned
+        assert session_multiset(norm, 0) == Counter(
             {(v, w + 1): 1 for w, v in enumerate(leaves)}
         )
 
@@ -164,7 +160,7 @@ class TestSessions:
 
     def test_order_matches_oracle(self, rng):
         # the emitted sequence itself, not only its multiset
-        target_spines = 0
+        target_fans = 0
         for _ in range(200):
             d = random_weighted_dag(rng, 13)
             idx = preprocess(d)
@@ -175,13 +171,13 @@ class TestSessions:
                     got.append(item)
                     assert sess.last_steps <= 2
                 assert got == brute_path_order(d, s)
-                head = idx.source[s][1] if idx.source[s][0] == "node" else -1
-                target_spines += head >= 0 and not idx.is_leaf(head) and idx.omega[head] == head
-        # 247 of the 1 491 sources head a spine that emits its own target
-        assert target_spines >= 100
+                v = idx.source[s][1] if idx.source[s][0] == "node" else -1
+                target_fans += v >= 0 and not idx.is_leaf(v) and idx.omega[v] == s
+        # 330 of the 1 491 sources are fans that emit their own target
+        assert target_fans >= 100
 
     def test_only_pair_is_the_single_session_pair(self, rng):
-        # pruned sources (no path), shortcuts and spines over random DAGs
+        # pruned sources (no path), shortcuts and fans over random DAGs
         for _ in range(150):
             d = random_weighted_dag(rng, 13)
             idx = preprocess(d)
@@ -274,9 +270,9 @@ class TestPreprocessLinearity:
         # linear growth doubles; quadratic would quadruple
         assert all(1.2 <= r <= 3.5 for r in ratios), ratios
 
-    def test_target_spines_double_linearly(self):
-        # every vertex is a target with 2-4 out-edges, so each one gets a
-        # target spine (the sink is a leaf target)
+    def test_target_fans_double_linearly(self):
+        # every vertex is a target with 2-4 out-edges, so each one is a
+        # target fan (the sink is a leaf target)
         def build(n):
             rng = random.Random(n)
             d = DecoratedDAG(INT_SUM)
