@@ -97,7 +97,10 @@ class Normalizer:
     ``gam[v]`` the morphism of the way there.  A target emits itself first
     (``gam`` is the identity); any other vertex emits its last arm's first
     pair first (the child's ``omega``, and the arm's morphism composed with
-    the child's ``gam``).
+    the child's ``gam``).  ``tail[v]`` is where the walk enters the child
+    of ``v``'s last arm once the other arms are done: at -1 (all its
+    pairs) below a target, else at its first arm (its first pair went out
+    as ``v``'s), or not at all (None) if that child is a leaf.
 
     ``source[orig]`` is the disposition of the original vertex ``orig``,
     or None if it was not fed: ``(PRUNED,)``, ``(NODE, vertex)`` or
@@ -116,6 +119,7 @@ class Normalizer:
         self.child: list[int] = []
         self.omega: list[int] = []
         self.gam: list = []
+        self.tail: list[Optional[int]] = []
         self.source: list[Optional[tuple]] = []
 
     def is_leaf(self, nid: int) -> bool:
@@ -182,10 +186,12 @@ class Normalizer:
         if is_target:
             self.omega.append(orig)
             self.gam.append(self.category.identity(obj))
+            self.tail.append(-1)
         else:
             m, c = live[-1]
             self.omega.append(self.omega[c])
             self.gam.append(self.category.compose(m, self.gam[c]))
+            self.tail.append(self.lo[c] if self.lo[c] < self.lo[c + 1] else None)
         return (NODE, v)
 
     def only_pair(self, source: int) -> Optional[tuple]:
@@ -239,12 +245,9 @@ class PathSession:
     Arm index -1 means: enter the vertex and emit its ``omega`` pair
     first.  Each iteration takes one arm down to its child, entered with
     -1, and leaves the vertex's later arms on the stack: the vertex itself
-    while two or more remain, else the last arm's child.  That child is
-    entered with -1 if its first pair is still to come (below a target),
-    at its first arm if that pair was the vertex's ``omega`` pair, and not
-    at all if it was the child's only pair (a leaf).  So a vertex emits
-    its ``omega`` pair, then its arms' paths in order, less the one
-    already emitted.
+    while two or more remain, else the last arm's child, entered where
+    the vertex's ``tail`` says.  So a vertex emits its ``omega`` pair,
+    then its arms' paths in order, less the one already emitted.
     """
 
     __slots__ = ("norm", "op", "v", "j", "gamma", "stack", "exhausted", "last_steps")
@@ -291,11 +294,9 @@ class PathSession:
             r = lo[v + 1] - j  # arms left, arm j included
             if r:
                 if r == 2:
-                    c = norm.child[j + 1]
-                    if norm.omega[c] != norm.omega[v]:
-                        stack.append((c, -1, op(gamma, norm.morph[j + 1])))
-                    elif lo[c] < lo[c + 1]:
-                        stack.append((c, lo[c], op(gamma, norm.morph[j + 1])))
+                    t = norm.tail[v]
+                    if t is not None:
+                        stack.append((norm.child[j + 1], t, op(gamma, norm.morph[j + 1])))
                 elif r > 2:
                     stack.append((v, j + 1, gamma))
                 v, j, gamma = norm.child[j], -1, op(gamma, norm.morph[j])
@@ -309,7 +310,7 @@ class PathSession:
                 self.v, self.j, self.gamma = v, j, gamma
                 self.last_steps = steps
                 return emit
-            steps = 2
+            steps += 1
 
 
 # ---------------------------------------------------------------------------

@@ -150,6 +150,8 @@ def check_pid_blocks(p) -> None:
             assert disp[0] == NODE, pid
             arms = range(norm.lo[disp[1]], norm.lo[disp[1] + 1])
             assert [(norm.morph[j], norm.child[j]) for j in arms] == want, pid
+            c = want[-1][1] if want else None
+            assert norm.tail[disp[1]] == (-1 if target else None if norm.is_leaf(c) else norm.lo[c]), pid
 
 
 def doubling_ratios(sizes, inputs, run):
