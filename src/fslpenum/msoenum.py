@@ -219,39 +219,55 @@ class ProductIndex:
         ``_LEAF_STEPS`` and 1 per leaf pair, ``_PATH_STEPS`` and
         ``_PATH_NODES`` per single-path unary node with the child it draws.
         A non-rigid pair's record is None.
+
+        A stack entry is a bare pid on its first visit.  That visit makes
+        the fill's one call per record, ``Normalizer.only_pair``, and reads
+        the useful pair's one successor tuple straight off its shape row,
+        adding ``fl`` / ``fr`` as ``succ`` does.  It then pushes ``(pid,
+        path effect, edges entry, pid_l, pid_r)`` and above it the children
+        that have no record yet, so the second visit, which pops that tuple
+        once both children are filled, only composes.
         """
-        rec, node_of, lefts = self.rigid, self.node_of, self.g.lefts
-        stack: list[tuple] = [(pid, None, None)]
+        rec, node_of, first, shape_of = self.rigid, self.node_of, self.first, self.shape_of
+        edges, only_pair = self.edges, self.norm.only_pair
+        stack: list = [pid]
         while stack:
-            p, only, kids = stack.pop()
-            if only is None:  # first visit
+            p = stack.pop()
+            if p.__class__ is int:  # first visit
                 if p in rec:
                     continue
-                if lefts[node_of[p]] is None:
+                if edges[node_of[p]] is None:
                     rec[p] = _LEAF_RECORD
                     continue
-                only = self.norm.only_pair(p)
+                only = only_pair(p)
                 if only is None:
                     rec[p] = None
                     continue
-                u, (eps, ce, kappa, de) = only
-                if lefts[node_of[u]] is None:
-                    rec[p] = (_PATH_STEPS, _PATH_NODES, -1, eps, ce)
+                u, eff = only
+                n = node_of[u]
+                e = edges[n]
+                if e is None:
+                    rec[p] = (_PATH_STEPS, _PATH_NODES, -1, eff[0], eff[1])
                     continue
-                succ = self.succ(u)
-                if len(succ) > 1:
+                tuples = shape_of[n][3][u - first[n]]
+                if len(tuples) > 1:
                     rec[p] = None
                     continue
-                stack.append((p, only, succ[0]))  # compose once both children are filled
-                stack.extend((q, None, None) for q in succ[0][::-1] if q not in rec)
+                (a, c), = tuples
+                pl, pr = e[0] + a, e[2] + c
+                stack.append((p, eff, e, pl, pr))
+                if pr not in rec:
+                    stack.append(pr)
+                if pl not in rec:
+                    stack.append(pl)
                 continue
-            u, (eps, ce, kappa, de) = only
-            pl, pr = kids
+            p, eff, e, pl, pr = p
             rl, rr = rec[pl], rec[pr]
             if rl is None or rr is None:
                 rec[p] = None
                 continue
-            _, (le, lc, lk, ld), _, (re, rc, rk, rd) = self.edges[node_of[u]]
+            eps, ce, kappa, de = eff
+            _, (le, lc, lk, ld), _, (re, rc, rk, rd) = e
             rec[p] = (
                 _PATH_STEPS + rl[0] + rr[0], _PATH_NODES + rl[1] + rr[1],
                 pl, eps + le * kappa, ce + le * de + lc, lk * kappa, lk * de + ld,

@@ -18,8 +18,10 @@ from fslpenum import (
     parse_term,
 )
 from fslpenum.dagenum import NODE, SHORTCUT
+from fslpenum.effects import compose
 from fslpenum.fixtures import INT_SUM, random_term
 from fslpenum.fslp import _edge_tuples
+from fslpenum.msoenum import _LEAF_RECORD, _PATH_NODES, _PATH_STEPS
 
 
 def random_forest(rng: random.Random, max_n: int, labels: str = "ab") -> Forest:
@@ -152,6 +154,45 @@ def check_pid_blocks(p) -> None:
             assert [(norm.morph[j], norm.child[j]) for j in arms] == want, pid
             c = want[-1][1] if want else None
             assert norm.tail[disp[1]] == (-1 if target else None if norm.is_leaf(c) else norm.lo[c]), pid
+
+
+def check_rigid_records(p) -> None:
+    """Every rigid record a ``ProductIndex`` has filled equals the one its
+    definition (``ProductIndex.fill_rigid``) gives, whatever order the
+    fill visited the pairs in.  The definition is read off the pair's
+    single path, ``succ`` and the ten-case edge rule; a composed record's
+    children must hold records too, so each record is checked against
+    stored records that are checked themselves."""
+    g, rigid = p.g, p.rigid
+    for pid, got in rigid.items():
+        if g.lefts[p.node_of[pid]] is None:
+            assert got == _LEAF_RECORD, pid
+            continue
+        only = p.norm.only_pair(pid)
+        if only is None:
+            assert got is None, pid
+            continue
+        u, path = only
+        node = p.node_of[u]
+        if g.lefts[node] is None:
+            assert got == (_PATH_STEPS, _PATH_NODES, -1, path[0], path[1]), pid
+            continue
+        succ = p.succ(u)
+        if len(succ) > 1:
+            assert got is None, pid
+            continue
+        (pl, pr), = succ
+        assert pl in rigid and pr in rigid, pid
+        rl, rr = rigid[pl], rigid[pr]
+        if rl is None or rr is None:
+            assert got is None, pid
+            continue
+        lm, rm = _edge_tuples(g, p.stats, node)
+        want = (
+            _PATH_STEPS + rl[0] + rr[0], _PATH_NODES + rl[1] + rr[1],
+            pl, *compose(path, lm), pr, *compose(path, rm),
+        )
+        assert got == want, pid
 
 
 def doubling_ratios(sizes, inputs, run):

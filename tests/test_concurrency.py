@@ -26,7 +26,7 @@ from fslpenum.fixtures import (
 )
 from fslpenum.oracle import canonical_form
 
-from conftest import random_nsta
+from conftest import check_rigid_records, random_nsta
 
 
 def test_concurrent_path_sessions_share_an_index():
@@ -153,3 +153,5 @@ def test_concurrent_streams_fill_rigid_records_together():
     for runs in got:
         assert [runs[0], runs[1]] == want
     assert all(any(r is not None for r in idx.rigid.values()) for idx in shared)
+    for idx in shared:
+        check_rigid_records(idx)

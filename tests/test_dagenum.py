@@ -240,9 +240,6 @@ class TestSessions:
 
 class TestPreprocessLinearity:
     def test_time_ratio_on_doubling(self):
-        import gc
-        import time
-
         def build(n):
             d = DecoratedDAG(INT_SUM)
             for v in range(n):
@@ -253,22 +250,10 @@ class TestPreprocessLinearity:
                 d.add_edge(v, 2, shared)
             return d
 
-        def measure(n):
-            times = []
-            for _ in range(3):
-                d = build(n)
-                gc.disable()
-                t0 = time.perf_counter()
-                preprocess(d)
-                times.append(time.perf_counter() - t0)
-                gc.enable()
-            return sorted(times)[1]
-
         sizes = [30000, 60000, 120000]
-        ts = [measure(n) for n in sizes]
-        ratios = [ts[i] / ts[i - 1] for i in range(1, len(ts))]
+        ratios, times = doubling_ratios(sizes, {n: build(n) for n in sizes}, preprocess)
         # linear growth doubles; quadratic would quadruple
-        assert all(1.2 <= r <= 3.5 for r in ratios), ratios
+        assert all(1.2 <= r <= 3.5 for r in ratios), (ratios, times)
 
     def test_target_fans_double_linearly(self):
         # every vertex is a target with 2-4 out-edges, so each one is a

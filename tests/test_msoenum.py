@@ -44,7 +44,7 @@ from fslpenum.fixtures import (
 )
 from fslpenum.oracle import _TreeEnum, brute_dbuta_select, brute_select
 
-from conftest import check_pid_blocks, doubling_ratios, random_expr, random_forest, random_nsta
+from conftest import check_pid_blocks, check_rigid_records, doubling_ratios, random_expr, random_forest, random_nsta
 
 
 def answer_family(idx, node, **kw):
@@ -297,6 +297,7 @@ class TestSinglePath:
         assert stream._root.kind == msoenum._RIGID
         assert sorted(answer) == list(range(5000))
         assert stream.next() is None
+        check_rigid_records(stream.idx)
 
     def test_exactly_one_witness_trees_keep_unary_nodes(self, rng):
         g = compress_forest(parse_term(random_term(rng, 300, "abc")))
@@ -573,6 +574,7 @@ class TestDifferentialAtScale:
                 nodes += [x for w in pre if w.kind == msoenum._BINARY for x in (w.left, w.right)]
                 assert all(x.kind == msoenum._RIGID for x in nodes if x.folded)
                 rigid += sum(x.kind == msoenum._RIGID and x.folded > 0 for x in nodes)
+            check_rigid_records(idx)
         assert binary >= 10**4 and rigid >= 10**3  # 159 986 and 62 706 today
 
 
