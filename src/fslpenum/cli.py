@@ -9,6 +9,7 @@ code 0 means full success.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -270,7 +271,10 @@ def cmd_bench(args) -> int:
     return 0
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: argparse's objects refer to
+    each other, so a parser built per call would be cyclic garbage."""
     p = argparse.ArgumentParser(
         prog="fslpenum",
         description="Query enumeration over grammar-compressed forests.",

@@ -43,33 +43,33 @@ class Forest:
         n = len(self.labels)
         if not (len(self.parents) == len(self.children) == n):
             raise ValueError("labels/parents/children length mismatch")
-        for lbl in self.labels:
-            if not lbl:
-                raise ValueError("empty label")
-        seen = [False] * n
-        above: list[Optional[int]] = [None] * n  # the list holding v: a parent or the roots
-        # Depth-first left-to-right walk must visit vertex i as the i-th vertex.
-        stack: list[tuple[int, Optional[int]]] = [(v, None) for v in reversed(self.roots)]
-        expect = 0
-        while stack:
-            v, p = stack.pop()
-            if not (0 <= v < n) or seen[v]:
-                raise ValueError("root/child lists are not a valid traversal")
-            seen[v] = True
+        if not all(self.labels):
+            raise ValueError("empty label")
+        # Depth-first left-to-right walk must visit vertex i as the i-th
+        # vertex, so the vertices visited so far are exactly 0..expect-1.
+        children = self.children
+        stack = list(reversed(self.roots))
+        for expect in range(n):
+            if not stack:
+                raise ValueError("traversal does not reach every vertex")
+            v = stack.pop()
             if v != expect:
-                raise ValueError(f"vertex {v} is not stored at its preorder position")
-            expect += 1
-            above[v] = p
-            stack.extend((c, v) for c in reversed(self.children[v]))
-        if expect != n:
-            raise ValueError("traversal does not reach every vertex")
+                if expect < v < n:
+                    raise ValueError(f"vertex {v} is not stored at its preorder position")
+                raise ValueError("root/child lists are not a valid traversal")  # a repeat, or out of range
+            stack.extend(reversed(children[v]))
+        if stack:  # each vertex is visited already: a repeat, or out of range
+            raise ValueError("root/child lists are not a valid traversal")
         # each vertex sits in exactly one list, so its parent must name that list
-        for v in range(n):
-            p = self.parents[v]
-            if p != above[v]:
-                if p is None:
-                    raise ValueError(f"vertex {v} has no parent and is not a root")
-                raise ValueError(f"vertex {v} missing from parent's child list")
+        above: list[Optional[int]] = [None] * n  # the list holding v: a parent or the roots
+        for p, kids in enumerate(children):
+            for c in kids:
+                above[c] = p
+        if above != list(self.parents):
+            v = next(v for v, p in enumerate(self.parents) if p != above[v])
+            if self.parents[v] is None:
+                raise ValueError(f"vertex {v} has no parent and is not a root")
+            raise ValueError(f"vertex {v} missing from parent's child list")
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -133,18 +133,16 @@ class ForestContext(Forest):
 # ---------------------------------------------------------------------------
 
 def _scan_label(text: str, i: int) -> tuple[str, int]:
+    """The quoted label starting at ``i`` and the position after it."""
     ch = text[i]
-    if ch == "'":
-        j = text.find("'", i + 1)
-        if j < 0:
-            raise ParseError("unterminated quoted label", i)
-        if j == i + 1:
-            raise ParseError("empty label", i)
-        return text[i + 1 : j], j + 1
-    if ch.isalnum() or ch == "_" or ch == HOLE:
-        # Bare labels are single characters; longer identifiers are quoted.
-        return ch, i + 1
-    raise ParseError(f"unexpected character {ch!r}", i)
+    if ch != "'":
+        raise ParseError(f"unexpected character {ch!r}", i)
+    j = text.find("'", i + 1)
+    if j < 0:
+        raise ParseError("unterminated quoted label", i)
+    if j == i + 1:
+        raise ParseError("empty label", i)
+    return text[i + 1 : j], j + 1
 
 
 def parse_term(text: str) -> Forest:
@@ -155,42 +153,43 @@ def parse_term(text: str) -> Forest:
     """
     labels: list[str] = []
     parents: list[Optional[int]] = []
-    children: list[list[int]] = []
+    children: list = []  # a leaf's entry stays (); '(' gives its vertex a list
     roots: list[int] = []
-    stack: list[int] = []  # vertices whose '(' group is open
-    last: Optional[int] = None  # most recent vertex completed at this level
-    grouped: set[int] = set()
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace() or ch == ",":
-            i += 1
-        elif ch == "(":
+    p: Optional[int] = None  # the vertex whose '(' group is open
+    kids = roots  # where the next vertex goes: p's child list, or the roots
+    stack: list[tuple[Optional[int], list[int]]] = []  # (p, kids) of the enclosing groups
+    last: Optional[int] = None  # the vertex just completed at this level; -1 once its ')' closed
+    chars = enumerate(text)
+    for i, ch in chars:
+        if ch == "(":
             if last is None:
                 raise ParseError("'(' must follow a label", i)
-            if last in grouped:
+            if last < 0:
                 raise ParseError("a label may carry only one child group", i)
-            grouped.add(last)
-            stack.append(last)
+            stack.append((p, kids))
+            p = last
+            kids = children[p] = []
             last = None
-            i += 1
-        elif ch == ")":
+            continue
+        if ch == ")":
             if not stack:
                 raise ParseError("unbalanced ')'", i)
-            last = stack.pop()
-            i += 1
+            p, kids = stack.pop()
+            last = -1
+            continue
+        if ch.isalnum() or ch == "_" or ch == HOLE:
+            label = ch  # bare labels are single characters; longer ones are quoted
+        elif ch.isspace() or ch == ",":
+            continue
         else:
-            label, i = _scan_label(text, i)
-            v = len(labels)
-            labels.append(label)
-            children.append([])
-            if stack:
-                parents.append(stack[-1])
-                children[stack[-1]].append(v)
-            else:
-                parents.append(None)
-                roots.append(v)
-            last = v
+            label, end = _scan_label(text, i)
+            for _ in range(end - i - 1):  # the rest of the quoted label
+                next(chars)
+        last = len(labels)
+        labels.append(label)
+        parents.append(p)
+        children.append(())
+        kids.append(last)
     if stack:
         raise ParseError("unbalanced '('", len(text))
     return Forest(labels, parents, children, roots)

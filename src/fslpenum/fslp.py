@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import os
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Iterable, Optional
 
 from .effects import Effect
@@ -376,31 +378,75 @@ def evaluate(g: FSLP, node: int, budget: Optional[int] = None, stats: Optional[V
 # compression
 # ---------------------------------------------------------------------------
 
-def _balanced(g: FSLP, op: str, items: list[int], weights: list[int]) -> int:
-    """Combine ``items`` with ``op`` splitting at the weighted midpoint."""
-    if len(items) == 1:
-        return items[0]
-    total = sum(weights)
-    acc = 0
-    cut = len(items) - 1
-    for j in range(1, len(items)):
-        acc += weights[j - 1]
-        if 2 * acc >= total:
-            cut = j
+def _balanced(mk, op: str, items: list[int], pre: list[int], lo: int, hi: int) -> int:
+    """Combine ``items[lo:hi]`` with ``op``, splitting at the weighted
+    midpoint: the first cut whose prefix weight reaches half of the range's
+    (``pre[j]`` is the weight of ``items[:j]``).  Left before right."""
+    if hi - lo == 1:
+        return items[lo]
+    cut = bisect_left(pre, (pre[lo] + pre[hi] + 1) // 2, lo + 1, hi - 1)
+    return mk(op, _balanced(mk, op, items, pre, lo, cut), _balanced(mk, op, items, pre, cut, hi))
+
+
+def _forest_part(g: FSLP, f: Forest, size: list[int], vs: tuple[int, ...]) -> int:
+    """Node for the sibling sequence ``vs``: its trees joined by ``hc``."""
+    if len(vs) == 1:
+        return _tree_part(g, f, size, vs[0])
+    items = [_tree_part(g, f, size, v) for v in vs]
+    pre = list(accumulate((size[v] for v in vs), initial=0))
+    return _balanced(g.mk, HC, items, pre, 0, len(items))
+
+
+def _tree_part(g: FSLP, f: Forest, size: list[int], v: int) -> int:
+    """Node for the tree at ``v``: the pieces along its heaviest path,
+    joined by ``vc``, under the ``leafctx`` of ``v``."""
+    kids = f.children[v]
+    if not kids:
+        return g.mk(LEAF, f.labels[v])
+    children, labels, mk = f.children, f.labels, g.mk
+    pieces: list[int] = []
+    # a piece weighs its path vertex and the sibling subtrees beside it, so
+    # the prefix weight after it is size[v] minus the size of that vertex
+    pre = [0]
+    while True:
+        at, heavy = 0, size[kids[0]]  # the first heaviest child
+        for j in range(1, len(kids)):
+            if size[kids[j]] > heavy:
+                at, heavy = j, size[kids[j]]
+        nxt = kids[at]
+        if not children[nxt]:
+            pieces.append(_forest_part(g, f, size, kids))
+            pre.append(size[v] - 1)
             break
-    left = _balanced(g, op, items[:cut], weights[:cut])
-    right = _balanced(g, op, items[cut:], weights[cut:])
-    return g.mk(op, left, right)
+        piece = mk(LEAFCTX, labels[nxt])
+        if at:
+            piece = mk(HC, _forest_part(g, f, size, kids[:at]), piece)
+        if at + 1 < len(kids):
+            piece = mk(HC, piece, _forest_part(g, f, size, kids[at + 1 :]))
+        pieces.append(piece)
+        pre.append(size[v] - heavy)
+        kids = children[nxt]
+    body = _balanced(mk, VC, pieces, pre, 0, len(pieces))
+    return mk(VC, mk(LEAFCTX, labels[v]), body)
 
 
 def compress_forest(f: Forest) -> FSLP:
     """Build a valid expression for ``f`` of height O(log |f|) and fold it.
 
     Sibling sequences are combined at the weighted midpoint; trees are
-    decomposed along the heaviest root-to-leaf path, whose context pieces
-    are recombined with vertical concatenation (also weight-balanced).
-    Folding happens on the fly through hash-consing, so repeated shapes
-    (rows a^n, deep unary chains) collapse to O(log n) nodes.
+    decomposed along the heaviest root-to-leaf path (the first heaviest
+    child at each step), whose context pieces are recombined with vertical
+    concatenation (also weight-balanced).  Folding happens on the fly
+    through hash-consing, so repeated shapes (rows a^n, deep unary chains)
+    collapse to O(log n) nodes.
+
+    The work is done by module-level helpers that take the forest, its
+    subtree sizes and the f-SLP as arguments, so no closure holds them and
+    nothing is left as cyclic garbage.  Node ids follow the order in which
+    ``mk`` first meets a definition, and that order is what ``dumps``
+    writes: each piece's ``leafctx`` before the sibling forests left and
+    then right of it, the pieces top down, the ``vc`` joins of the body,
+    and only then the ``leafctx`` of the tree's root and its ``vc``.
     """
     if len(f) == 0:
         raise ValueError("cannot compress the empty forest")
@@ -411,46 +457,7 @@ def compress_forest(f: Forest) -> FSLP:
         for c in f.children[v]:
             size[v] += size[c]
     g = FSLP()
-
-    def forest_part(vs: list[int]) -> int:
-        if len(vs) == 1:
-            return tree_part(vs[0])
-        items = [tree_part(v) for v in vs]
-        return _balanced(g, HC, items, [size[v] for v in vs])
-
-    def tree_part(v: int) -> int:
-        if not f.children[v]:
-            return g.mk(LEAF, f.labels[v])
-        # heaviest path from v down to a leaf
-        path = [v]
-        cur = v
-        while f.children[cur]:
-            cur = max(f.children[cur], key=lambda c: size[c])
-            path.append(cur)
-        pieces: list[int] = []
-        weights: list[int] = []
-        for i in range(len(path) - 2):
-            vi, nxt = path[i], path[i + 1]
-            kids = f.children[vi]
-            at = kids.index(nxt)
-            piece = g.mk(LEAFCTX, f.labels[nxt])
-            w = size[nxt]
-            if at > 0:
-                piece = g.mk(HC, forest_part(list(kids[:at])), piece)
-                w += sum(size[c] for c in kids[:at])
-            if at + 1 < len(kids):
-                piece = g.mk(HC, piece, forest_part(list(kids[at + 1 :])))
-                w += sum(size[c] for c in kids[at + 1 :])
-            # the piece's weight no longer counts the subtree below nxt
-            pieces.append(piece)
-            weights.append(w - size[nxt] + 1)
-        last = path[-2]  # parent of the final leaf on the path
-        pieces.append(forest_part(list(f.children[last])))
-        weights.append(sum(size[c] for c in f.children[last]))
-        body = _balanced(g, VC, pieces, weights)
-        return g.mk(VC, g.mk(LEAFCTX, f.labels[v]), body)
-
-    g.root = forest_part(list(f.roots))
+    g.root = _forest_part(g, f, size, f.roots)
     return g
 
 

@@ -215,6 +215,21 @@ def doubling_ratios(sizes, inputs, run):
     return [best[i] / best[i - 1] for i in range(1, len(sizes))], times
 
 
+def cyclic_garbage(run) -> int:
+    """How many objects ``run()`` leaves that only the cycle collector can
+    free.  One unmeasured call comes first, so that what is built once per
+    process (the CLI's parser) does not count; the measured call runs with
+    the collector off from a collected heap, and its result is dropped."""
+    run()
+    gc.collect()
+    gc.disable()
+    try:
+        run()
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(20250810)

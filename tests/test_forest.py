@@ -28,6 +28,23 @@ from fslpenum.oracle import expr_leaves
 from conftest import doubling_ratios, random_expr, random_forest
 
 
+# (text, message, position) of a term the parser rejects
+PARSE_ERRORS = [
+    ("a(b", "unbalanced '('", 3),
+    ("a)b", "unbalanced ')'", 1),
+    ("(a)", "'(' must follow a label", 0),
+    ("a(''b)", "empty label", 2),
+    ("a%b", "unexpected character '%'", 1),
+    ("a'bc", "unterminated quoted label", 1),
+    ("a, ,''", "empty label", 4),
+    ("a, %", "unexpected character '%'", 3),
+    ("a(b)(c)", "a label may carry only one child group", 4),
+    ("a()(b)", "a label may carry only one child group", 3),
+    ("a(b(c)", "unbalanced '('", 6),
+    ("'ab'('cd'", "unbalanced '('", 9),
+]
+
+
 class TestParse:
     def test_worked_forest(self):
         f = parse_term("a(ba(a))bcb(c(ab))")
@@ -55,13 +72,11 @@ class TestParse:
         f = parse_term("'foo'('bar'a)")
         assert f.labels == ("foo", "bar", "a")
 
-    @pytest.mark.parametrize(
-        "text,pos",
-        [("a(b", 3), ("a)b", 1), ("(a)", 0), ("a(''b)", 2), ("a%b", 1)],
-    )
-    def test_errors_carry_positions(self, text, pos):
+    @pytest.mark.parametrize("text,message,pos", PARSE_ERRORS, ids=[f"{t}-{p}" for t, _, p in PARSE_ERRORS])
+    def test_errors_carry_positions(self, text, message, pos):
         with pytest.raises(ParseError) as err:
             parse_term(text)
+        assert str(err.value) == f"{message} (at position {pos})"
         assert err.value.position == pos
 
     def test_double_group_rejected(self):
@@ -80,9 +95,17 @@ class TestForestCheck:
             ((None, 0, 0), ((2, 1), (), ()), (0,), "not stored at its preorder position"),
             ((None, 0, 0), ((1,), (), ()), (0,), "does not reach every vertex"),
             ((None, 0), ((1, 1), ()), (0,), "not a valid traversal"),
+            ((None,), ((0,),), (0,), "not a valid traversal"),  # a self-loop
+            ((None, 0, 0), ((1, 2), (1,), ()), (0,), "not a valid traversal"),  # a self-loop
+            ((None, 0), ((1, 2), ()), (0,), "not a valid traversal"),  # a child out of range
+            ((None, 0, 0), ((3, 1, 2), (), ()), (0,), "not a valid traversal"),  # out of range
+            ((None, 0, 0), ((-1, 1, 2), (), ()), (0,), "not a valid traversal"),  # out of range
+            ((None, 0), ((1,), ()), (0, 0), "not a valid traversal"),  # a root listed twice
+            ((None, 0, 0), ((1, 2), (2,), ()), (0,), "not a valid traversal"),  # two parents
         ],
     )
     def test_inconsistent_links_rejected(self, parents, children, roots, message):
+        # every case fails after at most n pops, so none can loop
         with pytest.raises(ValueError, match=message):
             Forest("a" * len(parents), parents, children, roots)
 

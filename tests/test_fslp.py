@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -473,6 +474,30 @@ class TestCompression:
             st = compute_stats(g)
             n = len(f)
             assert st.height[g.root] <= 4 * math.log2(n + 1) + 2, (n, st.height[g.root])
+
+    @pytest.mark.parametrize(
+        "term, digest",
+        [
+            (random_term(random.Random(1), 10, "abc"),
+             "b6c673c307feaa9a205afcb3543b0f5079450dd3af3ff69de165701b0f026461"),
+            (random_term(random.Random(2), 100, "abc"),
+             "8b179ddb64dfa060da6c619747ae9414c1058d09c7aa8c27db44dd7aa4e4440c"),
+            (random_term(random.Random(3), 1000, "abc"),
+             "8687a43bc676ac1da8d4836cbe2e7a072654ecceb9aec9843778c722e861ad7e"),
+            (random_term(random.Random(4), 10000, "abc"),
+             "df0d2a5f81af5c0ef48b80973b903d1be8ace698b95d74bb77c5158fdff15f4f"),
+            ("a(b(" * 1000 + "c" + "))" * 1000,
+             "261e93bd44ec6ff9de6f17111b2fd65eefd349b29f7b0767c3de8034379d7154"),
+            ("abc" * 3000, "b682fbeac0830424efa0ebe6c816ed2276da82bca3345fa8598813e61b20f1c8"),
+            ("a(bc)" * 500, "863d8db33dec8cb7b88df7e815f0e823e04fac6898ca9ddc7d8bbc3ba6baab91"),
+        ],
+        ids=["random-10", "random-100", "random-1000", "random-10000", "chain", "row", "comb"],
+    )
+    def test_node_order_is_pinned(self, term, digest):
+        # ``compress`` writes this order to users' files: node ids, and so
+        # the f-SLP text, must not change with the compressor's code
+        text = fslp_mod.dumps(compress_forest(parse_term(term)))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
