@@ -18,7 +18,7 @@ from .dagenum import (
     fm_preprocess,
     preprocess,
 )
-from .effects import Effect, MonoidCategory, PRE_CATEGORY
+from .effects import MonoidCategory, PRE_CATEGORY
 from .forest import Forest, ForestContext, ParseError, parse_term, serialize_term
 from .fslp import (
     FSLP,
@@ -28,7 +28,6 @@ from .fslp import (
     chain_fslp,
     compress_forest,
     compute_stats,
-    edge_effect,
     evaluate,
     path_preorder,
     preorder_to_path,
@@ -42,6 +41,7 @@ from .msoenum import (
     build_conf_sets,
 )
 from .oracle import (
+    Effect,
     Expr,
     ExprLeaf,
     ExprNode,
@@ -53,6 +53,7 @@ from .oracle import (
     brute_word_paths,
     dbuta_accepts,
     dbuta_run,
+    edge_effect,
     enumerate_select_uncompressed,
     eval_expr,
     expr_equal,

@@ -15,129 +15,15 @@ family, which yields seven concrete shapes; six of them are the edge
 shapes (M00, M01, M10a, M10b, M11a, M11b) and M11c = (x,y) -> (x+c, d)
 arises only through composition across a type-0 node.
 
-Two representations share these rules.  ``Effect`` is the public,
-validated form: it carries its objects, checks every field when built,
-and names its shape.  The engine carries the bare ``(eps, c, kappa, d)``
-int 4-tuple (``Effect.as_tuple``), whose objects are implied by where it
-sits in the DAG; ``compose`` checks each composite and runs at build
-time only.  A witness tree's cumulative effect starts at object 0, so
-the answer stream keeps only its point (c, d), moved along paths by the
-unchecked ``act`` (see ``msoenum``).
+The engine carries an effect as the bare ``(eps, c, kappa, d)`` int
+4-tuple, its objects implied by where it sits in the DAG.  ``compose``
+checks each composite; only the build and ``fslp.path_preorder`` call
+it.  A witness tree's cumulative effect starts at object 0, so the answer
+stream keeps only its point (c, d), moved by the unchecked ``act`` (see
+``msoenum``).  ``oracle.Effect`` is the validated test-side reference.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-
-
-@dataclass(frozen=True)
-class Effect:
-    dom: int
-    cod: int
-    eps: int = 0
-    c: int = 0
-    kappa: int = 0
-    d: int = 0
-
-    def __post_init__(self):
-        if self.dom not in (0, 1) or self.cod not in (0, 1):
-            raise ValueError("objects must be 0 or 1")
-        if self.eps not in (0, 1) or self.kappa not in (0, 1):
-            raise ValueError("eps/kappa must be 0 or 1")
-        if self.c < 0 or self.d < 0:
-            raise ValueError("constants must be non-negative")
-        if self.dom == 0 and self.eps:
-            raise ValueError("eps requires a pair domain")
-        if (self.dom == 0 or self.cod == 0) and self.kappa:
-            raise ValueError("kappa requires pair domain and codomain")
-        if self.cod == 0 and self.d:
-            raise ValueError("d requires a pair codomain")
-        if self.eps and self.kappa:
-            raise ValueError("eps and kappa are mutually exclusive")
-
-    # -- constructors for the edge shapes --------------------------------
-
-    @staticmethod
-    def m00(c: int = 0) -> "Effect":
-        return Effect(0, 0, 0, c, 0, 0)
-
-    @staticmethod
-    def m01(c: int, d: int) -> "Effect":
-        return Effect(0, 1, 0, c, 0, d)
-
-    @staticmethod
-    def m10a(c: int = 0) -> "Effect":
-        return Effect(1, 0, 0, c, 0, 0)
-
-    @staticmethod
-    def m10b(c: int = 0) -> "Effect":
-        return Effect(1, 0, 1, c, 0, 0)
-
-    @staticmethod
-    def m11a(c: int = 0, d: int = 0) -> "Effect":
-        return Effect(1, 1, 0, c, 1, d)
-
-    @staticmethod
-    def m11b(c: int, d: int) -> "Effect":
-        return Effect(1, 1, 1, c, 0, d)
-
-    @staticmethod
-    def identity(obj: int) -> "Effect":
-        return Effect.m00(0) if obj == 0 else Effect.m11a(0, 0)
-
-    # -- structure --------------------------------------------------------
-
-    @property
-    def shape(self) -> str:
-        if self.dom == 0:
-            return "M00" if self.cod == 0 else "M01"
-        if self.cod == 0:
-            return "M10b" if self.eps else "M10a"
-        if self.kappa:
-            return "M11a"
-        return "M11b" if self.eps else "M11c"
-
-    def compose(self, other: "Effect") -> "Effect":
-        """This effect applied first, then ``other``."""
-        if self.cod != other.dom:
-            raise ValueError(
-                f"object mismatch: cannot compose {self.shape} into {other.shape}"
-            )
-        if self.cod == 0:
-            return Effect(self.dom, other.cod, self.eps, self.c + other.c, 0, other.d)
-        return Effect(
-            self.dom,
-            other.cod,
-            self.eps + other.eps * self.kappa,
-            self.c + other.eps * self.d + other.c,
-            self.kappa * other.kappa,
-            other.kappa * self.d + other.d,
-        )
-
-    def apply(self, x: int, y: int | None = None):
-        """Evaluate pointwise; returns an int (cod 0) or a pair (cod 1)."""
-        if self.dom == 1:
-            if y is None:
-                raise ValueError("pair domain needs two arguments")
-        else:
-            if y is not None:
-                raise ValueError("number domain takes one argument")
-            y = 0
-        out = x + self.eps * y + self.c
-        if self.cod == 0:
-            return out
-        return (out, self.kappa * y + self.d)
-
-    def as_tuple(self) -> tuple[int, int, int, int]:
-        """The engine's form ``(eps, c, kappa, d)``; the objects are dropped."""
-        return (self.eps, self.c, self.kappa, self.d)
-
-    @property
-    def preorder(self) -> int:
-        """Preorder number encoded by a root-to-leaf composite (domain 0)."""
-        if self.dom != 0:
-            raise ValueError("preorder is defined for effects from object 0")
-        return self.c
 
 
 class Category:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Iterable, Optional
 
-from .effects import Effect
+from .effects import ID0, compose
 from .forest import HOLE, Forest, ForestContext
 
 LEAF = "leaf"
@@ -215,17 +215,6 @@ def compute_stats(g: FSLP) -> VertexStats:
 # preorder effects on edges, path navigation
 # ---------------------------------------------------------------------------
 
-def edge_effect(g: FSLP, stats: VertexStats, parent: int, side: str) -> Effect:
-    """Effect of the edge from ``parent`` to its ``side`` ('l'/'r') child."""
-    if g.kinds[parent] not in (HC, VC):
-        raise ValueError(f"node {parent} has no outgoing edges")
-    if side not in ("l", "r"):
-        raise ValueError("side must be 'l' or 'r'")
-    child = g.lefts[parent] if side == "l" else g.rights[parent]
-    eff = _edge_tuples(g, stats, parent)[side == "r"]
-    return Effect(stats.tau[parent], stats.tau[child], *eff)
-
-
 def _edge_tuples(g: FSLP, stats: VertexStats, parent: int) -> tuple[tuple, tuple]:
     """The ten-case rule: the effects of an inner node's left and right
     edges as ``(eps, c, kappa, d)`` tuples, shapes named as in ``effects``."""
@@ -247,19 +236,23 @@ def _edge_tuples(g: FSLP, stats: VertexStats, parent: int) -> tuple[tuple, tuple
 
 
 def path_preorder(g: FSLP, stats: VertexStats, start: int, path: Iterable[str]) -> int:
-    """Preorder number of the leaf reached from ``start`` along ``path``."""
+    """Preorder number of the leaf reached from ``start`` along ``path``:
+    the ``c`` of its edge effects (``_edge_tuples``) composed from ``ID0``."""
+    if not (0 <= start < len(g.kinds)):
+        raise ValueError(f"unknown node {start}")
     if stats.tau[start] != 0:
         raise ValueError("start node must have type 0")
-    eff = Effect.identity(0)
-    cur = start
+    eff, cur = ID0, start
     for step, side in enumerate(path):
         if g.is_leaf_node(cur):
             raise ValueError(f"path leaves the DAG at step {step}")
-        eff = eff.compose(edge_effect(g, stats, cur, side))
+        if side not in ("l", "r"):
+            raise ValueError("side must be 'l' or 'r'")
+        eff = compose(eff, _edge_tuples(g, stats, cur)[side == "r"])
         cur = g.lefts[cur] if side == "l" else g.rights[cur]
     if not g.is_leaf_node(cur):
         raise ValueError("path ends at an internal node")
-    return eff.preorder
+    return eff[1]
 
 
 def preorder_to_path(g: FSLP, stats: VertexStats, start: int, k: int) -> str:
@@ -268,8 +261,12 @@ def preorder_to_path(g: FSLP, stats: VertexStats, start: int, k: int) -> str:
     ``(eps, c, kappa, d)`` puts the right child's vertices and plug at ``c +
     eps*p`` on, spanning ``s[r] + kappa*p + d``; the rest is the left child's,
     from 0 on, with plug ``kappa_l*p + d_l``."""
+    if not (0 <= start < len(g.kinds)):
+        raise ValueError(f"unknown node {start}")
     if stats.tau[start] != 0:
         raise ValueError("start node must have type 0")
+    if not isinstance(k, int):
+        raise ValueError(f"preorder {k!r} is not an integer")
     if not (0 <= k < stats.nverts[start]):
         raise ValueError(f"preorder {k} out of range [0, {_size_text(stats.nverts[start])})")
     path: list[str] = []
@@ -333,6 +330,8 @@ def evaluate(g: FSLP, node: int, budget: Optional[int] = None, stats: Optional[V
     node's hole.  ``hc`` hands it to its type-1 child, ``vc`` plugs its right
     child into its left one, and a ``leafctx`` vertex gets it as its
     children, or the hole ``*`` when there is none."""
+    if not (0 <= node < len(g.kinds)):
+        raise ValueError(f"unknown node {node}")
     if stats is None:
         stats = compute_stats(g)
     if budget is None:

@@ -365,8 +365,9 @@ class TestTextFormat:
     def test_iota_lines_for_one_key_load_in_linear_time(self):
         # n iota lines for one key, each adding a state: each doubling of n
         # must cost at most 3x (``doubling_ratios``: interleaved, best of
-        # five, CPU time of this process from a collected heap)
-        sizes = [5000, 10000, 20000]
+        # five, CPU time of this process from a collected heap); the
+        # smallest size is large enough that one slow run moves no ratio far
+        sizes = [10000, 20000, 40000]
         texts = {
             n: "\n".join(["nsta v1", f"states {n}", *(f"iota a 0 {q}" for q in range(n)),
                           "trans 0 0 0", "init 0", "final 0"]) + "\n"

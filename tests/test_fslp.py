@@ -205,6 +205,10 @@ class TestPathNavigation:
             preorder_to_path(g, st, g.root, 16)  # out of range
         with pytest.raises(ValueError):
             preorder_to_path(g, st, 7, 0)  # type 1 start
+        with pytest.raises(ValueError, match="^side must be 'l' or 'r'$"):
+            path_preorder(g, st, 6, "lx")  # node 3, the left child of 6, is inner
+        with pytest.raises(ValueError, match="^start node must have type 0$"):
+            path_preorder(g, st, 7, "")  # type 1 start
 
     def test_bijection_on_folded_expressions(self, rng):
         for _ in range(40):
@@ -250,6 +254,36 @@ class TestPathNavigation:
                     cur = g.lefts[cur] if side == "l" else g.rights[cur]
                 assert eff.c.bit_length() <= limit
                 assert eff.d.bit_length() <= limit
+
+
+class TestBadNodesAndPreorders:
+    """A node outside [0, len(g)) is not read from the end of a list, and a
+    preorder that is not an int is not walked as a fraction."""
+
+    @pytest.fixture
+    def g_st(self):
+        g = compress_forest(parse_term("a(b c) d"))
+        return g, compute_stats(g)
+
+    @pytest.mark.parametrize("node", [-1, 7])  # g has 7 nodes
+    def test_unknown_node(self, g_st, node):
+        g, st = g_st
+        calls = [
+            lambda: preorder_to_path(g, st, node, 0),
+            lambda: path_preorder(g, st, node, ""),
+            lambda: evaluate(g, node),
+            lambda: relabel_path(g, st, node, 1, "x"),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=f"^unknown node {node}$"):
+                call()
+        assert len(g) == 7  # the relabel appended nothing
+
+    @pytest.mark.parametrize("k", [1.5, "1", None])
+    def test_preorder_must_be_an_int(self, g_st, k):
+        g, st = g_st
+        with pytest.raises(ValueError, match=f"^preorder {k!r} is not an integer$"):
+            preorder_to_path(g, st, g.root, k)
 
 
 class TestRelabelPath:

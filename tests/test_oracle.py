@@ -152,11 +152,14 @@ class TestBruteDbutaSelect:
 
 
 class TestImportBoundary:
-    """The expression format is known to this module alone: the engine
-    modules neither import it nor define its pieces."""
+    """The expression format and the validated effect reference are known
+    to this module alone: the engine modules neither import nor define
+    their pieces."""
 
     ENGINE = ("forest", "fslp", "automata", "dagenum", "effects", "msoenum", "updates")
     EXPRESSION = {"Expr", "_Flat", "unfold", "fold_expr", "eval_expr", "dbuta_run"}
+    REFERENCE = {"Effect", "edge_effect"}
+    NAMES = EXPRESSION | REFERENCE
 
     @staticmethod
     def _violations(tree):
@@ -171,13 +174,13 @@ class TestImportBoundary:
                 names = {a.name for a in node.names}
                 if mod in (".", "fslpenum") and "oracle" in names:
                     out.append(f"from {mod} import oracle")
-                out += sorted(names & TestImportBoundary.EXPRESSION)
+                out += sorted(names & TestImportBoundary.NAMES)
             elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                if node.name in TestImportBoundary.EXPRESSION:
+                if node.name in TestImportBoundary.NAMES:
                     out.append(f"def {node.name}")
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                out += [t.id for t in targets if isinstance(t, ast.Name) and t.id in TestImportBoundary.EXPRESSION]
+                out += [t.id for t in targets if isinstance(t, ast.Name) and t.id in TestImportBoundary.NAMES]
         return out
 
     @pytest.mark.parametrize("module", ENGINE)
@@ -196,6 +199,9 @@ class TestImportBoundary:
             "def unfold(): pass\n"
             "class fold_expr: pass\n"
             "eval_expr = dbuta_run = None\n"
+            "from .effects import Effect, compose\n"
+            "def edge_effect(): pass\n"
+            "class Effect: pass\n"
         )
         assert self._violations(ast.parse(text)) == [
             "from .oracle",
@@ -207,4 +213,7 @@ class TestImportBoundary:
             "def fold_expr",
             "eval_expr",
             "dbuta_run",
+            "Effect",
+            "def edge_effect",
+            "def Effect",
         ]

@@ -164,6 +164,13 @@ class TestRelabel:
         eds, root, added = relabel(eds, g.root, 1, "a")
         assert (root, added) == (g.root, 0)
 
+    def test_fractional_preorder_is_rejected_a_fractional_preorder(self):
+        g = compress_forest(parse_term("a(b c) d"))
+        eds = build_enum_structure(g, accept_all_nsta("abcdx"))
+        with pytest.raises(ValueError, match="^preorder 1.5 is not an integer$"):
+            relabel(eds, g.root, 1.5, "x")
+        assert len(g) == 7 and evaluate(g, g.root).labels == ("a", "b", "c", "d")
+
     def test_relabel_time_doubles_with_height(self):
         # a relabel costs O(height): on left-deep hc chains of n nodes, the
         # leftmost leaf's path holds every node, and each doubling must cost
