@@ -235,11 +235,16 @@ def _edge_tuples(g: FSLP, stats: VertexStats, parent: int) -> tuple[tuple, tuple
     return (0, 0, 1, stats.s[r]), (0, stats.ell[l], 1, 0)
 
 
+def check_node(node: int, count: int) -> None:
+    """Reject ``node`` unless it is an int naming one of the first ``count`` nodes."""
+    if not (isinstance(node, int) and 0 <= node < count):
+        raise ValueError(f"unknown node {node}")
+
+
 def path_preorder(g: FSLP, stats: VertexStats, start: int, path: Iterable[str]) -> int:
     """Preorder number of the leaf reached from ``start`` along ``path``:
     the ``c`` of its edge effects (``_edge_tuples``) composed from ``ID0``."""
-    if not (0 <= start < len(g.kinds)):
-        raise ValueError(f"unknown node {start}")
+    check_node(start, len(g.kinds))
     if stats.tau[start] != 0:
         raise ValueError("start node must have type 0")
     eff, cur = ID0, start
@@ -261,8 +266,7 @@ def preorder_to_path(g: FSLP, stats: VertexStats, start: int, k: int) -> str:
     ``(eps, c, kappa, d)`` puts the right child's vertices and plug at ``c +
     eps*p`` on, spanning ``s[r] + kappa*p + d``; the rest is the left child's,
     from 0 on, with plug ``kappa_l*p + d_l``."""
-    if not (0 <= start < len(g.kinds)):
-        raise ValueError(f"unknown node {start}")
+    check_node(start, len(g.kinds))
     if stats.tau[start] != 0:
         raise ValueError("start node must have type 0")
     if not isinstance(k, int):
@@ -330,8 +334,7 @@ def evaluate(g: FSLP, node: int, budget: Optional[int] = None, stats: Optional[V
     node's hole.  ``hc`` hands it to its type-1 child, ``vc`` plugs its right
     child into its left one, and a ``leafctx`` vertex gets it as its
     children, or the hole ``*`` when there is none."""
-    if not (0 <= node < len(g.kinds)):
-        raise ValueError(f"unknown node {node}")
+    check_node(node, len(g.kinds))
     if stats is None:
         stats = compute_stats(g)
     if budget is None:

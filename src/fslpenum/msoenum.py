@@ -34,7 +34,7 @@ from typing import Iterator, NamedTuple, Optional
 from .automata import DBUTA
 from .dagenum import Normalizer, PathSession
 from .effects import PRE_CATEGORY
-from .fslp import FSLP, LEAFCTX, _edge_tuples, compute_stats
+from .fslp import FSLP, LEAFCTX, _edge_tuples, check_node, compute_stats
 
 
 class ConfSets(NamedTuple):
@@ -298,17 +298,20 @@ class _WNode:
     (c + eps*d + c_e, kappa*d + d_e).  A unary node's path session moves
     its point (c, d) so, edge by edge; the node keeps the next pair in
     ``buf``, for the maximality test, and its child is the only place a
-    binary node is built.  A rigid pair (no choice below it) is one
-    ``_RIGID`` node that holds the effect reaching the pair, with
-    ``folded`` set to the other nodes of its full subtree; the walk
-    expands the subtree from ``ProductIndex.rigid`` and never advances it.
+    binary node is built.  A drawn leaf pair gets no node: the unary node
+    keeps its element c in ``elem``, set only by that draw, and its
+    ``child`` is None (a leaf is always maximal, so no advance needs it).  A rigid pair (no choice
+    below it) is one ``_RIGID`` node that holds the effect reaching the
+    pair, with ``folded`` set to the other nodes of its full subtree; the
+    walk expands the subtree from ``ProductIndex.rigid`` and never
+    advances it.
     ``pos`` is the node's index in the preorder of the full witness tree
     (for a rigid node, that of the last node of its subtree).
     """
 
     __slots__ = (
         "kind", "node", "pid", "c", "d", "child", "left", "right",
-        "session", "buf", "succ", "succ_idx", "maximal", "pos", "folded",
+        "session", "buf", "succ", "succ_idx", "maximal", "pos", "folded", "elem",
     )
 
     def __init__(self, kind: int, node: int, pid: int, c: int, d: int):
@@ -344,8 +347,7 @@ class AnswerStream:
     """
 
     def __init__(self, idx: ProductIndex, node: int, record_steps: bool = False):
-        if not (0 <= node < idx.built):
-            raise ValueError(f"unknown node {node}")
+        check_node(node, idx.built)
         if idx.stats.tau[node] != 0:
             raise ValueError("enumeration needs a forest node (type 0)")
         self.idx = idx
@@ -386,7 +388,7 @@ class AnswerStream:
 
     def _draw_unary(self, w: _WNode) -> None:
         """Draw the next (useful pair, point) for a unary node and start its
-        child at that useful pair."""
+        child at that useful pair, or keep a leaf pair's element in ``elem``."""
         pid, (c, d) = w.buf
         session = w.session
         w.buf = session.next()
@@ -394,8 +396,9 @@ class AnswerStream:
         w.maximal = w.buf is None
         idx = self.idx
         node = idx.node_of[pid]
-        if idx.g.lefts[node] is None:
-            w.child = _WNode(_LEAF, node, pid, c, d)
+        if idx.g.lefts[node] is None:  # a leaf: kept as w's element
+            w.child = None
+            w.elem = c
         else:
             x = w.child = _WNode(_BINARY, node, pid, c, d)
             x.succ = idx.succ(pid)
@@ -419,7 +422,8 @@ class AnswerStream:
                 work.append(x.left)
             elif kind == _UNARY:
                 self._draw_unary(x)
-                work.append(x.child)
+                if x.child is not None:
+                    work.append(x.child)
 
     # -- walk: preorder list, answer, last non-maximal ---------------------
 
@@ -442,7 +446,11 @@ class AnswerStream:
                 answer.append(w.c)
             elif kind == _UNARY:
                 pre.append(w)
-                stack.append(w.child)
+                if w.child is None:  # its drawn leaf: one more full-tree node
+                    n += 1
+                    answer.append(w.elem)
+                else:
+                    stack.append(w.child)
             elif kind == _BINARY:
                 pre.append(w)
                 stack.append(w.right)
@@ -479,7 +487,7 @@ class AnswerStream:
         # advance the last non-maximal node, then complete minimally below it
         if w.kind == _UNARY:
             self._draw_unary(w)
-            if w.child.kind != _LEAF:  # a leaf is complete as drawn
+            if w.child is not None:  # a drawn leaf is complete as drawn
                 self._complete_below(w.child)
         else:
             w.succ_idx += 1

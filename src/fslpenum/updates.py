@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Iterable, Union
 
 from .automata import DBUTA, NSTA, nsta_to_dbuta
-from .fslp import FSLP, VertexStats, check_leaf_def, node_type, relabel_path
+from .fslp import FSLP, VertexStats, check_leaf_def, check_node, node_type, relabel_path
 from .msoenum import AnswerStream, ProductIndex
 
 
@@ -99,8 +99,7 @@ def relabel(
     unchanged), so the new root may be an existing node and height never
     grows; the index then feeds the appended nodes.
     """
-    if not (0 <= node < eds.product.built):
-        raise ValueError(f"unknown node {node}")
+    check_node(node, eds.product.built)
     stats = eds.stats
     new_root, added = relabel_path(eds.fslp, stats, node, preorder, label)
     eds.product.extend_for(len(eds.fslp))

@@ -362,6 +362,7 @@ class TestTextFormat:
         with pytest.raises(ValueError):
             am.loads(text)
 
+    @pytest.mark.timing
     def test_iota_lines_for_one_key_load_in_linear_time(self):
         # n iota lines for one key, each adding a state: each doubling of n
         # must cost at most 3x (``doubling_ratios``: interleaved, best of

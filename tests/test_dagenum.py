@@ -239,6 +239,7 @@ class TestSessions:
 
 
 class TestPreprocessLinearity:
+    @pytest.mark.timing
     def test_time_ratio_on_doubling(self):
         def build(n):
             d = DecoratedDAG(INT_SUM)
@@ -255,6 +256,7 @@ class TestPreprocessLinearity:
         # linear growth doubles; quadratic would quadruple
         assert all(1.2 <= r <= 3.5 for r in ratios), (ratios, times)
 
+    @pytest.mark.timing
     def test_target_fans_double_linearly(self):
         # every vertex is a target with 2-4 out-edges, so each one is a
         # target fan (the sink is a leaf target)

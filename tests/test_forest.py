@@ -113,6 +113,7 @@ class TestForestCheck:
         f = Forest("abc", (None, 0, None), ((1,), (), ()), (0, 2))
         assert serialize_term(f) == "a(b)c"
 
+    @pytest.mark.timing
     def test_parse_time_doubles_with_size(self):
         # a row of n roots was quadratic in the consistency check; each
         # doubling must now cost at most 3x (``doubling_ratios``: interleaved,

@@ -257,15 +257,16 @@ class TestPathNavigation:
 
 
 class TestBadNodesAndPreorders:
-    """A node outside [0, len(g)) is not read from the end of a list, and a
-    preorder that is not an int is not walked as a fraction."""
+    """A node outside [0, len(g)), or one that is not an int, is not read
+    from the end of a list or used as an index, and a preorder that is not
+    an int is not walked as a fraction."""
 
     @pytest.fixture
     def g_st(self):
         g = compress_forest(parse_term("a(b c) d"))
         return g, compute_stats(g)
 
-    @pytest.mark.parametrize("node", [-1, 7])  # g has 7 nodes
+    @pytest.mark.parametrize("node", [-1, 7, 1.5, 6.0])  # g has 7 nodes
     def test_unknown_node(self, g_st, node):
         g, st = g_st
         calls = [
@@ -392,6 +393,7 @@ class TestUnfoldEvaluate:
         with pytest.raises(BudgetExceeded, match=r"size at least 2\*\*15000 > budget 1000$"):
             evaluate(g, g.root, budget=1000)
 
+    @pytest.mark.timing
     def test_evaluate_time_doubles_with_size(self):
         # one preorder walk over the f-SLP: each doubling of the forest must
         # cost at most 3x (``doubling_ratios``: interleaved, best of five,
@@ -635,12 +637,14 @@ class TestLinearBuilds:
 
     SIZES = [25000, 50000, 100000]
 
+    @pytest.mark.timing
     def test_compress_time_doubles_with_size(self):
         rng = random.Random(11)
         forests = {n: parse_term(random_term(rng, n)) for n in self.SIZES}
         ratios, times = doubling_ratios(self.SIZES, forests, compress_forest)
         assert all(1.0 <= r <= 3.0 for r in ratios), (ratios, times)
 
+    @pytest.mark.timing
     def test_loads_time_doubles_with_size(self):
         rng = random.Random(11)
         texts = {n: fslp_mod.dumps(compress_forest(parse_term(random_term(rng, n)))) for n in self.SIZES}

@@ -307,6 +307,30 @@ class TestSinglePath:
             unary += sum(w.kind == msoenum._UNARY for w in stream._pre)
         assert unary
 
+    def test_drawn_leaves_are_kept_as_elements(self, rng, monkeypatch):
+        # each exactly-one witness tree is a unary root and the leaf it
+        # draws: the leaf is the root's element, so a stream builds one
+        # node per root it opens and none per answer
+        built = []
+
+        class CountingNode(msoenum._WNode):
+            __slots__ = ()
+
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(msoenum, "_WNode", CountingNode)
+        g = compress_forest(parse_term(random_term(rng, 300, "abc")))
+        stream = AnswerStream(build(g, exactly_one_nsta("abc")), g.root)
+        answers = 0
+        for answer in stream:
+            drawn = [w.elem for w in stream._pre if w.kind == msoenum._UNARY and w.child is None]
+            assert drawn == answer
+            answers += 1
+        assert answers > 50
+        assert len(built) == len(stream._finals)
+
     def test_answers_and_steps_match_the_session_walk(self, rng, monkeypatch):
         # the single-path branch counts what a session would (1 step at the
         # start, 1 at the draw): switched off, every stream is unchanged
@@ -657,6 +681,7 @@ class TestShapeMemo:
             assert count < shapes * states**2, (count, shapes, states)
             assert shapes < len(eds.fslp) // 10
 
+    @pytest.mark.timing
     def test_build_time_doubles_with_size(self):
         # compressed random forests of 25k, 50k and 100k vertices over an
         # alphabet of n/8 labels, so every size meets new leaf shapes and the

@@ -171,6 +171,7 @@ class TestRelabel:
             relabel(eds, g.root, 1.5, "x")
         assert len(g) == 7 and evaluate(g, g.root).labels == ("a", "b", "c", "d")
 
+    @pytest.mark.timing
     def test_relabel_time_doubles_with_height(self):
         # a relabel costs O(height): on left-deep hc chains of n nodes, the
         # leftmost leaf's path holds every node, and each doubling must cost
@@ -319,6 +320,29 @@ class TestUnfedNode:
         b.max_states = None
         eds, _, _ = relabel(eds, g.root, 0, "a")
         assert canonical_form(eds) == canonical_form(build_enum_structure(eds.fslp, b))
+
+
+class TestNonIntNode:
+    """A node id that is not an int is unknown, even inside the range."""
+
+    @pytest.fixture
+    def eds(self):
+        g = compress_forest(parse_term("a(b c) d"))
+        return build_enum_structure(g, accept_all_nsta("abcd"))
+
+    @pytest.mark.parametrize("node", [1.5, "root"])
+    def test_enumerate(self, eds, node):
+        node = float(eds.fslp.root) if node == "root" else node
+        with pytest.raises(ValueError, match=f"^unknown node {node}$"):
+            eds.enumerate(node)
+
+    @pytest.mark.parametrize("node", [1.5, "root"])
+    def test_relabel(self, eds, node):
+        node = float(eds.fslp.root) if node == "root" else node
+        before = len(eds.fslp)
+        with pytest.raises(ValueError, match=f"^unknown node {node}$"):
+            relabel(eds, node, 0, "x")
+        assert len(eds.fslp) == before  # nothing was appended
 
 
 class TestLongRelabelRun:
