@@ -3,7 +3,8 @@
 Preprocessing normalizes the DAG bottom-up: dead ends are pruned,
 out-degree-1 vertices become shortcuts with composed morphisms, and every
 other vertex becomes one normalized vertex, a fan whose arms are its live
-edges.  Each normalized vertex knows the target emitted first from it
+edges.  One loop places every vertex; its disposition is two list entries,
+no object.  Each normalized vertex knows the target emitted first from it
 (``omega``: itself for a target, else its last arm's) and the morphism of
 the way there (``gam``), so the enumeration loop emits one pair per step
 with at most one silent step in between.
@@ -77,10 +78,8 @@ class DecoratedDAG:
         return order
 
 
-PRUNED = "pruned"
-NODE = "node"
-SHORTCUT = "shortcut"
-_PRUNED = (PRUNED,)
+_UNFED = -2  # vertex_of entry of an original vertex that was not fed
+_NO_SHORTCUT = object()  # shortcut entry of an original vertex that is no shortcut
 
 
 class Normalizer:
@@ -102,13 +101,14 @@ class Normalizer:
     pairs) below a target, else at its first arm (its first pair went out
     as ``v``'s), or not at all (None) if that child is a leaf.
 
-    ``source[orig]`` is the disposition of the original vertex ``orig``,
-    or None if it was not fed: ``(PRUNED,)``, ``(NODE, vertex)`` or
-    ``(SHORTCUT, vertex, morphism)``.
+    ``vertex_of[orig]`` is the normalized vertex of the original vertex
+    ``orig`` (for a shortcut, its chain's end), -1 if it is pruned and
+    ``_UNFED`` if it was not fed.  ``shortcut[orig]`` is a shortcut's
+    morphism, else ``_NO_SHORTCUT`` (None is ε in ``WORDS``, a morphism).
 
     Vertices come in one at a time with their edge lists (``add_original``,
     for a ``DecoratedDAG``) or one product node's block at a time, from its
-    shape rows (``add_rows``); both place them through ``_place``.
+    shape rows (``add_rows``); the loop in ``add_rows`` places both.
     """
 
     def __init__(self, category: Category):
@@ -120,79 +120,96 @@ class Normalizer:
         self.omega: list[int] = []
         self.gam: list = []
         self.tail: list[Optional[int]] = []
-        self.source: list[Optional[tuple]] = []
+        self.vertex_of: list[int] = []
+        self.shortcut: list = []
 
     def is_leaf(self, nid: int) -> bool:
         return self.lo[nid] == self.lo[nid + 1]
 
-    def add_original(self, orig: int, obj, edges: Iterable[tuple], is_target: bool) -> tuple:
-        """Feed one original vertex (children must have been fed already).
+    def is_shortcut(self, orig: int) -> bool:
+        return self.shortcut[orig] is not _NO_SHORTCUT
 
-        ``edges`` is the ordered list of (morphism, original child) pairs,
-        not kept: each is rewritten against its child's disposition (a
-        pruned child drops it, a shortcut composes the contracted chain's
-        morphism on the right).  Returns and records the vertex's
-        disposition.
-        """
+    def add_original(self, orig: int, obj, edges: Iterable[tuple], is_target: bool) -> None:
+        """Feed one original vertex, after its children.
+
+        Each of the ordered (morphism, original child) ``edges`` is resolved
+        (a pruned child drops it, a shortcut composes its morphism on the
+        right) and appended as an arm, and ``add_rows`` places the vertex.
+        An edge to a vertex that was not fed raises ValueError and records
+        nothing."""
         if orig < 0:
             raise ValueError(f"unknown vertex {orig!r}")
-        source, compose = self.source, self.category.compose
-        live = []
-        for morphism, child in edges:
-            disp = source[child]
-            if disp[0] == NODE:
-                live.append((morphism, disp[1]))
-            elif disp[0] == SHORTCUT:
-                live.append((compose(morphism, disp[2]), disp[1]))
-        disp = self._place(orig, obj, live, is_target)
-        if orig >= len(source):
-            source.extend([None] * (orig + 1 - len(source)))
-        source[orig] = disp
-        return disp
+        vertex_of, shortcut, compose = self.vertex_of, self.shortcut, self.category.compose
+        morph, child, first = self.morph, self.child, self.lo[-1]
+        try:
+            for morphism, c in edges:
+                v = vertex_of[c] if 0 <= c < len(vertex_of) else _UNFED
+                if v == _UNFED:
+                    raise ValueError(f"unknown vertex {c!r}")
+                if v >= 0:
+                    s = shortcut[c]
+                    morph.append(morphism if s is _NO_SHORTCUT else compose(morphism, s))
+                    child.append(v)
+        except BaseException:  # a bad edge, or a composite that leaves the category
+            del morph[first:], child[first:]
+            raise
+        gap = orig - len(vertex_of)
+        if gap > 0:
+            vertex_of += [_UNFED] * gap
+            shortcut += [_NO_SHORTCUT] * gap
+        self.add_rows(orig, obj, (((), (), is_target),), None)
+        if gap < 0:  # a gap left earlier, or a vertex fed again
+            vertex_of[orig] = vertex_of.pop()
+            shortcut[orig] = shortcut.pop()
 
-    def add_rows(self, obj, rows: Iterable[tuple], edges: Optional[tuple]) -> None:
-        """Feed one product node's block of original vertices, one per row,
-        from ``len(source)`` on; every child must be fed and live already.
-        With ``edges`` = ``(fl, lm, fr, rm)`` (None if no row has an edge),
-        the vertex of a row ``(li, ri, target)`` has the edges
-        ``(lm, fl + a)`` for ``a`` in ``li``, then ``(rm, fr + c)`` for ``c`` in ``ri``.
-        """
-        source, compose = self.source, self.category.compose
+    def add_rows(self, orig: int, obj, rows: Iterable[tuple], edges: Optional[tuple]) -> None:
+        """Feed one product node's block of original vertices ``orig``,
+        ``orig + 1``, ..., one per row, appending their dispositions; every
+        child must be fed and live already.  With ``edges`` = ``(fl, lm, fr,
+        rm)`` (None if no row has an edge), a row ``(li, ri, target)`` has
+        the edges ``(lm, fl + a)`` for ``a`` in ``li``, then ``(rm, fr + c)``
+        for ``c`` in ``ri``, each appended as an arm at once; arms already
+        past ``lo[-1]`` (``add_original``'s) lead the first row's.  Then the
+        row is placed: pruned if no arm and no target, a shortcut (its arm
+        taken back) if one arm and no target, else a fan."""
+        vertex_of, shortcut = self.vertex_of, self.shortcut
+        compose, identity = self.category.compose, self.category.identity
+        lo, morph, child = self.lo, self.morph, self.child
+        objs, omega, gam, tail = self.obj, self.omega, self.gam, self.tail
         fl, lm, fr, rm = edges or (0, None, 0, None)
         for li, ri, target in rows:
-            live = []
             for a in li:
-                disp = source[fl + a]
-                live.append((lm, disp[1]) if disp[0] == NODE else (compose(lm, disp[2]), disp[1]))
+                c = fl + a
+                child.append(vertex_of[c])
+                s = shortcut[c]
+                morph.append(lm if s is _NO_SHORTCUT else compose(lm, s))
             for c in ri:
-                disp = source[fr + c]
-                live.append((rm, disp[1]) if disp[0] == NODE else (compose(rm, disp[2]), disp[1]))
-            orig = len(source)
-            assert live or target, f"vertex {orig} has no live edge and is no target"
-            source.append(self._place(orig, obj, live, target))
-
-    def _place(self, orig: int, obj, live: list[tuple], is_target: bool) -> tuple:
-        """Place ``orig`` from its resolved live edges; returns its disposition:
-        pruned (no live edge, no target), a shortcut (one, no target), or
-        else one vertex with an arm per live edge."""
-        if not is_target and len(live) < 2:
-            return (SHORTCUT, live[0][1], live[0][0]) if live else _PRUNED
-        v = len(self.obj)
-        self.obj.append(obj)
-        for m, c in live:
-            self.morph.append(m)
-            self.child.append(c)
-        self.lo.append(len(self.child))
-        if is_target:
-            self.omega.append(orig)
-            self.gam.append(self.category.identity(obj))
-            self.tail.append(-1)
-        else:
-            m, c = live[-1]
-            self.omega.append(self.omega[c])
-            self.gam.append(self.category.compose(m, self.gam[c]))
-            self.tail.append(self.lo[c] if self.lo[c] < self.lo[c + 1] else None)
-        return (NODE, v)
+                c += fr
+                child.append(vertex_of[c])
+                s = shortcut[c]
+                morph.append(rm if s is _NO_SHORTCUT else compose(rm, s))
+            arms = len(child) - lo[-1]
+            if target or arms > 1:
+                vertex_of.append(len(objs))
+                shortcut.append(_NO_SHORTCUT)
+                objs.append(obj)
+                lo.append(len(child))
+                if target:
+                    omega.append(orig)
+                    gam.append(identity(obj))
+                    tail.append(-1)
+                else:
+                    c = child[-1]
+                    omega.append(omega[c])
+                    gam.append(compose(morph[-1], gam[c]))
+                    tail.append(lo[c] if lo[c] < lo[c + 1] else None)
+            elif arms:
+                vertex_of.append(child.pop())
+                shortcut.append(morph.pop())
+            else:
+                vertex_of.append(-1)
+                shortcut.append(_NO_SHORTCUT)
+            orig += 1
 
     def only_pair(self, source: int) -> Optional[tuple]:
         """The one ⟨target, morphism⟩ pair of ``source``, or None unless it
@@ -204,16 +221,14 @@ class Normalizer:
         shortcut's morphism (or the identity) with the leaf's ``gam``, which
         is the identity, so the composite is the morphism itself.
         """
-        src = self.source
-        disp = src[source] if 0 <= source < len(src) else None
-        if disp is None:
+        vertex_of = self.vertex_of
+        v = vertex_of[source] if 0 <= source < len(vertex_of) else _UNFED
+        if v == _UNFED:
             raise ValueError(f"unknown vertex {source!r}")
-        if disp[0] == PRUNED:
+        if v < 0 or self.lo[v] < self.lo[v + 1]:
             return None
-        v = disp[1]
-        if self.lo[v] < self.lo[v + 1]:
-            return None
-        return (self.omega[v], disp[2] if disp[0] == SHORTCUT else self.gam[v])
+        s = self.shortcut[source]
+        return (self.omega[v], self.gam[v] if s is _NO_SHORTCUT else s)
 
 
 def _normalize(d: DecoratedDAG, category: Category) -> Normalizer:
@@ -256,18 +271,16 @@ class PathSession:
         self.norm = norm
         cat = norm.category
         self.op = cat.compose if point is None else cat.act
-        src = norm.source
-        disp = src[source] if 0 <= source < len(src) else None
-        if disp is None:
+        vertex_of = norm.vertex_of
+        v = vertex_of[source] if 0 <= source < len(vertex_of) else _UNFED
+        if v == _UNFED:
             raise ValueError(f"unknown vertex {source!r}")
         self.stack: list[tuple] = []
-        self.j = -1
-        self.last_steps = 0
-        self.exhausted = disp[0] == PRUNED
-        self.v = v = -1 if self.exhausted else disp[1]
+        self.v, self.j, self.last_steps, self.exhausted = v, -1, 0, v < 0
         # a shortcut enumerates from the chain's end, its morphism pre-composed
-        if disp[0] == SHORTCUT:
-            self.gamma = disp[2] if point is None else cat.act(point, disp[2])
+        m = norm.shortcut[source]
+        if m is not _NO_SHORTCUT:
+            self.gamma = m if point is None else cat.act(point, m)
         else:
             self.gamma = point if point is not None or v < 0 else cat.identity(norm.obj[v])
 

@@ -162,47 +162,55 @@ def node_type(i: int, kind: str, tl: int, tr: int) -> int:
 
 @dataclass
 class VertexStats:
-    """Per-node type, leaf size, left size, vertex count and height."""
+    """Per-node type, leaf size, left size, vertex count and height, and
+    the preorder effects of an inner node's left and right edges as
+    ``(eps, c, kappa, d)`` tuples (``lm``, ``rm``; None for a leaf)."""
 
     tau: list[int] = field(default_factory=list)
     s: list[int] = field(default_factory=list)
     ell: list[Optional[int]] = field(default_factory=list)
     nverts: list[int] = field(default_factory=list)
     height: list[int] = field(default_factory=list)
+    lm: list[Optional[tuple]] = field(default_factory=list)
+    rm: list[Optional[tuple]] = field(default_factory=list)
 
     def __len__(self) -> int:
         return len(self.tau)
 
-    def append_node(self, g: FSLP, i: int) -> None:
-        kind = g.kinds[i]
-        if kind == LEAF:
-            tau, s, ell, h = 0, 1, None, 0
-        elif kind == LEAFCTX:
-            tau, s, ell, h = 1, 1, 1, 0
-        else:
-            l, r = g.lefts[i], g.rights[i]
-            tl, tr = self.tau[l], self.tau[r]
-            tau = node_type(i, kind, tl, tr)
-            if kind == HC:
-                if tau == 0:
-                    ell = None
-                elif tl == 0:
-                    ell = self.s[l] + self.ell[r]
-                else:
-                    ell = self.ell[l]
-            else:  # VC
-                ell = None if tau == 0 else self.ell[l] + self.ell[r]
-            s = self.s[l] + self.s[r]
-            h = 1 + max(self.height[l], self.height[r])
-        self.tau.append(tau)
-        self.s.append(s)
-        self.ell.append(ell)
-        self.nverts.append(s if tau == 0 else s + 1)
-        self.height.append(h)
-
     def extend_for(self, g: FSLP) -> None:
-        for i in range(len(self), len(g)):
-            self.append_node(g, i)
+        """Append the entries of ``g``'s nodes from ``len(self)`` on."""
+        taus, ss, ells, heights = self.tau, self.s, self.ell, self.height
+        for i in range(len(taus), len(g)):
+            kind = g.kinds[i]
+            if kind == LEAF:
+                tau, s, ell, h, lm, rm = 0, 1, None, 0, None, None
+            elif kind == LEAFCTX:
+                tau, s, ell, h, lm, rm = 1, 1, 1, 0, None, None
+            else:
+                l, r = g.lefts[i], g.rights[i]
+                tl, tr = taus[l], taus[r]
+                tau = node_type(i, kind, tl, tr)
+                # the edge effects by the ten-case rule, shapes named as in ``effects``
+                if kind == HC:
+                    if tl == 0:  # M00(0), M00(s_l); or M10a(0), M11a(s_l, 0) if r has the hole
+                        ell = ss[l] + ells[r] if tr else None
+                        lm, rm = (0, 0, 0, 0), (0, ss[l], tr, 0)
+                    else:  # M11a(0, 0), M10b(s_l)
+                        ell = ells[l]
+                        lm, rm = (0, 0, 1, 0), (1, ss[l], 0, 0)
+                else:  # VC
+                    ell = None if tau == 0 else ells[l] + ells[r]
+                    # M01(0, s_r), M00(ell_l); or M11a(0, s_r), M11a(ell_l, 0) if r has the hole
+                    lm, rm = (0, 0, tr, ss[r]), (0, ells[l], tr, 0)
+                s = ss[l] + ss[r]
+                h = 1 + max(heights[l], heights[r])
+            taus.append(tau)
+            ss.append(s)
+            ells.append(ell)
+            self.nverts.append(s if tau == 0 else s + 1)
+            heights.append(h)
+            self.lm.append(lm)
+            self.rm.append(rm)
 
 
 def compute_stats(g: FSLP) -> VertexStats:
@@ -215,26 +223,6 @@ def compute_stats(g: FSLP) -> VertexStats:
 # preorder effects on edges, path navigation
 # ---------------------------------------------------------------------------
 
-def _edge_tuples(g: FSLP, stats: VertexStats, parent: int) -> tuple[tuple, tuple]:
-    """The ten-case rule: the effects of an inner node's left and right
-    edges as ``(eps, c, kappa, d)`` tuples, shapes named as in ``effects``."""
-    l, r = g.lefts[parent], g.rights[parent]
-    tau = stats.tau
-    if g.kinds[parent] == HC:
-        if tau[l] == 0:
-            if tau[r] == 0:  # M00(0), M00(s_l)
-                return (0, 0, 0, 0), (0, stats.s[l], 0, 0)
-            # parent type 1, right child carries the hole: M10a(0), M11a(s_l, 0)
-            return (0, 0, 0, 0), (0, stats.s[l], 1, 0)
-        # tl == 1, tr == 0: M11a(0, 0), M10b(s_l)
-        return (0, 0, 1, 0), (1, stats.s[l], 0, 0)
-    # VC
-    if tau[r] == 0:  # parent type 0: M01(0, s_r), M00(ell_l)
-        return (0, 0, 0, stats.s[r]), (0, stats.ell[l], 0, 0)
-    # M11a(0, s_r), M11a(ell_l, 0)
-    return (0, 0, 1, stats.s[r]), (0, stats.ell[l], 1, 0)
-
-
 def check_node(node: int, count: int) -> None:
     """Reject ``node`` unless it is an int naming one of the first ``count`` nodes."""
     if not (isinstance(node, int) and 0 <= node < count):
@@ -243,7 +231,8 @@ def check_node(node: int, count: int) -> None:
 
 def path_preorder(g: FSLP, stats: VertexStats, start: int, path: Iterable[str]) -> int:
     """Preorder number of the leaf reached from ``start`` along ``path``:
-    the ``c`` of its edge effects (``_edge_tuples``) composed from ``ID0``."""
+    the ``c`` of its edge effects (``stats.lm`` / ``stats.rm``) composed
+    from ``ID0``."""
     check_node(start, len(g.kinds))
     if stats.tau[start] != 0:
         raise ValueError("start node must have type 0")
@@ -253,7 +242,7 @@ def path_preorder(g: FSLP, stats: VertexStats, start: int, path: Iterable[str]) 
             raise ValueError(f"path leaves the DAG at step {step}")
         if side not in ("l", "r"):
             raise ValueError("side must be 'l' or 'r'")
-        eff = compose(eff, _edge_tuples(g, stats, cur)[side == "r"])
+        eff = compose(eff, stats.rm[cur] if side == "r" else stats.lm[cur])
         cur = g.lefts[cur] if side == "l" else g.rights[cur]
     if not g.is_leaf_node(cur):
         raise ValueError("path ends at an internal node")
@@ -262,7 +251,7 @@ def path_preorder(g: FSLP, stats: VertexStats, start: int, path: Iterable[str]) 
 
 def preorder_to_path(g: FSLP, stats: VertexStats, start: int, k: int) -> str:
     """Descent from ``start`` to the leaf with preorder number ``k`` by the
-    edge effects (``_edge_tuples``).  At plug size ``p``, a right edge
+    edge effects (``stats.lm`` / ``stats.rm``).  At plug size ``p``, a right edge
     ``(eps, c, kappa, d)`` puts the right child's vertices and plug at ``c +
     eps*p`` on, spanning ``s[r] + kappa*p + d``; the rest is the left child's,
     from 0 on, with plug ``kappa_l*p + d_l``."""
@@ -275,11 +264,12 @@ def preorder_to_path(g: FSLP, stats: VertexStats, start: int, k: int) -> str:
         raise ValueError(f"preorder {k} out of range [0, {_size_text(stats.nverts[start])})")
     path: list[str] = []
     node, m, p = start, k, 0
-    while not g.is_leaf_node(node):
-        (_, _, kl, dl), (eps, c, kr, dr) = _edge_tuples(g, stats, node)
-        r = g.rights[node]
+    lms, rms, rights, sizes = stats.lm, stats.rm, g.rights, stats.s
+    while lms[node] is not None:  # an inner node
+        (_, _, kl, dl), (eps, c, kr, dr) = lms[node], rms[node]
+        r = rights[node]
         lo = c + eps * p
-        if lo <= m < lo + stats.s[r] + kr * p + dr:
+        if lo <= m < lo + sizes[r] + kr * p + dr:
             node, m, p = r, m - lo, kr * p + dr
             path.append("r")
         else:

@@ -34,7 +34,7 @@ from typing import Iterator, NamedTuple, Optional
 from .automata import DBUTA
 from .dagenum import Normalizer, PathSession
 from .effects import PRE_CATEGORY
-from .fslp import FSLP, LEAFCTX, _edge_tuples, check_node, compute_stats
+from .fslp import FSLP, LEAFCTX, check_node, compute_stats
 
 
 class ConfSets(NamedTuple):
@@ -153,14 +153,14 @@ class ProductIndex:
             else:
                 sl, sr = shape_of[l], shape_of[r]
                 key = (g.kinds[i], sl[0], sl[2], sr[0], sr[2])
-                lm, rm = _edge_tuples(g, stats, i)
-                edges = (first[l], lm, first[r], rm)
+                edges = (first[l], stats.lm[i], first[r], stats.rm[i])
             shape = shapes.get(key)
             if shape is None:
                 shape = shapes[key] = self._walk(key)
             act, _, _, _, rows, work = shape
-            add(stats.tau[i], rows, edges)
-            first.append(len(node_of))
+            f = len(node_of)  # one int object: a target's omega shares it
+            add(f, stats.tau[i], rows, edges)
+            first.append(f)
             shape_of.append(shape)
             node_of += [i] * len(act)
             self.edges.append(edges)

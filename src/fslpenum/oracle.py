@@ -26,7 +26,7 @@ from itertools import combinations
 from typing import Iterable, Iterator, Optional
 
 from .automata import DBUTA, NSTA, nsta_accepts
-from .dagenum import NODE, SHORTCUT, DecoratedDAG
+from .dagenum import DecoratedDAG
 from .forest import Forest
 from .fslp import (
     FSLP,
@@ -37,7 +37,6 @@ from .fslp import (
     BudgetExceeded,
     InvalidFSLP,
     VertexStats,
-    _edge_tuples,
     _size_text,
     compute_stats,
     default_budget,
@@ -358,7 +357,7 @@ def edge_effect(g: FSLP, stats: VertexStats, parent: int, side: str) -> Effect:
     if side not in ("l", "r"):
         raise ValueError("side must be 'l' or 'r'")
     child = g.lefts[parent] if side == "l" else g.rights[parent]
-    eff = _edge_tuples(g, stats, parent)[side == "r"]
+    eff = stats.lm[parent] if side == "l" else stats.rm[parent]
     return Effect(stats.tau[parent], stats.tau[child], *eff)
 
 
@@ -699,24 +698,22 @@ def canonical_form(eds) -> tuple:
     )
     eff_part = tuple(e[1::2] if e else (None, None) for e in product.edges)
 
-    owner = {
-        disp[1]: orig for orig, disp in enumerate(norm.source) if disp[0] == NODE
-    }
+    vertex_of, is_shortcut = norm.vertex_of, norm.is_shortcut
+    owner = {v: orig for orig, v in enumerate(vertex_of) if v >= 0 and not is_shortcut(orig)}
 
     def normval(nid: int):
         return ("leaf" if norm.is_leaf(nid) else "vertex", pairval(owner[nid]))
 
     prod_part = []
     for pid in product.pairs:
-        disp = norm.source[pid]
-        if disp[0] == SHORTCUT:
-            prod_part.append((pairval(pid), SHORTCUT, normval(disp[1]), disp[2]))
+        v = vertex_of[pid]
+        if is_shortcut(pid):
+            prod_part.append((pairval(pid), "shortcut", normval(v), norm.shortcut[pid]))
         else:
-            v = disp[1]
             arms = range(norm.lo[v], norm.lo[v + 1])
             edges = [(norm.morph[j], normval(norm.child[j])) for j in arms]
             if arms and norm.omega[v] == pid:
                 # a target emits itself first, as a leaf edge would
                 edges.append((norm.category.identity(norm.obj[v]), ("leaf", pairval(pid))))
-            prod_part.append((pairval(pid), NODE, tuple(edges), pairval(norm.omega[v]), norm.gam[v]))
+            prod_part.append((pairval(pid), "node", tuple(edges), pairval(norm.omega[v]), norm.gam[v]))
     return (conf_part, succ_part, eff_part, tuple(prod_part))

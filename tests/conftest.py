@@ -1,14 +1,19 @@
 """Shared random instance generators for the property tests, and the
-timing helper of the doubling tests."""
+timing and bytecode-count helpers of the doubling tests."""
 
 from __future__ import annotations
 
+import ast
 import gc
+import os
 import random
+import subprocess
+import sys
 import time
 
 import pytest
 
+import fslpenum
 from fslpenum import (
     NSTA,
     DecoratedDAG,
@@ -17,10 +22,8 @@ from fslpenum import (
     Forest,
     parse_term,
 )
-from fslpenum.dagenum import NODE, SHORTCUT
 from fslpenum.effects import compose
 from fslpenum.fixtures import INT_SUM, random_term
-from fslpenum.fslp import _edge_tuples
 from fslpenum.msoenum import _LEAF_RECORD, _PATH_NODES, _PATH_STEPS
 
 
@@ -105,16 +108,17 @@ def check_pid_blocks(p) -> None:
     leaves, and otherwise holds the children's first pids and the edge
     effects of the ten-case rule.  Every successor tuple indexes into the
     children's active rows, and ``succ(pid)`` is None exactly for the
-    states outside the node's useful row.  The normalizer has one vertex
-    per ``NODE`` pid, and a pid's arms (or its shortcut) are its shape
-    row's edges resolved through the children's dispositions."""
+    states outside the node's useful row.  The normalizer prunes no pid
+    and has one vertex per pid that is no shortcut, and a pid's arms (or
+    its shortcut's morphism and vertex) are its shape row's edges
+    resolved through the children's shortcuts."""
     blocks: list[int] = []
     for i, shape in enumerate(p.shape_of):
         assert p.first[i] == len(blocks)
         blocks += [i] * len(shape[0])
     assert len(p.shape_of) == len(p.first) == len(p.edges) == p.built
     assert p.node_of == blocks
-    assert len(p.pairs) == len(p.norm.source) == len(blocks)
+    assert len(p.pairs) == len(p.norm.vertex_of) == len(blocks)
     for pid in p.pairs:
         assert p.pid(*p.pair(pid)) == pid
     g = p.g
@@ -125,7 +129,7 @@ def check_pid_blocks(p) -> None:
         else:
             fl, lm, fr, rm = p.edges[i]
             assert (fl, fr) == (p.first[l], p.first[r]), i
-            assert (lm, rm) == _edge_tuples(g, p.stats, i), i
+            assert (lm, rm) == (p.stats.lm[i], p.stats.rm[i]), i
             for t in succ:
                 for a, c in t or ():
                     assert 0 <= a < len(p.shape_of[l][0]) and 0 <= c < len(p.shape_of[r][0]), (i, t)
@@ -134,7 +138,9 @@ def check_pid_blocks(p) -> None:
             assert p.pair(pid) == (i, q) and p.pid(i, q) == pid
             assert (p.succ(pid) is None) == (q not in useful), (i, q)
     norm = p.norm
-    assert len(norm.obj) == sum(disp[0] == NODE for disp in norm.source)
+    vertex_of, shortcut, is_shortcut = norm.vertex_of, norm.shortcut, norm.is_shortcut
+    assert len(shortcut) == len(vertex_of) and all(v >= 0 for v in vertex_of)
+    assert sorted(v for pid, v in enumerate(vertex_of) if not is_shortcut(pid)) == list(range(len(norm.obj)))
     assert len(norm.lo) == len(norm.obj) + 1
     compose = norm.category.compose
     for pid in p.pairs:
@@ -143,17 +149,15 @@ def check_pid_blocks(p) -> None:
         fl, lm, fr, rm = p.edges[i] or (0, None, 0, None)
         want = []
         for m, child in [(lm, fl + a) for a in li] + [(rm, fr + c) for c in ri]:
-            disp = norm.source[child]
-            want.append((m, disp[1]) if disp[0] == NODE else (compose(m, disp[2]), disp[1]))
-        disp = norm.source[pid]
-        if disp[0] == SHORTCUT:
-            assert not target and want == [(disp[2], disp[1])], pid
+            want.append((compose(m, shortcut[child]) if is_shortcut(child) else m, vertex_of[child]))
+        v = vertex_of[pid]
+        if is_shortcut(pid):
+            assert not target and want == [(shortcut[pid], v)], pid
         else:
-            assert disp[0] == NODE, pid
-            arms = range(norm.lo[disp[1]], norm.lo[disp[1] + 1])
+            arms = range(norm.lo[v], norm.lo[v + 1])
             assert [(norm.morph[j], norm.child[j]) for j in arms] == want, pid
             c = want[-1][1] if want else None
-            assert norm.tail[disp[1]] == (-1 if target else None if norm.is_leaf(c) else norm.lo[c]), pid
+            assert norm.tail[v] == (-1 if target else None if norm.is_leaf(c) else norm.lo[c]), pid
 
 
 def check_rigid_records(p) -> None:
@@ -187,7 +191,7 @@ def check_rigid_records(p) -> None:
         if rl is None or rr is None:
             assert got is None, pid
             continue
-        lm, rm = _edge_tuples(g, p.stats, node)
+        lm, rm = p.stats.lm[node], p.stats.rm[node]
         want = (
             _PATH_STEPS + rl[0] + rr[0], _PATH_NODES + rl[1] + rr[1],
             pl, *compose(path, lm), pr, *compose(path, rm),
@@ -213,6 +217,53 @@ def doubling_ratios(sizes, inputs, run):
             gc.enable()
     best = [min(times[n]) for n in sizes]
     return [best[i] / best[i - 1] for i in range(1, len(sizes))], times
+
+
+def bytecodes(run) -> int:
+    """How many bytecodes ``run()`` executes, counted by an opcode trace
+    with the collector off.  The count is exact and repeats, so a doubling
+    check on it cannot fail on a busy machine; work done inside one C call
+    (a ``list.index``, an ``in`` on a list) is not counted."""
+    count = 0
+
+    def opcode(frame, event, arg):
+        nonlocal count
+        count += event == "opcode"
+        return opcode
+
+    def call(frame, event, arg):
+        frame.f_trace_lines = False
+        frame.f_trace_opcodes = True
+        return opcode
+
+    gc.collect()
+    gc.disable()
+    sys.settrace(call)
+    try:
+        run()
+    finally:
+        sys.settrace(None)
+        gc.enable()
+    return count
+
+
+def count_ratios(counts: list) -> list:
+    return [counts[i] / counts[i - 1] for i in range(1, len(counts))]
+
+
+def under_hash_seeds(call: str, seeds=("0", "1")) -> list:
+    """``call``, an expression over one module of the tests (``"m.f(x)"``),
+    evaluated in a fresh interpreter under each ``PYTHONHASHSEED`` value;
+    returns the printed results."""
+    path = [os.path.dirname(os.path.dirname(fslpenum.__file__)), os.path.dirname(__file__)]
+    out = []
+    for seed in seeds:
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(path))
+        code = f"import {call.split('.')[0]}; print({call})"
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        out.append(ast.literal_eval(run.stdout))
+    return out
 
 
 def cyclic_garbage(run) -> int:

@@ -9,6 +9,7 @@ import gc
 import random
 import time
 from collections import Counter
+from functools import partial
 
 import pytest
 
@@ -47,7 +48,15 @@ from fslpenum.fixtures import (
 from fslpenum.oracle import brute_paths, brute_select, brute_word_paths, canonical_form
 from fslpenum.updates import build_enum_structure, relabel
 
-from conftest import doubling_ratios, random_expr, random_forest, random_nsta
+from conftest import (
+    bytecodes,
+    count_ratios,
+    doubling_ratios,
+    random_expr,
+    random_forest,
+    random_nsta,
+    under_hash_seeds,
+)
 
 
 def ok(n: int, message: str) -> None:
@@ -211,6 +220,24 @@ def test_criterion_08_preprocessing_linearity():
     )
     assert all(1.5 <= r <= 3.0 for r in ratios), (ratios, times)
     ok(8, "chain preprocessing ratios across 3 doublings: " + ", ".join(f"{r:.2f}" for r in ratios))
+
+
+def build_bytecodes(sizes=(1000, 2000, 4000, 8000)) -> list:
+    """Bytecodes of criterion 08's build on its chain input, per size."""
+    return [
+        bytecodes(partial(build_enum_structure, _chain_fslp_row(n), exactly_one_nsta({"a"})))
+        for n in sizes
+    ]
+
+
+def test_criterion_08_build_bytecodes_double():
+    # criterion 08's build counted in bytecodes, which no busy machine
+    # skews: each doubling of the chain doubles the count, under any
+    # hash seed (checked at the two smaller sizes, to keep the test short)
+    counts = build_bytecodes()
+    ratios = count_ratios(counts)
+    assert all(1.9 <= r <= 2.1 for r in ratios), (ratios, counts)
+    assert under_hash_seeds("test_acceptance.build_bytecodes((1000, 2000))") == [counts[:2]] * 2
 
 
 def test_criterion_10_update_correctness():

@@ -13,7 +13,7 @@ from fslpenum import (
     fm_preprocess,
     preprocess,
 )
-from fslpenum.dagenum import PRUNED, SHORTCUT, WORDS, _expand
+from fslpenum.dagenum import _UNFED, WORDS, _expand
 from fslpenum.effects import act
 from fslpenum.fixtures import (
     INT_SUM,
@@ -56,10 +56,10 @@ class TestPreprocess:
         norm = preprocess(d)
         # 4 outgoing edges become one vertex with 4 arms, in edge order,
         # with the original weights and no identity arm
-        fan = norm.source[0][1]
+        fan = norm.vertex_of[0]
         arms = range(norm.lo[fan], norm.lo[fan + 1])
         assert [norm.morph[j] for j in arms] == [1, 2, 3, 4]
-        assert [norm.child[j] for j in arms] == [norm.source[t][1] for t in leaves]
+        assert [norm.child[j] for j in arms] == [norm.vertex_of[t] for t in leaves]
         assert all(norm.is_leaf(norm.child[j]) for j in arms)
         assert len(norm.obj) == 5  # the fan and its four leaves, nothing cloned
         assert session_multiset(norm, 0) == Counter(
@@ -76,7 +76,7 @@ class TestPreprocess:
         idx = preprocess(d)
         # the whole chain is a shortcut: one output with the composed weight
         assert session_multiset(idx, s) == Counter({(t, 7): 1})
-        assert idx.source[s][0] == "shortcut"
+        assert idx.is_shortcut(s)
 
     def test_prune_cascades(self):
         d = DecoratedDAG(INT_SUM)
@@ -88,7 +88,7 @@ class TestPreprocess:
         d.add_edge(s, 2, t)
         d.add_edge(dead1, 1, dead2)
         idx = preprocess(d)
-        assert idx.source[dead1][0] == "pruned"
+        assert idx.vertex_of[dead1] == -1
         assert session_multiset(idx, s) == Counter({(t, 2): 1})
 
     def test_cycle_rejected(self):
@@ -142,14 +142,28 @@ class TestSessions:
         d = sample_weighted_dag()
         idx = preprocess(d)
         # -1 must not wrap around to the last disposition
-        for v in (-1, len(idx.source), 99):
+        for v in (-1, len(idx.vertex_of), 99):
             with pytest.raises(ValueError, match="unknown vertex"):
                 PathSession(idx, v)
             with pytest.raises(ValueError, match="unknown vertex"):
                 idx.only_pair(v)
         with pytest.raises(ValueError, match="unknown vertex"):
             idx.add_original(-1, None, [], True)
-        assert idx.source[-1] is not None and len(idx.source) == len(d)
+        assert idx.vertex_of[-1] != _UNFED and len(idx.vertex_of) == len(d)
+
+    @pytest.mark.parametrize("child", [-1, 1, 3, 9])
+    def test_edge_to_unknown_vertex_rejected(self, child):
+        norm = preprocess(DecoratedDAG(INT_SUM))
+        norm.add_original(0, None, [], True)
+        norm.add_original(2, None, [], True)  # leaves vertex 1 unfed
+        tables = [list(t) for t in (norm.obj, norm.lo, norm.morph, norm.child, norm.omega)]
+        with pytest.raises(ValueError, match="unknown vertex"):
+            norm.add_original(3, None, [(4, 0), (5, child)], False)
+        # nothing recorded: no arm, no vertex, no disposition
+        assert [list(t) for t in (norm.obj, norm.lo, norm.morph, norm.child, norm.omega)] == tables
+        assert norm.vertex_of == [0, _UNFED, 1] and not any(map(norm.is_shortcut, (0, 1, 2)))
+        norm.add_original(3, None, [(4, 0), (5, 2)], False)
+        assert session_multiset(norm, 3) == Counter({(0, 4): 1, (2, 5): 1})
 
     def test_multisets_match_oracle(self, rng):
         for _ in range(150):
@@ -171,7 +185,7 @@ class TestSessions:
                     got.append(item)
                     assert sess.last_steps <= 2
                 assert got == brute_path_order(d, s)
-                v = idx.source[s][1] if idx.source[s][0] == "node" else -1
+                v = -1 if idx.is_shortcut(s) else idx.vertex_of[s]
                 target_fans += v >= 0 and not idx.is_leaf(v) and idx.omega[v] == s
         # 330 of the 1 491 sources are fans that emit their own target
         assert target_fans >= 100
@@ -229,7 +243,7 @@ class TestSessions:
         d.add_edge(top, Effect.m10b(5).as_tuple(), leaf0)
         d.add_edge(top, Effect.m11a(2, 0).as_tuple(), leaf1)
         norm = preprocess(d)
-        assert norm.source[dead] == (PRUNED,) and norm.source[short][0] == SHORTCUT
+        assert norm.vertex_of[dead] == -1 and norm.is_shortcut(short)
         for v in range(len(d)):
             for _ in range(10):
                 p = (rng.randrange(100), rng.randrange(100))

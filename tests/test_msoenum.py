@@ -32,7 +32,6 @@ from fslpenum import (
     vc,
 )
 from fslpenum import effects, msoenum
-from fslpenum.dagenum import NODE, PRUNED, SHORTCUT
 from fslpenum.fixtures import (
     accept_all_nsta,
     at_least_one_nsta,
@@ -142,8 +141,8 @@ class TestProduct:
         idx = build(g, exactly_one_nsta("a"))
         # no edges: every pair is a normalized leaf of its own
         for pid in range(len(idx.pairs)):
-            disp = idx.norm.source[pid]
-            assert disp[0] == NODE and idx.norm.is_leaf(disp[1])
+            v = idx.norm.vertex_of[pid]
+            assert v >= 0 and not idx.norm.is_shortcut(pid) and idx.norm.is_leaf(v)
 
     def test_edges_match_tree_level_product(self, rng):
         # every occurrence of a DAG node reaches exactly the useful pairs
@@ -198,7 +197,7 @@ class TestPointSessions:
             idx = build(compress_forest(random_forest(rng, 10)), a)
             norm = idx.norm
             for pid in idx.pairs:
-                shortcuts += norm.source[pid][0] == SHORTCUT
+                shortcuts += norm.is_shortcut(pid)
                 p = (rng.randrange(100), rng.randrange(100))
                 want = [(t, effects.act(p, m)) for t, m in PathSession(norm, pid)]
                 assert list(PathSession(norm, pid, p)) == want, pid
@@ -721,6 +720,6 @@ class TestPidBlocks:
 
     def test_no_pair_is_pruned(self, rng):
         # every active pair reaches a useful one, so the per-node feed
-        # never meets a pruned child (it asserts a row with no edge is a target)
+        # never meets a pruned child
         for product in self._relabelled(rng, 30):
-            assert all(disp[0] != PRUNED for disp in product.norm.source)
+            assert min(product.norm.vertex_of) >= 0

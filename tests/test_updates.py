@@ -25,11 +25,25 @@ from fslpenum.fixtures import (
 from fslpenum.oracle import brute_select, canonical_form
 from fslpenum.updates import build_enum_structure, extend, relabel
 
-from conftest import check_pid_blocks, random_forest, random_nsta
+from conftest import bytecodes, check_pid_blocks, count_ratios, random_forest, random_nsta, under_hash_seeds
 
 
 def family(eds, node):
     return {frozenset(ans) for ans in eds.enumerate(node)}
+
+
+def relabel_bytecodes(sizes=(500, 1000, 2000)) -> list:
+    """Bytecodes of relabelling the leftmost leaf of a left-deep hc chain,
+    whose path holds every node, per chain size."""
+    counts = []
+    for n in sizes:
+        g = FSLP()
+        leaf_a = g.root = g.add_leaf("a")
+        for _ in range(n - 1):
+            g.root = g.add_hc(g.root, leaf_a)
+        eds = build_enum_structure(g, exactly_one_nsta("ab"))
+        counts.append(bytecodes(lambda: relabel(eds, g.root, 0, "x")))
+    return counts
 
 
 class TestExtend:
@@ -200,6 +214,15 @@ class TestRelabel:
         best = [min(times[n]) for n in sizes]
         ratios = [best[i] / best[i - 1] for i in range(1, len(sizes))]
         assert all(1.0 <= r <= 3.0 for r in ratios), (ratios, times)
+
+    def test_relabel_bytecodes_double_with_height(self):
+        # the relabel of test_relabel_time_doubles_with_height counted in
+        # bytecodes: exact, so the bound is tight, and the same under any
+        # hash seed
+        counts = relabel_bytecodes()
+        ratios = count_ratios(counts)
+        assert all(1.9 <= r <= 2.1 for r in ratios), (ratios, counts)
+        assert under_hash_seeds("test_updates.relabel_bytecodes()") == [counts] * 2
 
     def test_out_of_range(self):
         g = shared_subtree_fslp()
