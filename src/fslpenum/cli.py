@@ -76,13 +76,21 @@ def cmd_compress(args) -> int:
         print("cannot compress the empty forest", file=sys.stderr)
         return 1
     g = compress_forest(forest)
-    stats = compute_stats(g)
     _write_out(fslp.dumps(g), args.output)
-    print(
-        f"nodes={len(g)} N={stats.nverts[g.root]} height={stats.height[g.root]}",
-        file=sys.stderr,
-    )
+    print(f"nodes={len(g)} N={len(forest)} height={_height(g, g.root)}", file=sys.stderr)
     return 0
+
+
+def _height(g: FSLP, node: int) -> int:
+    """Height of ``node``, from one pass over the child lists up to it."""
+    lefts, rights = g.lefts, g.rights
+    height = [0] * (node + 1)
+    for i in range(node + 1):
+        l = lefts[i]
+        if l is not None:
+            hl, hr = height[l], height[rights[i]]
+            height[i] = 1 + (hl if hl > hr else hr)
+    return height[node]
 
 
 def cmd_decompress(args) -> int:

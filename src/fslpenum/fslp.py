@@ -212,6 +212,18 @@ class VertexStats:
             self.lm.append(lm)
             self.rm.append(rm)
 
+    def repeat(self, i: int) -> None:
+        """Append node ``i``'s entries again, sharing its edge tuples: the
+        stats of a node with ``i``'s kind whose children have the stats of
+        ``i``'s children (a copy on a relabelled path)."""
+        self.tau.append(self.tau[i])
+        self.s.append(self.s[i])
+        self.ell.append(self.ell[i])
+        self.nverts.append(self.nverts[i])
+        self.height.append(self.height[i])
+        self.lm.append(self.lm[i])
+        self.rm.append(self.rm[i])
+
 
 def compute_stats(g: FSLP) -> VertexStats:
     stats = VertexStats()
@@ -232,8 +244,8 @@ def check_node(node: int, count: int) -> None:
 def path_preorder(g: FSLP, stats: VertexStats, start: int, path: Iterable[str]) -> int:
     """Preorder number of the leaf reached from ``start`` along ``path``:
     the ``c`` of its edge effects (``stats.lm`` / ``stats.rm``) composed
-    from ``ID0``."""
-    check_node(start, len(g.kinds))
+    from ``ID0``.  ``start`` must be a node that ``stats`` covers."""
+    check_node(start, len(stats.tau))
     if stats.tau[start] != 0:
         raise ValueError("start node must have type 0")
     eff, cur = ID0, start
@@ -254,8 +266,9 @@ def preorder_to_path(g: FSLP, stats: VertexStats, start: int, k: int) -> str:
     edge effects (``stats.lm`` / ``stats.rm``).  At plug size ``p``, a right edge
     ``(eps, c, kappa, d)`` puts the right child's vertices and plug at ``c +
     eps*p`` on, spanning ``s[r] + kappa*p + d``; the rest is the left child's,
-    from 0 on, with plug ``kappa_l*p + d_l``."""
-    check_node(start, len(g.kinds))
+    from 0 on, with plug ``kappa_l*p + d_l``.  ``start`` must be a node
+    that ``stats`` covers."""
+    check_node(start, len(stats.tau))
     if stats.tau[start] != 0:
         raise ValueError("start node must have type 0")
     if not isinstance(k, int):
@@ -288,29 +301,51 @@ def check_leaf_def(offset: int, d: tuple) -> None:
 
 
 def relabel_path(g: FSLP, stats: VertexStats, node: int, k: int, label: str) -> tuple[int, int]:
-    """Copy the path to vertex ``k`` of ⟦node⟧ bottom-up through ``g.mk``, with
-    the leaf relabelled; returns (new root, number of nodes appended).
+    """Copy the path to vertex ``k`` of ⟦node⟧ bottom-up, with the leaf
+    relabelled; returns (new root, number of nodes appended).
 
-    Every check runs before anything is appended.  A copy that some node
-    already defines is that node, so at most height(node)+1 nodes are
-    appended, none if the label is unchanged, and the new root may be an
-    existing node; ``node`` still derives the old forest."""
+    ``stats`` is first brought up to ``g`` (``extend_for``), and covers
+    every node of ``g`` again on return, so one ``stats`` serves a chain
+    of relabels.  Every check of the input runs before anything is
+    appended.  A copy that some node already defines is that node
+    (``g.ids``), so at most height(node)+1 nodes are appended, none if
+    the label is unchanged, and the new root may be an existing node;
+    ``node`` still derives the old forest.  Every ancestor of the first
+    new copy names a new node, so it is new too and is appended without
+    a lookup.  A copy has the kind, type, sizes, height and edge effects
+    of the node it copies, so it carries that node's stats
+    (``VertexStats.repeat``)."""
+    stats.extend_for(g)
     path = preorder_to_path(g, stats, node, k)
-    chain = [node]
+    kinds, lefts, rights = g.kinds, g.lefts, g.rights
+    chain, cur = [], node
     for side in path:
-        cur = chain[-1]
-        chain.append(g.lefts[cur] if side == "l" else g.rights[cur])
-    leaf = (g.kinds[chain[-1]], label)
+        chain.append(cur)
+        cur = lefts[cur] if side == "l" else rights[cur]
+    leaf = (kinds[cur], label)
     check_leaf_def(0, leaf)
-    before = len(g)
-    copy = g.mk(*leaf)
-    for depth in range(len(path) - 1, -1, -1):
-        cur = chain[depth]
-        if path[depth] == "l":
-            copy = g.mk(g.kinds[cur], copy, g.rights[cur])
+    before = len(kinds)
+    ids, tau, push, repeat = g.ids, stats.tau, g._push, stats.repeat
+    copy = ids.get(leaf)
+    if copy is None:
+        copy = push(leaf[0], label, None, None)
+        repeat(cur)
+    for cur, side in zip(reversed(chain), reversed(path)):
+        kind = kinds[cur]
+        if side == "l":
+            l, r = copy, rights[cur]
         else:
-            copy = g.mk(g.kinds[cur], g.lefts[cur], copy)
-    return copy, len(g) - before
+            l, r = lefts[cur], copy
+        if copy < before:  # no copy appended yet: this one may exist
+            old = ids.get((kind, l, r))
+            if old is not None:
+                copy = old
+                continue
+        # the children type the copy, as they typed its original
+        node_type(len(kinds), kind, tau[l], tau[r])
+        copy = push(kind, None, l, r)
+        repeat(cur)
+    return copy, len(kinds) - before
 
 
 # ---------------------------------------------------------------------------
@@ -323,8 +358,9 @@ def evaluate(g: FSLP, node: int, budget: Optional[int] = None, stats: Optional[V
     ``None`` or a linked pair ``(node, plug)``: the forest that fills a type-1
     node's hole.  ``hc`` hands it to its type-1 child, ``vc`` plugs its right
     child into its left one, and a ``leafctx`` vertex gets it as its
-    children, or the hole ``*`` when there is none."""
-    check_node(node, len(g.kinds))
+    children, or the hole ``*`` when there is none.  Given ``stats``,
+    ``node`` must be a node that they cover."""
+    check_node(node, len(g.kinds) if stats is None else len(stats.tau))
     if stats is None:
         stats = compute_stats(g)
     if budget is None:

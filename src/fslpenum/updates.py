@@ -4,13 +4,15 @@ vertex relabelling.
 An extension appends nodes whose children are existing nodes; old nodes
 keep their definitions, so every table (stats, configuration rows, the
 normalized product DAG) grows strictly append-only and existing queries
-stay valid.  Relabelling (``fslp.relabel_path``) locates the
-root-to-leaf path of the target vertex by preorder arithmetic and copies
-the path's nodes through ``FSLP.mk`` with the leaf copy relabelled: a
-copy whose definition some node already has is that node (hash-consing),
-so a relabel appends at most height+1 nodes, and none when the vertex
-keeps its label; it may return an existing node as the new root.  The
-CLI ``relabel`` appends the same nodes.
+stay valid.  Relabelling (``fslp.relabel_path``) first brings the stats
+up to the f-SLP, locates the root-to-leaf path of the target vertex by
+preorder arithmetic and copies the path's nodes bottom-up with the leaf
+copy relabelled: a copy whose definition some node already has is that
+node (hash-consing), so a relabel appends at most height+1 nodes, and
+none when the vertex keeps its label; it may return an existing node as
+the new root.  Every ancestor of the first appended copy is new, so it
+is appended without a lookup, and each copy carries the stats of the
+node it copies.  The CLI ``relabel`` appends the same nodes.
 """
 
 from __future__ import annotations

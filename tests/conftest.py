@@ -4,6 +4,7 @@ timing and bytecode-count helpers of the doubling tests."""
 from __future__ import annotations
 
 import ast
+import dataclasses
 import gc
 import os
 import random
@@ -20,6 +21,7 @@ from fslpenum import (
     ExprLeaf,
     ExprNode,
     Forest,
+    compute_stats,
     parse_term,
 )
 from fslpenum.effects import compose
@@ -160,6 +162,14 @@ def check_pid_blocks(p) -> None:
             assert norm.tail[v] == (-1 if target else None if norm.is_leaf(c) else norm.lo[c]), pid
 
 
+def check_stats(stats, g) -> None:
+    """Each field of ``stats`` equals the same field of ``compute_stats(g)``:
+    a relabel's copies carry exactly the stats a fresh pass gives them."""
+    want = compute_stats(g)
+    for f in dataclasses.fields(want):
+        assert getattr(stats, f.name) == getattr(want, f.name), f.name
+
+
 def check_rigid_records(p) -> None:
     """Every rigid record a ``ProductIndex`` has filled equals the one its
     definition (``ProductIndex.fill_rigid``) gives, whatever order the
@@ -251,6 +261,16 @@ def count_ratios(counts: list) -> list:
     return [counts[i] / counts[i - 1] for i in range(1, len(counts))]
 
 
+def unique_term(n: int, block: int = 500) -> str:
+    """Term text of ``n // block`` copies, in a row, of one random forest
+    of ``block`` vertices, each vertex with its own label of one length:
+    no two subtrees are equal, so each doubling of ``n`` doubles the text,
+    the vertices and the nodes of the compressed f-SLP."""
+    shape = random_term(random.Random(block), block, "a")
+    names = iter(range(10**5, 10**5 + n))
+    return "".join(f"'v{next(names)}'" if c == "a" else c for c in shape * (n // block))
+
+
 def under_hash_seeds(call: str, seeds=("0", "1")) -> list:
     """``call``, an expression over one module of the tests (``"m.f(x)"``),
     evaluated in a fresh interpreter under each ``PYTHONHASHSEED`` value;
@@ -264,6 +284,15 @@ def under_hash_seeds(call: str, seeds=("0", "1")) -> list:
         assert run.returncode == 0, run.stderr
         out.append(ast.literal_eval(run.stdout))
     return out
+
+
+def check_counts_double(counts: list, call: str) -> None:
+    """Each doubling of the size doubles ``counts`` to within 5%, and
+    ``call`` (see ``under_hash_seeds``), the counts at the first two sizes,
+    gives the same two under every hash seed."""
+    ratios = count_ratios(counts)
+    assert all(1.9 <= r <= 2.1 for r in ratios), (ratios, counts)
+    assert under_hash_seeds(call) == [counts[:2]] * 2
 
 
 def cyclic_garbage(run) -> int:

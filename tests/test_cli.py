@@ -1,14 +1,26 @@
 import json
 import os
+import random
 import re
 import subprocess
 import sys
 
 import pytest
 
-from fslpenum import AnswerStream, PathSession, automata, cli, compute_stats, fslp, relabel_path, row_fslp
+from fslpenum import (
+    AnswerStream,
+    PathSession,
+    automata,
+    cli,
+    compress_forest,
+    compute_stats,
+    fslp,
+    parse_term,
+    relabel_path,
+    row_fslp,
+)
 from fslpenum.cli import main
-from fslpenum.fixtures import exactly_one_nsta, select_labels_nsta, shared_subtree_fslp
+from fslpenum.fixtures import exactly_one_nsta, random_term, select_labels_nsta, shared_subtree_fslp
 
 
 @pytest.fixture
@@ -36,6 +48,23 @@ class TestCompressDecompress:
         assert "N=10" in err
         code, text, _ = run(capsys, "decompress", out)
         assert code == 0 and text.strip() == "a(ba(a))bcb(c(ab))"
+
+    def test_summary_line_matches_the_stats(self, workdir, capsys):
+        # the stderr line takes N from the forest and the height from the
+        # child lists, not from compute_stats; it must still say what the
+        # stats say, on random forests, rows and chains
+        rng = random.Random(27)
+        terms = [random_term(rng, rng.randint(1, 300), "abc") for _ in range(20)]
+        terms += ["a" * n for n in (1, 2, 7, 300)]
+        terms += ["a(" * (n - 1) + "a" + ")" * (n - 1) for n in (2, 7, 300)]
+        src, out = workdir / "summary.term", workdir / "summary.fslp"
+        for term in terms:
+            src.write_text(term)
+            code, _, err = run(capsys, "compress", src, "-o", out)
+            g = compress_forest(parse_term(term))
+            st = compute_stats(g)
+            assert code == 0
+            assert err == f"nodes={len(g)} N={st.nverts[g.root]} height={st.height[g.root]}\n", term
 
     def test_compress_to_stdout_is_parseable(self, workdir, capsys):
         code, text, _ = run(capsys, "compress", workdir / "fig1.term")

@@ -1,3 +1,5 @@
+from functools import partial
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,7 +27,12 @@ from fslpenum import (
 from fslpenum.fixtures import random_term
 from fslpenum.oracle import expr_leaves
 
-from conftest import doubling_ratios, random_expr, random_forest
+from conftest import bytecodes, check_counts_double, doubling_ratios, random_expr, random_forest, unique_term
+
+
+def parse_bytecodes(sizes=(1000, 2000, 4000, 8000)) -> list:
+    """Bytecodes of ``parse_term`` on ``unique_term(n)``, per size n."""
+    return [bytecodes(partial(parse_term, unique_term(n))) for n in sizes]
 
 
 # (text, message, position) of a term the parser rejects
@@ -122,6 +129,11 @@ class TestForestCheck:
         texts = {n: "a" * n for n in sizes}
         ratios, times = doubling_ratios(sizes, texts, parse_term)
         assert all(1.0 <= r <= 3.0 for r in ratios), (ratios, times)
+
+    def test_parse_bytecodes_double_with_size(self):
+        # the parse counted in bytecodes: exact, so the bound is tight and
+        # no busy machine skews it
+        check_counts_double(parse_bytecodes(), "test_forest.parse_bytecodes((1000, 2000))")
 
 
 class TestSerialize:

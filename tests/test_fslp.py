@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+from functools import partial
 
 import pytest
 
@@ -41,7 +42,33 @@ from fslpenum.fixtures import (
     shared_subtree_fslp,
 )
 
-from conftest import doubling_ratios, random_expr, random_forest
+from conftest import (
+    bytecodes,
+    check_counts_double,
+    check_stats,
+    doubling_ratios,
+    random_expr,
+    random_forest,
+    unique_term,
+)
+
+
+def layer_bytecodes(layer: str, sizes=(1000, 2000, 4000, 8000)) -> list:
+    """Bytecodes of ``compress_forest``, ``loads`` or ``evaluate`` (with
+    stats), as ``layer`` names, on the forest of ``unique_term(n)`` or its
+    f-SLP, per size n."""
+    counts = []
+    for n in sizes:
+        f = parse_term(unique_term(n))
+        if layer == "compress":
+            run = partial(compress_forest, f)
+        elif layer == "loads":
+            run = partial(fslp_mod.loads, fslp_mod.dumps(compress_forest(f)))
+        else:
+            g = compress_forest(f)
+            run = partial(evaluate, g, g.root, stats=compute_stats(g))
+        counts.append(bytecodes(run))
+    return counts
 
 
 def first_ids(g):
@@ -280,6 +307,20 @@ class TestBadNodesAndPreorders:
                 call()
         assert len(g) == 7  # the relabel appended nothing
 
+    def test_node_past_the_stats(self, g_st):
+        # a node of g that the stats do not cover yet is unknown to the
+        # stats readers, not an IndexError
+        g, st = g_st
+        node = g.add_hc(g.root, g.root)
+        calls = [
+            lambda: preorder_to_path(g, st, node, 0),
+            lambda: path_preorder(g, st, node, "l"),
+            lambda: evaluate(g, node, stats=st),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=f"^unknown node {node}$"):
+                call()
+
     @pytest.mark.parametrize("k", [1.5, "1", None])
     def test_preorder_must_be_an_int(self, g_st, k):
         g, st = g_st
@@ -295,6 +336,7 @@ class TestRelabelPath:
             st = compute_stats(g)
             root, k = g.root, rng.randrange(len(f))
             new_root, added = relabel_path(g, st, root, k, "c")
+            check_stats(st, g)
             assert added <= st.height[root] + 1
             assert evaluate(g, new_root) == f.relabel(k, "c")
             assert evaluate(g, root) == f  # the old root is untouched
@@ -310,7 +352,7 @@ class TestRelabelPath:
             relabel_path(g, st, 7, 0, "c")  # node 7 is a context
         with pytest.raises(ValueError, match=r"definition 0: the hole '\*' is not a label"):
             relabel_path(g, st, g.root, 3, "*")
-        assert len(g) == 9  # nothing was appended
+        assert len(g) == len(st) == 9  # nothing was appended
 
 
     def test_a_same_label_copy_is_the_old_path(self):
@@ -319,7 +361,25 @@ class TestRelabelPath:
         assert relabel_path(g, st, g.root, 3, "b") == (g.root, 0)
         new_root, added = relabel_path(g, st, g.root, 14, "d")
         assert (added, len(g)) == (6, 15)
-        assert relabel_path(g, compute_stats(g), new_root, 14, "d") == (new_root, 0)
+        check_stats(st, g)
+        assert relabel_path(g, st, new_root, 14, "d") == (new_root, 0)
+        check_stats(st, g)
+
+    def test_chained_relabels_on_one_stats(self):
+        # the second relabel starts at a node the first appended; the stats
+        # are brought up to g first
+        g = compress_forest(parse_term("a(b c) d(e)"))
+        st = compute_stats(g)
+        r1, _ = relabel_path(g, st, g.root, 1, "x")
+        check_stats(st, g)
+        r2, _ = relabel_path(g, st, r1, 4, "y")
+        check_stats(st, g)
+        assert serialize_term(evaluate(g, r2)) == "a(xc)d(y)"
+        st = compute_stats(g)
+        g.add_hc(r2, r2)  # appended after the stats were taken
+        r3, added = relabel_path(g, st, len(g) - 1, 0, "z")
+        check_stats(st, g)
+        assert added == 4 and serialize_term(evaluate(g, r3)) == "z(xc)d(y)a(xc)d(y)"
 
 
 class TestDefinitionTable:
@@ -411,6 +471,9 @@ class TestUnfoldEvaluate:
 
         ratios, times = doubling_ratios(sizes, {n: n for n in sizes}, run)
         assert all(1.0 <= r <= 3.0 for r in ratios), (ratios, times)
+
+    def test_evaluate_bytecodes_double_with_size(self):
+        check_counts_double(layer_bytecodes("evaluate"), "test_fslp.layer_bytecodes('evaluate', (1000, 2000))")
 
 
 class TestFold:
@@ -650,6 +713,12 @@ class TestLinearBuilds:
         texts = {n: fslp_mod.dumps(compress_forest(parse_term(random_term(rng, n)))) for n in self.SIZES}
         ratios, times = doubling_ratios(self.SIZES, texts, fslp_mod.loads)
         assert all(1.0 <= r <= 3.0 for r in ratios), (ratios, times)
+
+    @pytest.mark.parametrize("layer", ["compress", "loads"])
+    def test_bytecodes_double_with_size(self, layer):
+        # the builds counted in bytecodes at 1k to 8k vertices: exact, so
+        # the bound is tight and no busy machine skews it
+        check_counts_double(layer_bytecodes(layer), f"test_fslp.layer_bytecodes({layer!r}, (1000, 2000))")
 
 
 class TestDeepInputs:

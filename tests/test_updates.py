@@ -25,7 +25,7 @@ from fslpenum.fixtures import (
 from fslpenum.oracle import brute_select, canonical_form
 from fslpenum.updates import build_enum_structure, extend, relabel
 
-from conftest import bytecodes, check_pid_blocks, count_ratios, random_forest, random_nsta, under_hash_seeds
+from conftest import bytecodes, check_pid_blocks, check_stats, count_ratios, random_forest, random_nsta, under_hash_seeds
 
 
 def family(eds, node):
@@ -391,6 +391,7 @@ class TestLongRelabelRun:
             if step % 100:
                 continue
             assert len(eds.fslp) == start + total
+            check_stats(eds.stats, eds.fslp)
             current = evaluate(eds.fslp, root)
             assert list(current.labels) == labels
             fresh = build_enum_structure(compress_forest(current), a)
