@@ -21,10 +21,11 @@ point) pairs from frozen path sessions that carry their point; binary
 nodes step through their pair's ordered successor tuples; and each
 emitted answer is the set of preorder numbers read off the root-to-leaf
 points.  A subtree with no choice at all (a rigid pair, see
-``ProductIndex.fill_rigid``) is one node, expanded by the walk from
-per-pair records, while steps are still counted on the full witness
-tree.  Answers come out duplicate-free with delay linear in the answer
-size.
+``ProductIndex.fill_rigid``) is one node that holds its pair's record;
+a record holds its children's records, so the walk expands the subtree
+by following them, with no table lookup per node, while steps are still
+counted on the full witness tree.  Answers come out duplicate-free with
+delay linear in the answer size.
 """
 
 from __future__ import annotations
@@ -87,10 +88,15 @@ class ProductIndex:
     its witness subtree holds a choice.  Records are filled lazily, the
     first time a stream meets a pair, so building, extending and
     relabelling cost what they did, and a fill visits only pairs of the
-    witness tree being built.  A record depends only on its pair's
+    witness tree being built; ``rigid`` is the memo that every stream
+    shares.  A binary record holds its children's record tuples, not
+    their pids, so records form a DAG of tuples whose unfolding can be
+    exponential in the f-SLP's size: nothing hashes, reprs or
+    deep-compares a whole record.  A record depends only on its pair's
     sub-DAG, and pids are append-only, so it stays valid across
     ``extend_for`` and for old snapshots; concurrent fills write equal
-    values."""
+    values, which may leave a record whose child is an equal but
+    distinct tuple from the one ``rigid`` holds for that child."""
 
     def __init__(self, g: FSLP, b: DBUTA):
         self.g = g
@@ -210,15 +216,18 @@ class ProductIndex:
         A pair is rigid when its minimal witness subtree holds no choice:
         it is a leaf pair, or it has a single path to a useful pair that is
         a leaf or has one successor tuple of two rigid pairs.  A leaf-like
-        record is ``(steps, nodes, -1, eps, ce)``: reached with the effect
+        record is ``(steps, nodes, None, eps, ce)``: reached with the effect
         (c, d), its one element is ``c + eps*d + ce``.  A binary one is
-        ``(steps, nodes, pid_l, *effect_l, pid_r, *effect_r)``, each effect
-        an ``(eps, c, kappa, d)`` tuple: the single path's effect
-        precomposed with the left or right edge's.  ``steps`` and ``nodes``
-        are what the full witness subtree charges and holds:
-        ``_LEAF_STEPS`` and 1 per leaf pair, ``_PATH_STEPS`` and
-        ``_PATH_NODES`` per single-path unary node with the child it draws.
-        A non-rigid pair's record is None.
+        ``(steps, nodes, rec_l, *effect_l, rec_r, *effect_r)``: ``rec_l``
+        and ``rec_r`` are the children's records themselves (the tuples
+        ``rigid`` holds for them), and each effect is an ``(eps, c, kappa,
+        d)`` tuple, the single path's effect precomposed with the left or
+        right edge's.  Slot 2 is None exactly for a leaf-like record, so
+        a walk goes down a subtree by following slots 2 and 7 and never
+        looks a record up.  ``steps`` and ``nodes`` are what the full
+        witness subtree charges and holds: ``_LEAF_STEPS`` and 1 per leaf
+        pair, ``_PATH_STEPS`` and ``_PATH_NODES`` per single-path unary
+        node with the child it draws.  A non-rigid pair's record is None.
 
         A stack entry is a bare pid on its first visit.  That visit makes
         the fill's one call per record, ``Normalizer.only_pair``, and reads
@@ -226,7 +235,9 @@ class ProductIndex:
         adding ``fl`` / ``fr`` as ``succ`` does.  It then pushes ``(pid,
         path effect, edges entry, pid_l, pid_r)`` and above it the children
         that have no record yet, so the second visit, which pops that tuple
-        once both children are filled, only composes.
+        once both children are filled, only reads their records and
+        composes.  Children are filled first and records never change, so
+        a record can hold its children's.
         """
         rec, node_of, first, shape_of = self.rigid, self.node_of, self.first, self.shape_of
         edges, only_pair = self.edges, self.norm.only_pair
@@ -247,7 +258,7 @@ class ProductIndex:
                 n = node_of[u]
                 e = edges[n]
                 if e is None:
-                    rec[p] = (_PATH_STEPS, _PATH_NODES, -1, eff[0], eff[1])
+                    rec[p] = (_PATH_STEPS, _PATH_NODES, None, eff[0], eff[1])
                     continue
                 tuples = shape_of[n][3][u - first[n]]
                 if len(tuples) > 1:
@@ -270,8 +281,8 @@ class ProductIndex:
             _, (le, lc, lk, ld), _, (re, rc, rk, rd) = e
             rec[p] = (
                 _PATH_STEPS + rl[0] + rr[0], _PATH_NODES + rl[1] + rr[1],
-                pl, eps + le * kappa, ce + le * de + lc, lk * kappa, lk * de + ld,
-                pr, eps + re * kappa, ce + re * de + rc, rk * kappa, rk * de + rd,
+                rl, eps + le * kappa, ce + le * de + lc, lk * kappa, lk * de + ld,
+                rr, eps + re * kappa, ce + re * de + rc, rk * kappa, rk * de + rd,
             )
         return rec[pid]
 
@@ -286,7 +297,7 @@ _LEAF, _UNARY, _BINARY, _RIGID = 0, 1, 2, 3
 # together also start the node drawn; a record counts those two nodes.
 _LEAF_STEPS = 1
 _PATH_STEPS, _PATH_NODES = 3, 2
-_LEAF_RECORD = (_LEAF_STEPS, 1, -1, 0, 0)  # a leaf pair: one node, element c
+_LEAF_RECORD = (_LEAF_STEPS, 1, None, 0, 0)  # a leaf pair: one node, element c
 
 
 class _WNode:
@@ -300,18 +311,20 @@ class _WNode:
     ``buf``, for the maximality test, and its child is the only place a
     binary node is built.  A drawn leaf pair gets no node: the unary node
     keeps its element c in ``elem``, set only by that draw, and its
-    ``child`` is None (a leaf is always maximal, so no advance needs it).  A rigid pair (no choice
-    below it) is one ``_RIGID`` node that holds the effect reaching the
-    pair, with ``folded`` set to the other nodes of its full subtree; the
-    walk expands the subtree from ``ProductIndex.rigid`` and never
-    advances it.
+    ``child`` is None (a leaf is always maximal, so no advance needs it).
+    A rigid pair (no choice below it) is one ``_RIGID`` node that holds
+    the effect reaching the pair, with ``folded`` set to the other nodes
+    of its full subtree and ``rec`` (set only on such a node) to the
+    pair's record that ``ProductIndex.fill_rigid`` returned; the walk
+    expands the subtree by following the record's children, never reads
+    ``ProductIndex.rigid``, and never advances the node.
     ``pos`` is the node's index in the preorder of the full witness tree
     (for a rigid node, that of the last node of its subtree).
     """
 
     __slots__ = (
         "kind", "node", "pid", "c", "d", "child", "left", "right",
-        "session", "buf", "succ", "succ_idx", "maximal", "pos", "folded", "elem",
+        "session", "buf", "succ", "succ_idx", "maximal", "pos", "folded", "elem", "rec",
     )
 
     def __init__(self, kind: int, node: int, pid: int, c: int, d: int):
@@ -379,6 +392,7 @@ class AnswerStream:
                 self.last_steps += rec[0]
                 x = _WNode(_RIGID, node, pid, c, d)
                 x.folded = rec[1] - 1
+                x.rec = rec
                 return x
         w = _WNode(_UNARY, node, pid, c, d)
         session = w.session = PathSession(idx.norm, pid, (c, d))
@@ -455,16 +469,14 @@ class AnswerStream:
                 pre.append(w)
                 stack.append(w.right)
                 stack.append(w.left)
-            else:  # rigid: expanded from the records, kept out of pre
-                rigid = self.idx.rigid
-                todo = [(w.pid, w.c, w.d)]
+            else:  # rigid: expanded from its record's children, kept out of pre
+                todo = [(w.rec, w.c, w.d)]
                 while todo:
-                    p, c, d = todo.pop()
-                    r = rigid[p]
-                    while r[2] >= 0:  # down the left spine, right children wait
+                    r, c, d = todo.pop()
+                    while r[2] is not None:  # down the left spine, right children wait
                         todo.append((r[7], c + r[8] * d + r[9], r[10] * d + r[11]))
                         c, d = c + r[3] * d + r[4], r[5] * d + r[6]
-                        r = rigid[r[2]]
+                        r = r[2]
                     answer.append(c + r[3] * d + r[4])
         self.last_steps += n  # one step per node of the full tree
         if n > 4 * len(answer) - 2:

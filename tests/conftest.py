@@ -170,15 +170,25 @@ def check_stats(stats, g) -> None:
         assert getattr(stats, f.name) == getattr(want, f.name), f.name
 
 
-def check_rigid_records(p) -> None:
+def check_rigid_records(p, concurrent: bool = False) -> None:
     """Every rigid record a ``ProductIndex`` has filled equals the one its
     definition (``ProductIndex.fill_rigid``) gives, whatever order the
     fill visited the pairs in.  The definition is read off the pair's
-    single path, ``succ`` and the ten-case edge rule; a composed record's
-    children must hold records too, so each record is checked against
-    stored records that are checked themselves."""
+    single path, ``succ`` and the ten-case edge rule.  A binary record's
+    child slots hold its children's records: each is the very tuple
+    ``rigid`` holds for that child, or, if ``concurrent`` fills may have
+    left an equal but distinct tuple there, is checked against the
+    child's definition in turn.  Each (record, pair) is checked once, by
+    the record's identity, so a record DAG whose unfolding is
+    exponential costs its size: no record is hashed or compared whole."""
     g, rigid = p.g, p.rigid
-    for pid, got in rigid.items():
+    seen = set()
+    todo = list(rigid.items())
+    while todo:
+        pid, got = todo.pop()
+        if (id(got), pid) in seen:
+            continue
+        seen.add((id(got), pid))
         if g.lefts[p.node_of[pid]] is None:
             assert got == _LEAF_RECORD, pid
             continue
@@ -189,7 +199,7 @@ def check_rigid_records(p) -> None:
         u, path = only
         node = p.node_of[u]
         if g.lefts[node] is None:
-            assert got == (_PATH_STEPS, _PATH_NODES, -1, path[0], path[1]), pid
+            assert got == (_PATH_STEPS, _PATH_NODES, None, path[0], path[1]), pid
             continue
         succ = p.succ(u)
         if len(succ) > 1:
@@ -197,16 +207,20 @@ def check_rigid_records(p) -> None:
             continue
         (pl, pr), = succ
         assert pl in rigid and pr in rigid, pid
-        rl, rr = rigid[pl], rigid[pr]
-        if rl is None or rr is None:
+        if rigid[pl] is None or rigid[pr] is None:
             assert got is None, pid
             continue
-        lm, rm = p.stats.lm[node], p.stats.rm[node]
+        assert got is not None and len(got) == 12, pid
+        rl, rr = got[2], got[7]
         want = (
             _PATH_STEPS + rl[0] + rr[0], _PATH_NODES + rl[1] + rr[1],
-            pl, *compose(path, lm), pr, *compose(path, rm),
+            *compose(path, p.stats.lm[node]), *compose(path, p.stats.rm[node]),
         )
-        assert got == want, pid
+        assert got[:2] + got[3:7] + got[8:] == want, pid
+        for child, r in ((pl, rl), (pr, rr)):
+            if r is not rigid[child]:
+                assert concurrent, (pid, child)
+                todo.append((child, r))
 
 
 def doubling_ratios(sizes, inputs, run):

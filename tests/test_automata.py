@@ -31,7 +31,30 @@ from fslpenum.fixtures import (
     select_labels_nsta,
 )
 
-from conftest import doubling_ratios, random_any_expr, random_expr, random_forest, random_nsta
+from conftest import (
+    bytecodes,
+    check_counts_double,
+    doubling_ratios,
+    random_any_expr,
+    random_expr,
+    random_forest,
+    random_nsta,
+)
+
+
+def iota_text(n: int) -> str:
+    """nSTA text with ``n`` iota lines for one key, each adding a state."""
+    return "\n".join(["nsta v1", f"states {n}", *(f"iota a 0 {q}" for q in range(n)),
+                      "trans 0 0 0", "init 0", "final 0"]) + "\n"
+
+
+def loads_bytecodes(sizes=(1000, 2000, 4000, 8000)) -> list:
+    """Bytecodes of ``automata.loads`` on ``iota_text(n)``, per size n."""
+    counts = []
+    for n in sizes:
+        text = iota_text(n)
+        counts.append(bytecodes(lambda: am.loads(text)))
+    return counts
 
 
 def brute_run_accept(a: NSTA, f, sel) -> bool:
@@ -369,17 +392,18 @@ class TestTextFormat:
         # five, CPU time of this process from a collected heap); the
         # smallest size is large enough that one slow run moves no ratio far
         sizes = [10000, 20000, 40000]
-        texts = {
-            n: "\n".join(["nsta v1", f"states {n}", *(f"iota a 0 {q}" for q in range(n)),
-                          "trans 0 0 0", "init 0", "final 0"]) + "\n"
-            for n in sizes
-        }
+        texts = {n: iota_text(n) for n in sizes}
 
         def run(n):
             assert am.loads(texts[n]).iota_set("a", 0) == frozenset(range(n))
 
         ratios, times = doubling_ratios(sizes, {n: n for n in sizes}, run)
         assert all(1.0 <= r <= 3.0 for r in ratios), (ratios, times)
+
+    def test_iota_lines_load_in_linear_bytecodes(self):
+        # the same loads counted in bytecodes: exact, so the bound is tight
+        # and a busy machine cannot fail it
+        check_counts_double(loads_bytecodes(), "test_automata.loads_bytecodes((1000, 2000))")
 
     @pytest.mark.parametrize(
         "line, lineno, message",

@@ -154,4 +154,4 @@ def test_concurrent_streams_fill_rigid_records_together():
         assert [runs[0], runs[1]] == want
     assert all(any(r is not None for r in idx.rigid.values()) for idx in shared)
     for idx in shared:
-        check_rigid_records(idx)
+        check_rigid_records(idx, concurrent=True)

@@ -25,7 +25,29 @@ from fslpenum.fixtures import (
 )
 from fslpenum.oracle import brute_path_order, brute_paths, brute_word_paths
 
-from conftest import doubling_ratios, random_labelled_dag, random_weighted_dag
+from conftest import bytecodes, check_counts_double, doubling_ratios, random_labelled_dag, random_weighted_dag
+
+
+def shared_sink_dag(n: int) -> DecoratedDAG:
+    """A chain of ``n - 1`` vertices, each also edged to one shared sink,
+    the last chain vertex a target."""
+    d = DecoratedDAG(INT_SUM)
+    for v in range(n):
+        d.add_vertex(None, target=v == n - 1)
+    shared = n - 1
+    for v in range(n - 2):
+        d.add_edge(v, 1, v + 1)
+        d.add_edge(v, 2, shared)
+    return d
+
+
+def preprocess_bytecodes(sizes=(2500, 5000, 10000)) -> list:
+    """Bytecodes of ``preprocess`` on ``shared_sink_dag(n)``, per size n."""
+    counts = []
+    for n in sizes:
+        d = shared_sink_dag(n)
+        counts.append(bytecodes(lambda: preprocess(d)))
+    return counts
 
 
 def session_multiset(idx, source):
@@ -255,20 +277,15 @@ class TestSessions:
 class TestPreprocessLinearity:
     @pytest.mark.timing
     def test_time_ratio_on_doubling(self):
-        def build(n):
-            d = DecoratedDAG(INT_SUM)
-            for v in range(n):
-                d.add_vertex(None, target=v == n - 1)
-            shared = n - 1
-            for v in range(n - 2):
-                d.add_edge(v, 1, v + 1)
-                d.add_edge(v, 2, shared)
-            return d
-
         sizes = [30000, 60000, 120000]
-        ratios, times = doubling_ratios(sizes, {n: build(n) for n in sizes}, preprocess)
+        ratios, times = doubling_ratios(sizes, {n: shared_sink_dag(n) for n in sizes}, preprocess)
         # linear growth doubles; quadratic would quadruple
         assert all(1.2 <= r <= 3.5 for r in ratios), (ratios, times)
+
+    def test_bytecodes_double_with_size(self):
+        # the same preprocess counted in bytecodes: exact, so the bound is
+        # tight and a busy machine cannot fail it
+        check_counts_double(preprocess_bytecodes(), "test_dagenum.preprocess_bytecodes((2500, 5000))")
 
     @pytest.mark.timing
     def test_target_fans_double_linearly(self):

@@ -14,6 +14,7 @@ from fslpenum import (
     ProductIndex,
     build_conf_sets,
     build_enum_structure,
+    chain_fslp,
     compress_forest,
     compute_stats,
     enumerate_select_uncompressed,
@@ -43,7 +44,17 @@ from fslpenum.fixtures import (
 )
 from fslpenum.oracle import _TreeEnum, brute_dbuta_select, brute_select
 
-from conftest import check_pid_blocks, check_rigid_records, doubling_ratios, random_expr, random_forest, random_nsta
+from conftest import (
+    bytecodes,
+    check_counts_double,
+    check_pid_blocks,
+    check_rigid_records,
+    doubling_ratios,
+    random_expr,
+    random_forest,
+    random_nsta,
+    unique_term,
+)
 
 
 def answer_family(idx, node, **kw):
@@ -58,6 +69,25 @@ def answer_family(idx, node, **kw):
 
 def build(g, a):
     return ProductIndex(g, nsta_to_dbuta(a))
+
+
+def rigid_read_bytecodes(sizes=(1000, 2000, 4000, 8000)) -> tuple[list, list]:
+    """Bytecodes of a first read (the rigid records' fill and the walk)
+    and of a second read (the walk alone) of the one answer, all n
+    vertices, of a query that selects every label of ``unique_term(n)``,
+    per size n; each read is one fresh stream's first ``next``."""
+    first, second = [], []
+    for n in sizes:
+        f = parse_term(unique_term(n))
+        labels = set(f.labels)
+        g = compress_forest(f)
+        idx = build(g, select_labels_nsta(labels, labels))
+        answers = []
+        first.append(bytecodes(lambda: answers.append(AnswerStream(idx, g.root).next())))
+        assert len(idx.rigid) == 2 * n - 1
+        second.append(bytecodes(lambda: answers.append(AnswerStream(idx, g.root).next())))
+        assert [sorted(a) for a in answers] == [list(range(n))] * 2
+    return first, second
 
 
 def empty_solution(idx, node):
@@ -297,6 +327,33 @@ class TestSinglePath:
         assert sorted(answer) == list(range(5000))
         assert stream.next() is None
         check_rigid_records(stream.idx)
+
+    def test_rigid_reads_double_with_size(self):
+        # the whole answer is one rigid subtree: the first read fills its
+        # 2n - 1 records and walks them, a second read only walks, and
+        # each costs a fixed count of bytecodes per vertex
+        first, second = rigid_read_bytecodes()
+        check_counts_double(first, "test_msoenum.rigid_read_bytecodes((1000, 2000))[0]")
+        check_counts_double(second, "test_msoenum.rigid_read_bytecodes((1000, 2000))[1]")
+
+    @pytest.mark.parametrize("make, records", [(row_fslp, 61), (chain_fslp, 121)])
+    def test_records_of_an_exponential_unfolding(self, make, records):
+        # 2**60 vertices from about 60 nodes: a record holds its children's
+        # records, so its unfolding is exponential; filling and checking
+        # the records must touch each record once, never the unfolding
+        g = make("b", 2**60)
+        idx = build(g, select_labels_nsta({"b"}, "b"))
+        finals = AnswerStream(idx, g.root)._finals
+
+        def fill_and_check():
+            for pid in finals:
+                idx.fill_rigid(pid)
+            check_rigid_records(idx)
+
+        count = bytecodes(fill_and_check)
+        assert len(idx.rigid) == records and count < 2000 * records  # about 740 each
+        steps = [idx.rigid[pid][0] for pid in finals]
+        assert steps and all(2**61 < s < 2**63 for s in steps)
 
     def test_exactly_one_witness_trees_keep_unary_nodes(self, rng):
         g = compress_forest(parse_term(random_term(rng, 300, "abc")))
