@@ -107,8 +107,10 @@ class Normalizer:
     morphism, else ``_NO_SHORTCUT`` (None is ε in ``WORDS``, a morphism).
 
     Vertices come in one at a time with their edge lists (``add_original``,
-    for a ``DecoratedDAG``) or one product node's block at a time, from its
-    shape rows (``add_rows``); the loop in ``add_rows`` places both.
+    for a ``DecoratedDAG``) or as a batch of product nodes' blocks, from
+    their shape rows (``add_rows``).  ``add_original`` passes its vertex
+    to ``add_rows`` as a batch of one block, so the loop in ``add_rows``
+    is the one place the placement rule is stated.
     """
 
     def __init__(self, category: Category):
@@ -134,9 +136,9 @@ class Normalizer:
 
         Each of the ordered (morphism, original child) ``edges`` is resolved
         (a pruned child drops it, a shortcut composes its morphism on the
-        right) and appended as an arm, and ``add_rows`` places the vertex.
-        An edge to a vertex that was not fed raises ValueError and records
-        nothing."""
+        right) and appended as an arm, and ``add_rows`` places the vertex,
+        a batch of one block of one row.  An edge to a vertex that was not
+        fed raises ValueError and records nothing."""
         if orig < 0:
             raise ValueError(f"unknown vertex {orig!r}")
         vertex_of, shortcut, compose = self.vertex_of, self.shortcut, self.category.compose
@@ -157,59 +159,71 @@ class Normalizer:
         if gap > 0:
             vertex_of += [_UNFED] * gap
             shortcut += [_NO_SHORTCUT] * gap
-        self.add_rows(orig, obj, (((), (), is_target),), None)
+        self.add_rows(((orig, obj, (((), (), is_target),), None),))
         if gap < 0:  # a gap left earlier, or a vertex fed again
             vertex_of[orig] = vertex_of.pop()
             shortcut[orig] = shortcut.pop()
 
-    def add_rows(self, orig: int, obj, rows: Iterable[tuple], edges: Optional[tuple]) -> None:
-        """Feed one product node's block of original vertices ``orig``,
-        ``orig + 1``, ..., one per row, appending their dispositions; every
-        child must be fed and live already.  With ``edges`` = ``(fl, lm, fr,
-        rm)`` (None if no row has an edge), a row ``(li, ri, target)`` has
-        the edges ``(lm, fl + a)`` for ``a`` in ``li``, then ``(rm, fr + c)``
-        for ``c`` in ``ri``, each appended as an arm at once; arms already
-        past ``lo[-1]`` (``add_original``'s) lead the first row's.  Then the
-        row is placed: pruned if no arm and no target, a shortcut (its arm
-        taken back) if one arm and no target, else a fan."""
+    def add_rows(self, blocks: Iterable[tuple]) -> None:
+        """Feed a batch of product nodes' blocks in order, appending the
+        dispositions of their original vertices; every child must be fed
+        and live already, in an earlier block or before the batch.
+
+        A block ``(orig, obj, rows, edges)`` holds the original vertices
+        ``orig``, ``orig + 1``, ..., one per row, all with the object
+        ``obj``.  With ``edges`` = ``(fl, lm, fr, rm)`` (None if no row has
+        an edge), a row ``(li, ri, target)`` has the edges ``(lm, fl + a)``
+        for ``a`` in ``li``, then ``(rm, fr + c)`` for ``c`` in ``ri``.
+        Arms already past ``lo[-1]`` (``add_original``'s) are the edges of
+        a row with none of its own.  A row is placed by one rule: pruned if
+        it has no arm and no target, a shortcut if one arm and no target
+        (its arm's child and composed morphism taken at once, never
+        appended), else a fan whose arms are appended in order."""
         vertex_of, shortcut = self.vertex_of, self.shortcut
         compose, identity = self.category.compose, self.category.identity
         lo, morph, child = self.lo, self.morph, self.child
         objs, omega, gam, tail = self.obj, self.omega, self.gam, self.tail
-        fl, lm, fr, rm = edges or (0, None, 0, None)
-        for li, ri, target in rows:
-            for a in li:
-                c = fl + a
-                child.append(vertex_of[c])
-                s = shortcut[c]
-                morph.append(lm if s is _NO_SHORTCUT else compose(lm, s))
-            for c in ri:
-                c += fr
-                child.append(vertex_of[c])
-                s = shortcut[c]
-                morph.append(rm if s is _NO_SHORTCUT else compose(rm, s))
-            arms = len(child) - lo[-1]
-            if target or arms > 1:
-                vertex_of.append(len(objs))
-                shortcut.append(_NO_SHORTCUT)
-                objs.append(obj)
-                lo.append(len(child))
-                if target:
-                    omega.append(orig)
-                    gam.append(identity(obj))
-                    tail.append(-1)
-                else:
-                    c = child[-1]
-                    omega.append(omega[c])
-                    gam.append(compose(morph[-1], gam[c]))
-                    tail.append(lo[c] if lo[c] < lo[c + 1] else None)
-            elif arms:
-                vertex_of.append(child.pop())
-                shortcut.append(morph.pop())
-            else:
-                vertex_of.append(-1)
-                shortcut.append(_NO_SHORTCUT)
-            orig += 1
+        for orig, obj, rows, edges in blocks:
+            fl, lm, fr, rm = edges or (0, None, 0, None)
+            ident = identity(obj)
+            for li, ri, target in rows:
+                arms = len(li) + len(ri) or len(child) - lo[-1]
+                if target or arms > 1:
+                    for a in li:
+                        c = fl + a
+                        child.append(vertex_of[c])
+                        s = shortcut[c]
+                        morph.append(lm if s is _NO_SHORTCUT else compose(lm, s))
+                    for c in ri:
+                        c += fr
+                        child.append(vertex_of[c])
+                        s = shortcut[c]
+                        morph.append(rm if s is _NO_SHORTCUT else compose(rm, s))
+                    vertex_of.append(len(objs))
+                    shortcut.append(_NO_SHORTCUT)
+                    objs.append(obj)
+                    lo.append(len(child))
+                    if target:
+                        omega.append(orig)
+                        gam.append(ident)
+                        tail.append(-1)
+                    else:
+                        c = child[-1]
+                        omega.append(omega[c])
+                        gam.append(compose(morph[-1], gam[c]))
+                        tail.append(lo[c] if lo[c] < lo[c + 1] else None)
+                elif not arms:
+                    vertex_of.append(-1)
+                    shortcut.append(_NO_SHORTCUT)
+                elif li or ri:
+                    c, m = (fl + li[0], lm) if li else (fr + ri[0], rm)
+                    vertex_of.append(vertex_of[c])
+                    s = shortcut[c]
+                    shortcut.append(m if s is _NO_SHORTCUT else compose(m, s))
+                else:  # add_original's one arm
+                    vertex_of.append(child.pop())
+                    shortcut.append(morph.pop())
+                orig += 1
 
     def only_pair(self, source: int) -> Optional[tuple]:
         """The one ⟨target, morphism⟩ pair of ``source``, or None unless it

@@ -99,9 +99,9 @@ class FSLP:
     def _push(self, kind: str, label: Optional[str], left: Optional[int], right: Optional[int]) -> int:
         i = len(self.kinds)
         if kind in (HC, VC):
-            for ref in (left, right):
-                if ref is None or not (0 <= ref < i):
-                    raise InvalidFSLP(i, "children must reference earlier nodes")
+            # both children lie in [0, i): one chained comparison
+            if left is None or right is None or not 0 <= left < i > right >= 0:
+                raise InvalidFSLP(i, "children must reference earlier nodes")
             self.ids.setdefault((kind, left, right), i)
         else:
             self.ids.setdefault((kind, label), i)
@@ -573,38 +573,74 @@ def _int_field(text: str, lineno: int, what: str) -> int:
 
 
 def loads(text: str) -> FSLP:
+    """The f-SLP of an ``fslp v1`` text, as ``dumps`` writes it.
+
+    The first line is the header ``fslp v1``.  Each later line is ``node
+    <id> leaf|leafctx <label>``, ``node <id> hc|vc <left id> <right id>``
+    or ``root <id>``; ids are dense and in order from 0, and a child or
+    the root names a node declared above it.  A ``#`` starts a comment
+    that runs to the end of the line, and blank lines are skipped.  Each
+    node is appended through ``FSLP._push``, so a repeated definition is
+    a new node while ``ids`` keeps the first node with it.
+
+    Every integer field is held to the default int/str digit limit,
+    whatever limit the process has set, so a long field is refused at no
+    quadratic cost.  Every rejection is a ``ValueError`` that names its
+    line, but for the missing header.
+    """
     g = FSLP()
     lines = text.splitlines()
     if not lines or lines[0].split("#", 1)[0].strip() != "fslp v1":
         raise ValueError("missing 'fslp v1' header")
-    for lineno, raw in enumerate(lines[1:], start=2):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    limit = sys.int_info.default_max_str_digits
+    push, kinds = g._push, g.kinds
+    for lineno, line in enumerate(lines[1:], start=2):
+        if "#" in line:
+            line = line.split("#", 1)[0]
         parts = line.split()
-        if parts[0] == "root":
+        if not parts:
+            continue
+        if parts[0] != "node" or len(parts) < 4:
+            if parts[0] != "root":
+                raise ValueError(f"line {lineno}: expected 'node <id> <kind> ...'")
             if len(parts) != 2:
                 raise ValueError(f"line {lineno}: bad root line")
             g.root = _int_field(parts[1], lineno, "root")
             if not (0 <= g.root < len(g)):
                 raise ValueError(f"line {lineno}: root references unknown node")
             continue
-        if parts[0] != "node" or len(parts) < 4:
-            raise ValueError(f"line {lineno}: expected 'node <id> <kind> ...'")
-        nid, kind = _int_field(parts[1], lineno, "node id"), parts[2]
-        if nid != len(g):
+        # a line within the digit limit holds no field past it; any other
+        # line, and any field int() refuses, goes through _int_field
+        short = len(line) <= limit
+        try:
+            nid = int(parts[1]) if short else None
+        except ValueError:
+            nid = None
+        if nid is None:
+            nid = _int_field(parts[1], lineno, "node id")
+        if nid != len(kinds):
             raise ValueError(f"line {lineno}: node ids must be dense and in order")
-        if kind in (LEAF, LEAFCTX):
+        kind = parts[2]
+        if kind == HC or kind == VC:
+            if len(parts) != 5:
+                raise ValueError(f"line {lineno}: {kind} takes two child ids")
+            try:
+                left, right = (int(parts[3]), int(parts[4])) if short else (None, None)
+            except ValueError:
+                left = None
+            if left is None:
+                left = _int_field(parts[3], lineno, "child id")
+                right = _int_field(parts[4], lineno, "child id")
+            try:
+                push(kind, None, left, right)
+            except InvalidFSLP as exc:  # a forward or self reference
+                raise ValueError(f"line {lineno}: {exc}") from None
+        elif kind == LEAF or kind == LEAFCTX:
             if len(parts) != 4:
                 raise ValueError(f"line {lineno}: leaf takes one label")
             if parts[3] == HOLE:
                 raise ValueError(f"line {lineno}: the hole {HOLE!r} is not a label")
-            g.add_node((kind, parts[3]))
-        elif kind in (HC, VC):
-            if len(parts) != 5:
-                raise ValueError(f"line {lineno}: {kind} takes two child ids")
-            left = _int_field(parts[3], lineno, "child id")
-            g.add_node((kind, left, _int_field(parts[4], lineno, "child id")))
+            push(kind, parts[3], None, None)
         else:
             raise ValueError(f"line {lineno}: unknown kind {kind!r}")
     return g

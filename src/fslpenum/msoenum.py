@@ -12,9 +12,9 @@ rows), of which a fixed query has a bounded number, so it runs once per
 shape and is kept per shape, successor tuples included.  Every other
 node with that shape costs one dict lookup, its block of pids, and one
 entry of its children's first pids and edge effects.  The product DAG
-goes straight into the path-enumeration normalizer, one node's block at
-a time, with the useful configurations as targets, and is stored only
-in normalized form.
+goes straight into the path-enumeration normalizer, every fed node's
+block in one batch, with the useful configurations as targets, and is
+stored only in normalized form.
 
 Enumeration then walks witness trees: unary nodes draw (useful config,
 point) pairs from frozen path sessions that carry their point; binary
@@ -30,6 +30,7 @@ delay linear in the answer size.
 
 from __future__ import annotations
 
+from contextlib import closing
 from typing import Iterator, NamedTuple, Optional
 
 from .automata import DBUTA
@@ -142,36 +143,53 @@ class ProductIndex:
 
         The state-pair walk (``_walk``) runs once per row shape, on the
         first node that has it (see ``shapes``).  Every node then costs one
-        lookup of its shape, its block of pids, its ``edges`` entry, and
-        one ``Normalizer.add_rows`` for its whole block, which finds the
-        children's pairs at their first pids plus their row indices.
-        ``work`` still counts the walk that each node stands for.
+        lookup of its shape, its block of pids and its ``edges`` entry, and
+        its block ``(first pid, type, shape rows, edges)`` goes to one
+        ``Normalizer.add_rows`` call, which places the blocks as
+        ``_blocks`` yields them and finds the children's pairs at their
+        first pids plus their row indices.  ``work`` still counts the walk
+        that each node stands for.
         """
-        g, stats, shapes = self.g, self.stats, self.shapes
-        first, shape_of, node_of = self.first, self.shape_of, self.node_of
-        stats.extend_for(g)
-        add = self.norm.add_rows
-        for i in range(self.built, upto):
-            l, r = g.lefts[i], g.rights[i]
-            if l is None:
-                key = (g.labels[i], g.kinds[i] == LEAFCTX)
-                edges = None
-            else:
-                sl, sr = shape_of[l], shape_of[r]
-                key = (g.kinds[i], sl[0], sl[2], sr[0], sr[2])
-                edges = (first[l], stats.lm[i], first[r], stats.rm[i])
-            shape = shapes.get(key)
-            if shape is None:
-                shape = shapes[key] = self._walk(key)
-            act, _, _, _, rows, work = shape
-            f = len(node_of)  # one int object: a target's omega shares it
-            add(f, stats.tau[i], rows, edges)
-            first.append(f)
-            shape_of.append(shape)
-            node_of += [i] * len(act)
-            self.edges.append(edges)
+        self.stats.extend_for(self.g)
+        with closing(self._blocks(upto)) as blocks:  # counts settle even if add_rows raises
+            self.norm.add_rows(blocks)
+
+    def _blocks(self, upto: int) -> Iterator[tuple]:
+        """Yield the normalizer block of each node in [built, upto), and
+        enter the node in the other tables once its block is placed.  The
+        tables are bound once.  A walk that raises ends the batch: the
+        nodes yielded before it are placed and entered, so every table
+        stays at the fed nodes."""
+        g, shapes, stats = self.g, self.shapes, self.stats
+        first, shape_of, node_of, edges_of = self.first, self.shape_of, self.node_of, self.edges
+        kinds, labels, lefts, rights = g.kinds, g.labels, g.lefts, g.rights
+        tau, lms, rms = stats.tau, stats.lm, stats.rm
+        work = 0
+        try:
+            for i in range(self.built, upto):
+                l = lefts[i]
+                if l is None:
+                    key = (labels[i], kinds[i] == LEAFCTX)
+                    edges = None
+                else:
+                    r = rights[i]
+                    sl, sr = shape_of[l], shape_of[r]
+                    key = (kinds[i], sl[0], sl[2], sr[0], sr[2])
+                    edges = (first[l], lms[i], first[r], rms[i])
+                shape = shapes.get(key)
+                if shape is None:
+                    shape = shapes[key] = self._walk(key)
+                act, _, _, _, rows, w = shape
+                f = len(node_of)  # one int object: a target's omega shares it
+                yield f, tau[i], rows, edges
+                first.append(f)
+                shape_of.append(shape)
+                node_of += [i] * len(act)
+                edges_of.append(edges)
+                work += w
+        finally:
             self.work += work
-            self.built = i + 1  # a walk that raises leaves every table at the fed nodes
+            self.built = len(first)
 
     def _walk(self, key: tuple) -> tuple:
         """The state-pair walk of one row shape; returns its ``shapes`` entry.

@@ -391,10 +391,16 @@ class TestExactSizes:
         # file is still refused by int(), at no quadratic cost
         long_id = "1" * 5000
         bad = workdir / "long.fslp"
-        bad.write_text(f"fslp v1\nnode 0 leaf a\nroot {long_id}\n")
-        code, out, err = run(capsys, "stats", bad)
-        assert (code, out) == (1, "")
-        assert err == f"error: line 3: root '{long_id}' is not an integer\n"
+        for body, message in [
+            (f"node 0 leaf a\nroot {long_id}", f"line 3: root '{long_id}' is not an integer"),
+            (f"node {long_id} leaf a", f"line 2: node id '{long_id}' is not an integer"),
+            (f"node 0 leaf a\nnode 1 hc {long_id} 0", f"line 3: child id '{long_id}' is not an integer"),
+            (f"node 0 leaf a\nnode 1 hc 0 {long_id}", f"line 3: child id '{long_id}' is not an integer"),
+        ]:
+            bad.write_text(f"fslp v1\n{body}\n")
+            code, out, err = run(capsys, "stats", bad)
+            assert (code, out) == (1, "")
+            assert err == f"error: {message}\n"
         query = workdir / "long.nsta"
         query.write_text((workdir / "selb.nsta").read_text().replace("init 0", f"init {long_id}", 1))
         code, out, err = run(capsys, "enumerate", workdir / "shared.fslp", query)

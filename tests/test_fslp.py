@@ -619,19 +619,26 @@ class TestTextFormat:
         g = fslp_mod.loads(text)
         assert len(g) == 1 and g.root == 0
 
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "node 0 leaf a\n",  # missing header
-            "fslp v1\nnode 1 leaf a\n",  # non-dense id
-            "fslp v1\nnode 0 hc 0 0\n",  # forward/self reference
-            "fslp v1\nnode 0 leaf a\nroot 3\n",  # unknown root
-            "fslp v1\nnode 0 frob a\n",  # unknown kind
-        ],
-    )
+    # every rejection of ``loads`` with its exact message
+    LOADS_ERRORS = {
+        "node 0 leaf a\n": "missing 'fslp v1' header",
+        "fslp v1\nnode 1 leaf a\n": "line 2: node ids must be dense and in order",
+        "fslp v1\nnode 0 hc 0 0\n": "line 2: node 0: children must reference earlier nodes",
+        "fslp v1\nnode 0 leaf a\nnode 1 vc 0 2\n": "line 3: node 1: children must reference earlier nodes",
+        "fslp v1\nnode 0 leaf a\nnode 1 hc -1 0\n": "line 3: node 1: children must reference earlier nodes",
+        "fslp v1\nnode 0 leaf a\nroot 3\n": "line 3: root references unknown node",
+        "fslp v1\nnode 0 frob a\n": "line 2: unknown kind 'frob'",
+        "fslp v1\nnode 0 leaf a b\n": "line 2: leaf takes one label",
+        "fslp v1\nnode 0 leaf a\nnode 1 hc 0\n": "line 3: hc takes two child ids",
+        "fslp v1\nnode 0 leaf a\nroot 0 0\n": "line 3: bad root line",
+        "fslp v1\n# a comment\n\nedge 0 1\n": "line 4: expected 'node <id> <kind> ...'",
+    }
+
+    @pytest.mark.parametrize("text", list(LOADS_ERRORS))
     def test_errors(self, text):
-        with pytest.raises((ValueError, InvalidFSLP)):
+        with pytest.raises(ValueError) as exc:
             fslp_mod.loads(text)
+        assert str(exc.value) == self.LOADS_ERRORS[text]
 
     @pytest.mark.parametrize(
         "text, message",
