@@ -120,8 +120,11 @@ class DBUTA:
     stored only once its state is interned, so an unlocked read sees either
     no entry or a complete one.  Interned values (not ids) are canonical.
     ``state_bound`` is the construction's worst-case state count, an
-    invariant; ``max_states`` is a resource cap: interning a state past it
-    raises ``StateLimitExceeded`` and leaves the automaton unchanged.
+    invariant, or None where it would be 2**128 or more: a state id is a
+    list index, below 2**63, so such a bound could never trip, and its
+    int alone would take memory exponential in the NSTA's states;
+    ``max_states`` is a resource cap: interning a state past it raises
+    ``StateLimitExceeded`` and leaves the automaton unchanged.
     """
 
     def __init__(
@@ -303,7 +306,8 @@ def nsta_to_dbuta(a: NSTA) -> DBUTA:
     def final(v) -> bool:
         return v != FAILURE and v[0] == "p" and (a.q0, a.qf) in set(v[1])
 
-    bound = 2 ** (a.m * a.m) + 2 ** (a.m**4) + 1
+    # 2**(m**4) has m**4 bits: built only while it is below 2**128
+    bound = 2 ** (a.m * a.m) + 2 ** (a.m**4) + 1 if a.m**4 < 128 else None
     cap = default_max_states()
     return DBUTA(delta0, delta2, final, state_bound=bound, max_states=cap)
 

@@ -299,11 +299,7 @@ class PathSession:
             self.gamma = point if point is not None or v < 0 else cat.identity(norm.obj[v])
 
     def __iter__(self):
-        while True:
-            item = self.next()
-            if item is None:
-                return
-            yield item
+        return iter(self.next, None)
 
     def next(self) -> Optional[tuple]:
         if self.exhausted:

@@ -647,9 +647,12 @@ def loads(text: str) -> FSLP:
 
 
 def gc(g: FSLP, keep: Iterable[int]) -> tuple[FSLP, dict[int, int]]:
-    """Drop nodes unreachable from ``keep``; returns (new FSLP, id map)."""
+    """Drop nodes unreachable from ``keep``; returns (new FSLP, id map).
+    A kept id that does not name a node of ``g`` raises ValueError."""
     live: set[int] = set()
     stack = list(keep)
+    for i in stack:
+        check_node(i, len(g))
     while stack:
         i = stack.pop()
         if i in live:

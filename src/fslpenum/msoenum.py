@@ -20,12 +20,14 @@ Enumeration then walks witness trees: unary nodes draw (useful config,
 point) pairs from frozen path sessions that carry their point; binary
 nodes step through their pair's ordered successor tuples; and each
 emitted answer is the set of preorder numbers read off the root-to-leaf
-points.  A subtree with no choice at all (a rigid pair, see
-``ProductIndex.fill_rigid``) is one node that holds its pair's record;
-a record holds its children's records, so the walk expands the subtree
-by following them, with no table lookup per node, while steps are still
-counted on the full witness tree.  Answers come out duplicate-free with
-delay linear in the answer size.
+points.  Every started pair enters a witness tree as
+``ProductIndex.fill_rigid`` decides: a subtree with no choice at all (a
+rigid pair, a leaf pair included) is one node that holds its pair's
+record, and any other pair is a unary node.  A record holds its
+children's records, so the walk expands the subtree by following them,
+with no table lookup per node, while steps are still counted on the full
+witness tree.  Answers come out duplicate-free with delay linear in the
+answer size.
 """
 
 from __future__ import annotations
@@ -246,6 +248,8 @@ class ProductIndex:
         witness subtree charges and holds: ``_LEAF_STEPS`` and 1 per leaf
         pair, ``_PATH_STEPS`` and ``_PATH_NODES`` per single-path unary
         node with the child it draws.  A non-rigid pair's record is None.
+        ``AnswerStream`` asks this about every pair it starts, leaf and
+        multi-path pairs included, so a later stream finds each in ``rigid``.
 
         A stack entry is a bare pid on its first visit.  That visit makes
         the fill's one call per record, ``Normalizer.only_pair``, and reads
@@ -309,7 +313,7 @@ class ProductIndex:
 # witness trees over the product DAG
 # ---------------------------------------------------------------------------
 
-_LEAF, _UNARY, _BINARY, _RIGID = 0, 1, 2, 3
+_UNARY, _BINARY, _RIGID = 0, 1, 2
 # Steps charged on the full witness tree: a leaf's start, and a single-path
 # unary node's start, its session's one iteration and its one draw, which
 # together also start the node drawn; a record counts those two nodes.
@@ -319,48 +323,38 @@ _LEAF_RECORD = (_LEAF_STEPS, 1, None, 0, 0)  # a leaf pair: one node, element c
 
 
 class _WNode:
-    """A witness-tree node for the active or useful pair ``pid``.
+    """A witness-tree node: rigid, unary or binary; each kind sets the
+    slots it uses.
 
     Its cumulative effect from the stream's type-0 root is x -> x + c, or
     x -> (x + c, d) below a context, so two ints hold it: composed with an
     edge or path effect (eps, c_e, kappa, d_e) it becomes
-    (c + eps*d + c_e, kappa*d + d_e).  A unary node's path session moves
-    its point (c, d) so, edge by edge; the node keeps the next pair in
-    ``buf``, for the maximality test, and its child is the only place a
-    binary node is built.  A drawn leaf pair gets no node: the unary node
-    keeps its element c in ``elem``, set only by that draw, and its
+    (c + eps*d + c_e, kappa*d + d_e).  A started pair with a rigid record
+    (no choice below it, a leaf pair included) is one ``_RIGID`` node
+    whose ``rec`` is the record ``ProductIndex.fill_rigid`` returned; the
+    walk expands the subtree by following the record's children, never
+    reads ``ProductIndex.rigid``, and never advances the node.  Any other
+    started pair is a ``_UNARY`` node: its path ``session`` moves its
+    point (c, d) edge by edge, and it keeps the next pair in ``buf``, for
+    the maximality test.  A drawn binary pair becomes its ``child``, the
+    only place a ``_BINARY`` node is built, which steps through its
+    pair's successor tuples ``succ`` and keeps its node's ``edges`` entry
+    for its ``left`` and ``right`` children.  A drawn leaf pair gets no
+    node: the unary node keeps its element c in ``elem`` and its
     ``child`` is None (a leaf is always maximal, so no advance needs it).
-    A rigid pair (no choice below it) is one ``_RIGID`` node that holds
-    the effect reaching the pair, with ``folded`` set to the other nodes
-    of its full subtree and ``rec`` (set only on such a node) to the
-    pair's record that ``ProductIndex.fill_rigid`` returned; the walk
-    expands the subtree by following the record's children, never reads
-    ``ProductIndex.rigid``, and never advances the node.
     ``pos`` is the node's index in the preorder of the full witness tree
     (for a rigid node, that of the last node of its subtree).
     """
 
     __slots__ = (
-        "kind", "node", "pid", "c", "d", "child", "left", "right",
-        "session", "buf", "succ", "succ_idx", "maximal", "pos", "folded", "elem", "rec",
+        "kind", "edges", "c", "d", "child", "left", "right",
+        "session", "buf", "succ", "succ_idx", "maximal", "pos", "elem", "rec",
     )
 
-    def __init__(self, kind: int, node: int, pid: int, c: int, d: int):
+    def __init__(self, kind: int, c: int, d: int):
         self.kind = kind
-        self.node = node
-        self.pid = pid
         self.c = c
         self.d = d
-        self.child: Optional[_WNode] = None
-        self.left: Optional[_WNode] = None
-        self.right: Optional[_WNode] = None
-        self.session: Optional[PathSession] = None
-        self.buf: Optional[tuple] = None
-        self.succ: Optional[list] = None
-        self.succ_idx = 0
-        self.maximal = True
-        self.pos = 0
-        self.folded = 0
 
 
 class AnswerStream:
@@ -368,13 +362,14 @@ class AnswerStream:
 
     ``next`` returns the next answer as a list of preorder numbers (in
     witness order, not sorted) or None after the end.  ``last_steps``
-    counts the instrumented work of the most recent call.  A rigid pair
-    becomes one node that is charged its record's steps when started; the
-    walk expands it into the answer and keeps it out of ``_pre``, the
-    preorder list of nodes an advance may reach.  Every other non-leaf pair
-    is a unary node that draws from a path session.  Steps are counted on
-    the full witness tree, as if every rigid subtree were built node by
-    node.
+    counts the instrumented work of the most recent call.  Every started
+    pair asks ``ProductIndex.fill_rigid`` for its record.  A pair with one
+    (a leaf pair included) becomes one rigid node that is charged the
+    record's steps when started; the walk expands it into the answer and
+    keeps it out of ``_pre``, the preorder list of nodes an advance may
+    reach.  A pair without one is a unary node that draws from a path
+    session.  Steps are counted on the full witness tree, as if every
+    rigid subtree were built node by node.
     """
 
     def __init__(self, idx: ProductIndex, node: int, record_steps: bool = False):
@@ -398,21 +393,17 @@ class AnswerStream:
     # -- construction -----------------------------------------------------
 
     def _start_active(self, pid: int, c: int, d: int) -> _WNode:
-        """Fresh node for an active pair; its choice is not drawn yet."""
+        """Fresh node for an active pair; its choice is not drawn yet.  The
+        pair's rigid record (``ProductIndex.fill_rigid``) decides its kind:
+        a rigid node if there is one, else a unary node with a session."""
         idx = self.idx
-        node = idx.node_of[pid]
-        if idx.g.lefts[node] is None:
-            self.last_steps += _LEAF_STEPS
-            return _WNode(_LEAF, node, pid, c, d)
-        if idx.norm.only_pair(pid) is not None:  # multi-path pairs are never rigid
-            rec = idx.fill_rigid(pid)  # returns a filled record at once
-            if rec is not None:  # no choice below: the whole subtree at once
-                self.last_steps += rec[0]
-                x = _WNode(_RIGID, node, pid, c, d)
-                x.folded = rec[1] - 1
-                x.rec = rec
-                return x
-        w = _WNode(_UNARY, node, pid, c, d)
+        rec = idx.fill_rigid(pid)
+        if rec is not None:  # no choice below: the whole subtree at once
+            self.last_steps += rec[0]
+            x = _WNode(_RIGID, c, d)
+            x.rec = rec
+            return x
+        w = _WNode(_UNARY, c, d)
         session = w.session = PathSession(idx.norm, pid, (c, d))
         w.buf = session.next()
         self.last_steps += 1 + session.last_steps
@@ -427,23 +418,26 @@ class AnswerStream:
         self.last_steps += session.last_steps + 1
         w.maximal = w.buf is None
         idx = self.idx
-        node = idx.node_of[pid]
-        if idx.g.lefts[node] is None:  # a leaf: kept as w's element
+        edges = idx.edges[idx.node_of[pid]]
+        if edges is None:  # a leaf: kept as w's element
             w.child = None
             w.elem = c
         else:
-            x = w.child = _WNode(_BINARY, node, pid, c, d)
+            x = w.child = _WNode(_BINARY, c, d)
+            x.edges = edges
             x.succ = idx.succ(pid)
+            x.succ_idx = 0
             x.maximal = len(x.succ) == 1
 
     def _start_child(self, w: _WNode, side: int) -> _WNode:
         """(Re)create w's left (side 0) or right (side 1) child, the pair
         named by its current successor tuple, reached over that edge."""
-        eps, ce, kappa, de = self.idx.edges[w.node][2 * side + 1]
+        eps, ce, kappa, de = w.edges[2 * side + 1]
         return self._start_active(w.succ[w.succ_idx][side], w.c + eps * w.d + ce, kappa * w.d + de)
 
     def _complete_below(self, w: _WNode) -> None:
-        """Minimal completion of a fresh node whose choice is not yet drawn."""
+        """Minimal completion below a node whose children are not started:
+        a fresh node, or a binary node just advanced to its next tuple."""
         work = [w]
         while work:
             x = work.pop()
@@ -467,28 +461,15 @@ class AnswerStream:
         stack = [self._root]
         while stack:
             w = stack.pop()
-            n += w.folded  # the other full-tree nodes it stands for
-            w.pos = n
-            n += 1
-            if not w.maximal:
-                last_nonmax = len(pre)
             kind = w.kind
-            if kind == _LEAF:
-                pre.append(w)
-                answer.append(w.c)
-            elif kind == _UNARY:
-                pre.append(w)
-                if w.child is None:  # its drawn leaf: one more full-tree node
-                    n += 1
-                    answer.append(w.elem)
-                else:
-                    stack.append(w.child)
-            elif kind == _BINARY:
-                pre.append(w)
-                stack.append(w.right)
-                stack.append(w.left)
-            else:  # rigid: expanded from its record's children, kept out of pre
-                todo = [(w.rec, w.c, w.d)]
+            if kind == _RIGID:  # expanded from its record's children, kept out of pre
+                r, c, d = w.rec, w.c, w.d
+                n += r[1]  # the full-tree nodes it stands for
+                w.pos = n - 1
+                if r[2] is None:  # leaf-like: its one element
+                    answer.append(c + r[3] * d + r[4])
+                    continue
+                todo = [(r, c, d)]
                 while todo:
                     r, c, d = todo.pop()
                     while r[2] is not None:  # down the left spine, right children wait
@@ -496,6 +477,20 @@ class AnswerStream:
                         c, d = c + r[3] * d + r[4], r[5] * d + r[6]
                         r = r[2]
                     answer.append(c + r[3] * d + r[4])
+                continue
+            if not w.maximal:
+                last_nonmax = len(pre)
+            pre.append(w)
+            w.pos = n
+            n += 1
+            if kind == _BINARY:
+                stack.append(w.right)
+                stack.append(w.left)
+            elif w.child is None:  # a unary node's drawn leaf: one more full-tree node
+                n += 1
+                answer.append(w.elem)
+            else:
+                stack.append(w.child)
         self.last_steps += n  # one step per node of the full tree
         if n > 4 * len(answer) - 2:
             raise AssertionError(
@@ -522,9 +517,7 @@ class AnswerStream:
         else:
             w.succ_idx += 1
             w.maximal = w.succ_idx == len(w.succ) - 1
-            w.left, w.right = self._start_child(w, 0), self._start_child(w, 1)
-            self._complete_below(w.left)
-            self._complete_below(w.right)
+            self._complete_below(w)
         # children of kept nodes that fell into the discarded suffix are
         # rebuilt minimally (their labels are fixed by the kept choice)
         for j in range(i):
@@ -563,8 +556,4 @@ class AnswerStream:
         return out
 
     def __iter__(self) -> Iterator[list[int]]:
-        while True:
-            item = self.next()
-            if item is None:
-                return
-            yield item
+        return iter(self.next, None)

@@ -4,6 +4,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -222,6 +223,17 @@ class TestEnumerate:
         monkeypatch.setenv("FSLPENUM_MAX_STATES", "1000")
         code, text, _ = run(capsys, "enumerate", out, workdir / "selb.nsta")
         assert code == 0 and text.splitlines() == ["1 4 6 9", "EOE"]
+
+    def test_many_states_cost_no_state_bound(self, workdir, capsys):
+        # the subset construction's worst-case bound has m**4 bits; with
+        # 100 000 states it is not built, and the run stays cheap
+        query, leaf = workdir / "many.nsta", workdir / "leaf.fslp"
+        query.write_text("nsta v1\nstates 100000\niota a 0 0\ntrans 0 0 0\ninit 0\nfinal 0\n")
+        leaf.write_text("fslp v1\nnode 0 leaf a\nroot 0\n")
+        t0 = time.process_time()
+        code, text, err = run(capsys, "enumerate", leaf, query)
+        assert (code, text, err) == (0, "-\nEOE\n", "")
+        assert time.process_time() - t0 < 0.5
 
     def test_empty_set_printed_as_dash(self, workdir, capsys):
         only_empty = workdir / "empty.nsta"

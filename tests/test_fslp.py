@@ -301,6 +301,7 @@ class TestBadNodesAndPreorders:
             lambda: path_preorder(g, st, node, ""),
             lambda: evaluate(g, node),
             lambda: relabel_path(g, st, node, 1, "x"),
+            lambda: fslp_mod.gc(g, [g.root, node]),
         ]
         for call in calls:
             with pytest.raises(ValueError, match=f"^unknown node {node}$"):

@@ -90,6 +90,22 @@ def rigid_read_bytecodes(sizes=(1000, 2000, 4000, 8000)) -> tuple[list, list]:
     return first, second
 
 
+def session_read_bytecodes(sizes=(1000, 2000, 4000, 8000)) -> list:
+    """Bytecodes of reading every answer, one per vertex, of a fresh
+    stream of the exactly-one query over ``unique_term(n)``, per size n:
+    each answer is a draw from the root's path session."""
+    counts = []
+    for n in sizes:
+        f = parse_term(unique_term(n))
+        labels = set(f.labels)
+        g = compress_forest(f)
+        idx = build(g, exactly_one_nsta(labels))
+        answers = []
+        counts.append(bytecodes(lambda: answers.extend(AnswerStream(idx, g.root))))
+        assert sorted(a for a, in answers) == list(range(n))
+    return counts
+
+
 def empty_solution(idx, node):
     # the stream emits the empty answer first exactly when it is an answer
     return AnswerStream(idx, node).next() == []
@@ -336,6 +352,12 @@ class TestSinglePath:
         check_counts_double(first, "test_msoenum.rigid_read_bytecodes((1000, 2000))[0]")
         check_counts_double(second, "test_msoenum.rigid_read_bytecodes((1000, 2000))[1]")
 
+    def test_session_reads_double_with_size(self):
+        # every answer is one draw from the root's session: a fixed count
+        # of bytecodes per answer
+        counts = session_read_bytecodes()
+        check_counts_double(counts, "test_msoenum.session_read_bytecodes((1000, 2000))")
+
     @pytest.mark.parametrize("make, records", [(row_fslp, 61), (chain_fslp, 121)])
     def test_records_of_an_exponential_unfolding(self, make, records):
         # 2**60 vertices from about 60 nodes: a record holds its children's
@@ -387,6 +409,27 @@ class TestSinglePath:
         assert answers > 50
         assert len(built) == len(stream._finals)
 
+    def test_fill_rigid_decides_every_start(self, monkeypatch):
+        # at least one b in "bb": the root pair has three paths, so it is a
+        # unary node, and the binary pair it draws starts two leaf pairs
+        g = compress_forest(parse_term("bb"))
+        idx = build(g, at_least_one_nsta("ab"))
+        stream = AnswerStream(idx, g.root)
+        answers, children = [], []
+        for answer in stream:
+            answers.append(sorted(answer))
+            children += [x for w in stream._pre if w.kind == msoenum._BINARY for x in (w.left, w.right)]
+        assert sorted(answers) == [[0], [0, 1], [1]]
+        assert children and all(x.kind == msoenum._RIGID and x.rec is msoenum._LEAF_RECORD for x in children)
+        root, = stream._finals
+        assert idx.norm.only_pair(root) is None
+        assert idx.rigid[root] is None  # the multi-path start is kept too
+        calls = []
+        only_pair = Normalizer.only_pair
+        monkeypatch.setattr(Normalizer, "only_pair", lambda self, pid: calls.append(pid) or only_pair(self, pid))
+        assert [sorted(a) for a in AnswerStream(idx, g.root)] == answers
+        assert calls == []  # a second stream reads every start off rigid
+
     def test_answers_and_steps_match_the_session_walk(self, rng, monkeypatch):
         # the single-path branch counts what a session would (1 step at the
         # start, 1 at the draw): switched off, every stream is unchanged
@@ -408,7 +451,7 @@ class TestSinglePath:
 
             def __init__(self, kind, *args):
                 if kind == msoenum._RIGID:
-                    rigid.append(args)
+                    rigid.append(self)
                 super().__init__(kind, *args)
 
         monkeypatch.setattr(msoenum, "_WNode", CountingNode)
@@ -419,7 +462,7 @@ class TestSinglePath:
             assert list(stream) == answers
             assert stream.step_log == log
         assert opened  # the streams above did go through sessions
-        assert rigid == []  # and built no rigid node
+        assert rigid and all(x.rec is msoenum._LEAF_RECORD for x in rigid)  # and no rigid node but leaves
 
 
 class TestEmptySolution:
@@ -652,8 +695,8 @@ class TestDifferentialAtScale:
                 # rigid nodes stay out of pre: the root, or a binary node's child
                 nodes = pre + [stream._root] if stream._root else list(pre)
                 nodes += [x for w in pre if w.kind == msoenum._BINARY for x in (w.left, w.right)]
-                assert all(x.kind == msoenum._RIGID for x in nodes if x.folded)
-                rigid += sum(x.kind == msoenum._RIGID and x.folded > 0 for x in nodes)
+                assert not any(hasattr(x, "rec") for x in nodes if x.kind != msoenum._RIGID)
+                rigid += sum(x.kind == msoenum._RIGID and x.rec[1] > 1 for x in nodes)
             check_rigid_records(idx)
         assert binary >= 10**4 and rigid >= 10**3  # 159 986 and 62 706 today
 
