@@ -7,7 +7,6 @@ from .automata import (
     StateLimitExceeded,
     build_btau,
     multivar_reduce,
-    nsta_accepts,
     nsta_to_dbuta,
 )
 from .dagenum import (
@@ -62,6 +61,7 @@ from .oracle import (
     leaf,
     leaf_preorders,
     leafctx,
+    nsta_accepts,
     type_of,
     unfold,
     vc,

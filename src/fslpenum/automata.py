@@ -10,10 +10,13 @@ Automata are vertex-selecting: the alphabet is Sigma x {0,1} and the bit
 marks selected vertices.
 
 The determinization turns an nSTA into a dBUTA over expression trees
-whose states are sets of state pairs (type-0 subexpressions) or state
-quadruples (type-1 subexpressions), built only on demand and interned to
-dense ids.  The engine runs it over f-SLP nodes; running it on an explicit
-expression (``dbuta_run``) is an oracle helper in ``oracle``.
+whose states are relations on nSTA states, kept as the sorted tuple of
+their nonzero rows: a forest maps each of its run pairs (p, q) to 1, a
+context maps each run pair to the bitset of hole runs that give it.
+States are built only on demand and interned to dense ids.  The engine
+runs it over f-SLP nodes; running it on an explicit expression
+(``dbuta_run``) is an oracle helper in ``oracle``, as is the reference
+acceptance test ``nsta_accepts``.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ import threading
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
-from .forest import Forest
 from .fslp import FSLP, HC, LEAF, LEAFCTX, VC, _int_field, env_int
 
 FAILURE = ("fail",)
@@ -63,50 +65,6 @@ class NSTA:
 
     def iota_set(self, label: str, bit: int) -> frozenset:
         return self.iota.get((label, bit), frozenset())
-
-    def step_map(self) -> dict:
-        """(state, read state) -> tuple of successor states."""
-        out: dict[tuple[int, int], list[int]] = {}
-        for p, r, q in self.delta:
-            out.setdefault((p, r), []).append(q)
-        return {k: tuple(sorted(v)) for k, v in out.items()}
-
-
-def nsta_accepts(a: NSTA, f: Forest, selection: Iterable[int]) -> bool:
-    """Does (f, selection) have a (q0, qf)-run?  Polynomial reachability."""
-    sel = set(selection)
-    for v in sel:
-        if not (0 <= v < len(f)):
-            raise ValueError(f"selected vertex {v} out of range")
-    step = a.step_map()
-
-    def advance(states: set[int], reads: frozenset) -> set[int]:
-        out: set[int] = set()
-        for p in states:
-            for r in reads:
-                out.update(step.get((p, r), ()))
-        return out
-
-    n = len(f)
-    sub: list[frozenset] = [frozenset()] * n
-    # children follow parents in preorder, so a reverse scan is bottom-up
-    for v in range(n - 1, -1, -1):
-        key = (f.labels[v], 1 if v in sel else 0)
-        if f.is_leaf(v):
-            sub[v] = a.iota_set(*key)
-        else:
-            cur = set(a.iota_set(*key))
-            for c in f.children[v]:
-                cur = advance(cur, sub[c])
-                if not cur:
-                    break
-            sub[v] = frozenset(cur)
-    cur = {a.q0}
-    for r in f.roots:
-        cur = advance(cur, sub[r])
-        if not cur:
-            break
-    return a.qf in cur
 
 
 class DBUTA:
@@ -227,84 +185,80 @@ def build_btau() -> DBUTA:
 
 
 def nsta_to_dbuta(a: NSTA) -> DBUTA:
-    """Subset construction: pair sets for forests, quadruple sets for contexts.
+    """Subset construction over state-pair relations.
 
-    A type-0 expression evaluates to the set of (p, q) such that the
-    automaton has a (p, q)-run on its forest; a type-1 expression to the
-    quadruples (p, q, p', q') whose context has a (p, q)-run provided the
-    hole's forest is read from p' to q'.  The single final state demand is
-    the pair (q0, qf).  The materialized states are capped at
-    ``default_max_states()``.
+    A state is a kind and the sorted tuple of its nonzero rows, the pair
+    (p, q) keyed as the int ``p*m + q``.  A forest ("p") has the row value
+    1 for each (p, q) such that the automaton has a (p, q)-run on it.  A
+    context ("q") has for each (p, q) the bitset of hole pairs (p', q')
+    under which it has a (p, q)-run, the hole's forest read from p' to q'.
+    ``bit_of`` numbers the hole pairs that a leaf context can name (p'
+    initial, q' read by a transition), sorted by q' and then p'.  So a
+    bitset is as wide as those pairs, not m*m, a leaf context's row only
+    as wide as its read state's block, and one relation has one value in
+    every automaton built from the nSTA; the table is built before any δ
+    call and only read after.  ``hc`` joins two relations on their middle
+    state, ``vc`` composes the outer context with the inner expression,
+    and the final state demand is the forest row (q0, qf).  The
+    materialized states are capped at ``default_max_states()``.
     """
-    delta = sorted(a.delta)
-    mid: dict[int, list[tuple[int, int]]] = {}
-    for p, r, q in delta:
-        mid.setdefault(r, []).append((p, q))
+    m = a.m
+    by_read: dict[int, list[int]] = {}  # read state r -> pairs (p, q) of δ(p, r, q)
+    for p, r, q in a.delta:
+        by_read.setdefault(r, []).append(p * m + q)
+    starts = sorted(set().union(*a.iota.values()))
+    holes = [p * m + r for r in sorted(by_read) for p in starts]
+    bit_of = {hole: i for i, hole in enumerate(holes)}  # hole pair -> its bit index
 
     def delta0(label: str, ctx: bool, bit: int):
         init = a.iota_set(label, bit)
-        if not ctx:
-            pairs = {pr for q in init for pr in mid.get(q, ())}
-            return ("p", tuple(sorted(pairs)))
-        quads = {(p, q, p3, p4) for p, p4, q in delta for p3 in init}
-        return ("q", tuple(sorted(quads)))
+        rows: dict[int, int] = {}
+        for r, pairs in by_read.items():
+            # a context's hole is read from an initial state p to r
+            hole = sum(1 << bit_of[p * m + r] for p in init) if ctx else int(r in init)
+            if hole:
+                for pair in pairs:
+                    rows[pair] = rows.get(pair, 0) | hole
+        return ("q" if ctx else "p", tuple(sorted(rows.items())))
 
-    def delta2(v1, v2, op: str):
-        if v1 == FAILURE or v2 == FAILURE:
-            return FAILURE
-        k1, s1 = v1
-        k2, s2 = v2
-        if op == HC:
-            if k1 == "p" and k2 == "p":
-                by_first = {}
-                for p2, p3 in s2:
-                    by_first.setdefault(p2, []).append(p3)
-                out = {
-                    (p1, p3)
-                    for p1, p2 in s1
-                    for p3 in by_first.get(p2, ())
-                }
-                return ("p", tuple(sorted(out)))
-            if k1 == "p" and k2 == "q":
-                by_first = {}
-                for p2, p3, q1, q2 in s2:
-                    by_first.setdefault(p2, []).append((p3, q1, q2))
-                out = {
-                    (p1, p3, q1, q2)
-                    for p1, p2 in s1
-                    for p3, q1, q2 in by_first.get(p2, ())
-                }
-                return ("q", tuple(sorted(out)))
-            if k1 == "q" and k2 == "p":
-                by_first = {}
-                for p2, p3 in s2:
-                    by_first.setdefault(p2, []).append(p3)
-                out = {
-                    (p1, p3, q1, q2)
-                    for p1, p2, q1, q2 in s1
-                    for p3 in by_first.get(p2, ())
-                }
-                return ("q", tuple(sorted(out)))
-            return FAILURE
-        # VC
-        if k1 == "q" and k2 == "p":
-            hole = set(s2)
-            out = {(p1, p2) for p1, p2, q1, q2 in s1 if (q1, q2) in hole}
-            return ("p", tuple(sorted(out)))
-        if k1 == "q" and k2 == "q":
-            by_first = {}
-            for p3, p4, p5, p6 in s2:
-                by_first.setdefault((p3, p4), []).append((p5, p6))
-            out = {
-                (p1, p2, p5, p6)
-                for p1, p2, p3, p4 in s1
-                for p5, p6 in by_first.get((p3, p4), ())
-            }
-            return ("q", tuple(sorted(out)))
+    def join(x, y):
+        by_first: dict[int, list[tuple[int, int]]] = {}
+        for pair, r in y[1]:
+            by_first.setdefault(pair // m, []).append((pair % m, r))
+        rows: dict[int, int] = {}
+        for pair, l in x[1]:
+            first = pair - pair % m
+            for q, r in by_first.get(pair % m, ()):
+                rows[first + q] = rows.get(first + q, 0) | l * r
+        return (x[0] if y[0] == "p" else "q", tuple(sorted(rows.items())))
+
+    def compose(x, y):
+        inner = {1 << bit_of[pair]: v for pair, v in y[1] if pair in bit_of}
+        mask = sum(inner)
+        rows = []
+        for pair, bits in x[1]:
+            bits &= mask
+            v = 0
+            while bits:
+                low = bits & -bits
+                v |= inner[low]
+                bits ^= low
+            if v:
+                rows.append((pair, v))
+        return (y[0], tuple(rows))
+
+    def delta2(x, y, op: str):
+        if FAILURE not in (x, y):
+            if op == VC and x[0] == "q":
+                return compose(x, y)
+            if op == HC and "p" in (x[0], y[0]):
+                return join(x, y)
         return FAILURE
 
+    target = (a.q0 * m + a.qf, 1)
+
     def final(v) -> bool:
-        return v != FAILURE and v[0] == "p" and (a.q0, a.qf) in set(v[1])
+        return v[0] == "p" and target in v[1]
 
     # 2**(m**4) has m**4 bits: built only while it is below 2**128
     bound = 2 ** (a.m * a.m) + 2 ** (a.m**4) + 1 if a.m**4 < 128 else None

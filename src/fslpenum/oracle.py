@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator, Optional
 
-from .automata import DBUTA, NSTA, nsta_accepts
+from .automata import DBUTA, NSTA
 from .dagenum import DecoratedDAG
 from .forest import Forest
 from .fslp import (
@@ -377,6 +377,46 @@ class OracleBudget:
 
 
 DEFAULT_BUDGET = OracleBudget()
+
+
+def nsta_accepts(a: NSTA, f: Forest, selection: Iterable[int]) -> bool:
+    """Does (f, selection) have a (q0, qf)-run?  Polynomial reachability,
+    sibling sequence by sibling sequence, on the explicit forest."""
+    sel = set(selection)
+    for v in sel:
+        if not (0 <= v < len(f)):
+            raise ValueError(f"selected vertex {v} out of range")
+    step: dict[tuple[int, int], list[int]] = {}  # (state, read state) -> successors
+    for p, r, q in a.delta:
+        step.setdefault((p, r), []).append(q)
+
+    def advance(states: set[int], reads: frozenset) -> set[int]:
+        out: set[int] = set()
+        for p in states:
+            for r in reads:
+                out.update(step.get((p, r), ()))
+        return out
+
+    n = len(f)
+    sub: list[frozenset] = [frozenset()] * n
+    # children follow parents in preorder, so a reverse scan is bottom-up
+    for v in range(n - 1, -1, -1):
+        key = (f.labels[v], 1 if v in sel else 0)
+        if f.is_leaf(v):
+            sub[v] = a.iota_set(*key)
+        else:
+            cur = set(a.iota_set(*key))
+            for c in f.children[v]:
+                cur = advance(cur, sub[c])
+                if not cur:
+                    break
+            sub[v] = frozenset(cur)
+    cur = {a.q0}
+    for r in f.roots:
+        cur = advance(cur, sub[r])
+        if not cur:
+            break
+    return a.qf in cur
 
 
 def brute_select(a: NSTA, f: Forest, budget: OracleBudget = DEFAULT_BUDGET) -> set[frozenset]:

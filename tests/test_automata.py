@@ -1,3 +1,4 @@
+import random
 from itertools import combinations, product
 
 import pytest
@@ -28,6 +29,7 @@ from fslpenum.automata import FAILURE, StateLimitExceeded
 from fslpenum.fixtures import (
     accept_all_nsta,
     exactly_one_nsta,
+    random_term,
     select_labels_nsta,
 )
 
@@ -55,6 +57,30 @@ def loads_bytecodes(sizes=(1000, 2000, 4000, 8000)) -> list:
         text = iota_text(n)
         counts.append(bytecodes(lambda: am.loads(text)))
     return counts
+
+
+def stress_build(case: str):
+    """An f-SLP and an nSTA whose determinization does real work:
+    ``dense`` is a random 8-state query over 100 vertices, ``sparse`` has
+    300 states, 900 random transitions and 3 initial states per key, over
+    300 vertices."""
+    if case == "dense":
+        rng = random.Random(2)
+        a = random_nsta(rng, 8)
+        return compress_forest(parse_term(random_term(rng, 100))), a
+    rng = random.Random(300)
+    delta: set = set()
+    while len(delta) < 900:
+        delta.add((rng.randrange(300), rng.randrange(300), rng.randrange(300)))
+    iota = {(label, bit): frozenset(rng.sample(range(300), 3)) for label in "ab" for bit in (0, 1)}
+    a = NSTA(300, frozenset(delta), iota, rng.randrange(300), rng.randrange(300))
+    return compress_forest(parse_term(random_term(rng, 300))), a
+
+
+def build_bytecodes(case: str) -> int:
+    """Bytecodes of determinizing and building the product on ``stress_build(case)``."""
+    g, a = stress_build(case)
+    return bytecodes(lambda: build_enum_structure(g, nsta_to_dbuta(a)))
 
 
 def brute_run_accept(a: NSTA, f, sel) -> bool:
@@ -202,7 +228,7 @@ class TestDeterminization:
 
     def test_equivalence_random(self, rng):
         for _ in range(200):
-            m = rng.randint(1, 3)
+            m = rng.randint(1, 6)
             a = random_nsta(rng, m)
             b = nsta_to_dbuta(a)
             e = random_expr(rng, 4)
@@ -222,6 +248,13 @@ class TestDeterminization:
             e = random_expr(rng, 5)
             dbuta_run(b, e, ())
             assert b.state_count <= bound
+
+    @pytest.mark.parametrize("case, budget", [("dense", 10**7), ("sparse", 6 * 10**6)])
+    def test_build_within_bytecode_budget(self, case, budget):
+        # a state costs its nonzero rows: set joins over quadruples overrun
+        # both budgets (61.5M and 12.2M bytecodes), and a row for each of the
+        # m*m state pairs overruns the sparse one (past 100M)
+        assert build_bytecodes(case) < budget
 
     def test_interning_is_canonical(self):
         a = exactly_one_nsta("ab")

@@ -100,7 +100,7 @@ class TestCanonicalForm:
         # as a leaf last, however the normalizer stores its emission
         g = compress_forest(parse_term("b(b(aa))"))
         eds = build_enum_structure(g, select_labels_nsta("b", "ab"))
-        P, Q, PQ = ("p", ()), ("q", ((0, 0, 0, 0),)), ("p", ((0, 0),))
+        P, Q, PQ = ("p", ()), ("q", ((0, 1),)), ("p", ((0, 1),))
         ID0, ID1 = (0, 0, 0, 0), (0, 0, 1, 0)
         assert canonical_form(eds)[3] == (
             ((0, Q), "node", (), (0, Q), ID1),
@@ -158,7 +158,7 @@ class TestImportBoundary:
 
     ENGINE = ("forest", "fslp", "automata", "dagenum", "effects", "msoenum", "updates")
     EXPRESSION = {"Expr", "_Flat", "unfold", "fold_expr", "eval_expr", "dbuta_run"}
-    REFERENCE = {"Effect", "edge_effect"}
+    REFERENCE = {"Effect", "edge_effect", "nsta_accepts"}
     NAMES = EXPRESSION | REFERENCE
 
     @staticmethod
