@@ -26,8 +26,11 @@ rigid pair, a leaf pair included) is one node that holds its pair's
 record, and any other pair is a unary node.  A record holds its
 children's records, so the walk expands the subtree by following them,
 with no table lookup per node, while steps are still counted on the full
-witness tree.  Answers come out duplicate-free with delay linear in the
-answer size.
+witness tree.  A small record whose elements do not depend on the
+incoming d (a forest record) has a key: once a walk has expanded it,
+``ProductIndex.offsets`` keeps its elements as offsets from its c, and
+every later walk appends them in one C-level extend.  Answers come out
+duplicate-free with delay linear in the answer size.
 """
 
 from __future__ import annotations
@@ -99,7 +102,14 @@ class ProductIndex:
     sub-DAG, and pids are append-only, so it stays valid across
     ``extend_for`` and for old snapshots; concurrent fills write equal
     values, which may leave a record whose child is an equal but
-    distinct tuple from the one ``rigid`` holds for that child."""
+    distinct tuple from the one ``rigid`` holds for that child.
+
+    ``offsets[pid]`` holds the elements of a keyed record (see
+    ``fill_rigid``) as offsets from the c it is reached at.  Only walks
+    fill it (``_expand``), the first time one expands the record, never
+    the fill, so a build or a stream of singletons never touches it; each
+    tuple holds at most ``_OFFSET_NODES`` entries.  It is shared and
+    stays valid like ``rigid``, and concurrent walks write equal tuples."""
 
     def __init__(self, g: FSLP, b: DBUTA):
         self.g = g
@@ -111,6 +121,7 @@ class ProductIndex:
         self.edges: list[Optional[tuple]] = []
         self.norm = Normalizer(PRE_CATEGORY)
         self.rigid: dict[int, Optional[tuple]] = {}
+        self.offsets: dict[int, tuple] = {}
         self.shapes: dict[tuple, tuple] = {}
         self.work = 0  # state-pair iterations, for maintenance-cost checks
         self.built = 0
@@ -260,6 +271,15 @@ class ProductIndex:
         once both children are filled, only reads their records and
         composes.  Children are filled first and records never change, so
         a record can hold its children's.
+
+        A binary record has a 13th slot, its key: its own pid when it
+        holds at most ``_OFFSET_NODES`` nodes and its path effect has
+        ``eps == kappa == 0``, else None.  Its children are then reached
+        at (c plus a constant, a constant), so every element is c plus a
+        constant, and a walk may keep the elements as offsets
+        (``ProductIndex.offsets``).  This holds for every forest pair and
+        for a context pair whose path drops d.  The second visit decides
+        the key from values it already holds.
         """
         rec, node_of, first, shape_of = self.rigid, self.node_of, self.first, self.shape_of
         edges, only_pair = self.edges, self.norm.only_pair
@@ -301,10 +321,12 @@ class ProductIndex:
                 continue
             eps, ce, kappa, de = eff
             _, (le, lc, lk, ld), _, (re, rc, rk, rd) = e
+            nodes = _PATH_NODES + rl[1] + rr[1]
             rec[p] = (
-                _PATH_STEPS + rl[0] + rr[0], _PATH_NODES + rl[1] + rr[1],
+                _PATH_STEPS + rl[0] + rr[0], nodes,
                 rl, eps + le * kappa, ce + le * de + lc, lk * kappa, lk * de + ld,
                 rr, eps + re * kappa, ce + re * de + rc, rk * kappa, rk * de + rd,
+                p if nodes <= _OFFSET_NODES and not (eps or kappa) else None,
             )
         return rec[pid]
 
@@ -320,6 +342,39 @@ _UNARY, _BINARY, _RIGID = 0, 1, 2
 _LEAF_STEPS = 1
 _PATH_STEPS, _PATH_NODES = 3, 2
 _LEAF_RECORD = (_LEAF_STEPS, 1, None, 0, 0)  # a leaf pair: one node, element c
+# A binary record of at most this many full-tree nodes whose elements do
+# not depend on d gets a key, under which a walk keeps its elements as
+# offsets from c: so no tuple in ``ProductIndex.offsets`` is longer.
+_OFFSET_NODES = 256
+
+
+def _expand(r: tuple, c: int, d: int, answer: list, offsets: Optional[dict]) -> None:
+    """Append the elements of the binary rigid record ``r``, reached at
+    (c, d), to ``answer`` in witness order, following its child records.
+
+    With ``offsets`` (``ProductIndex.offsets``), a keyed record found there
+    is appended as ``c`` plus its offsets in one C-level extend, and is not
+    descended into; a keyed record not found there is expanded once in the
+    plain mode (``offsets`` None) and its elements are stored as offsets
+    from its ``c``.  Concurrent walks store equal tuples."""
+    todo = [(r, c, d)]
+    while todo:
+        r, c, d = todo.pop()
+        while r[2] is not None:  # down the left spine, right children wait
+            if offsets is not None and r[12] is not None:
+                found = offsets.get(r[12])
+                if found is None:
+                    start = len(answer)
+                    _expand(r, c, d, answer, None)
+                    offsets[r[12]] = tuple(map((-c).__add__, answer[start:]))
+                else:
+                    answer += map(c.__add__, found)
+                break
+            todo.append((r[7], c + r[8] * d + r[9], r[10] * d + r[11]))
+            c, d = c + r[3] * d + r[4], r[5] * d + r[6]
+            r = r[2]
+        else:
+            answer.append(c + r[3] * d + r[4])
 
 
 class _WNode:
@@ -454,6 +509,10 @@ class AnswerStream:
     # -- walk: preorder list, answer, last non-maximal ---------------------
 
     def _walk(self) -> list[int]:
+        """Read the answer off the witness tree in preorder, and rebuild
+        ``_pre`` and the last non-maximal node.  A rigid node is expanded
+        by ``_expand`` and kept out of ``_pre``; the index's ``offsets``
+        are loaded only there, so a walk of singletons never reads them."""
         answer: list[int] = []
         pre: list[_WNode] = []
         last_nonmax = None
@@ -469,14 +528,7 @@ class AnswerStream:
                 if r[2] is None:  # leaf-like: its one element
                     answer.append(c + r[3] * d + r[4])
                     continue
-                todo = [(r, c, d)]
-                while todo:
-                    r, c, d = todo.pop()
-                    while r[2] is not None:  # down the left spine, right children wait
-                        todo.append((r[7], c + r[8] * d + r[9], r[10] * d + r[11]))
-                        c, d = c + r[3] * d + r[4], r[5] * d + r[6]
-                        r = r[2]
-                    answer.append(c + r[3] * d + r[4])
+                _expand(r, c, d, answer, self.idx.offsets)
                 continue
             if not w.maximal:
                 last_nonmax = len(pre)

@@ -26,7 +26,7 @@ from fslpenum import (
 )
 from fslpenum.effects import compose
 from fslpenum.fixtures import INT_SUM, random_term
-from fslpenum.msoenum import _LEAF_RECORD, _PATH_NODES, _PATH_STEPS
+from fslpenum.msoenum import _LEAF_RECORD, _OFFSET_NODES, _PATH_NODES, _PATH_STEPS
 
 
 def random_forest(rng: random.Random, max_n: int, labels: str = "ab") -> Forest:
@@ -170,17 +170,37 @@ def check_stats(stats, g) -> None:
         assert getattr(stats, f.name) == getattr(want, f.name), f.name
 
 
+def expand_record(r: tuple, c: int, d: int) -> list:
+    """The elements of rigid record ``r`` reached at (c, d), in witness
+    order, read by following every child record."""
+    out, todo = [], [(r, c, d)]
+    while todo:
+        r, c, d = todo.pop()
+        if r[2] is None:
+            out.append(c + r[3] * d + r[4])
+        else:
+            todo.append((r[7], c + r[8] * d + r[9], r[10] * d + r[11]))
+            todo.append((r[2], c + r[3] * d + r[4], r[5] * d + r[6]))
+    return out
+
+
 def check_rigid_records(p, concurrent: bool = False) -> None:
     """Every rigid record a ``ProductIndex`` has filled equals the one its
     definition (``ProductIndex.fill_rigid``) gives, whatever order the
     fill visited the pairs in.  The definition is read off the pair's
-    single path, ``succ`` and the ten-case edge rule.  A binary record's
+    single path, ``succ`` and the ten-case edge rule; a binary record's
+    key is its pid exactly when it holds at most ``_OFFSET_NODES`` nodes
+    and its path effect ignores d (eps == kappa == 0).  A binary record's
     child slots hold its children's records: each is the very tuple
     ``rigid`` holds for that child, or, if ``concurrent`` fills may have
     left an equal but distinct tuple there, is checked against the
     child's definition in turn.  Each (record, pair) is checked once, by
     the record's identity, so a record DAG whose unfolding is
-    exponential costs its size: no record is hashed or compared whole."""
+    exponential costs its size: no record is hashed or compared whole.
+
+    Every ``offsets`` entry belongs to a keyed record, holds at most
+    ``_OFFSET_NODES`` offsets, and is what the record expands to, less
+    c, at two points (c, d) with different c and d."""
     g, rigid = p.g, p.rigid
     seen = set()
     todo = list(rigid.items())
@@ -210,17 +230,24 @@ def check_rigid_records(p, concurrent: bool = False) -> None:
         if rigid[pl] is None or rigid[pr] is None:
             assert got is None, pid
             continue
-        assert got is not None and len(got) == 12, pid
+        assert got is not None and len(got) == 13, pid
         rl, rr = got[2], got[7]
+        nodes = _PATH_NODES + rl[1] + rr[1]
         want = (
-            _PATH_STEPS + rl[0] + rr[0], _PATH_NODES + rl[1] + rr[1],
+            _PATH_STEPS + rl[0] + rr[0], nodes,
             *compose(path, p.stats.lm[node]), *compose(path, p.stats.rm[node]),
+            pid if nodes <= _OFFSET_NODES and path[0] == path[2] == 0 else None,
         )
         assert got[:2] + got[3:7] + got[8:] == want, pid
         for child, r in ((pl, rl), (pr, rr)):
             if r is not rigid[child]:
                 assert concurrent, (pid, child)
                 todo.append((child, r))
+    for pid, offsets in p.offsets.items():
+        r = rigid[pid]
+        assert r[12] == pid and len(offsets) <= _OFFSET_NODES, pid
+        for c, d in ((0, 0), (7, 3)):
+            assert expand_record(r, c, d) == [c + k for k in offsets], pid
 
 
 def doubling_ratios(sizes, inputs, run):

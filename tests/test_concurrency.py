@@ -116,8 +116,8 @@ def test_concurrent_builds_share_one_dbuta():
 
 
 def test_concurrent_streams_fill_rigid_records_together():
-    # rigid records are filled lazily by whichever stream meets a pair
-    # first; concurrent fills write equal values
+    # rigid records and offsets are filled lazily by whichever stream
+    # meets a pair first; concurrent fills and walks write equal values
     rng = random.Random(0)
     g = compress_forest(parse_term(random_term(rng, 1000, "abc")))
     queries = [select_labels_nsta({"b"}, "abc"), random_nsta(rng, 3, "abc")]
@@ -126,7 +126,8 @@ def test_concurrent_streams_fill_rigid_records_together():
         stream = AnswerStream(idx, g.root, record_steps=True)
         return list(islice(stream, 20)), stream.step_log
 
-    want = [read(ProductIndex(g, nsta_to_dbuta(a))) for a in queries]
+    single = [ProductIndex(g, nsta_to_dbuta(a)) for a in queries]
+    want = [read(idx) for idx in single]
     assert all(answers and max(map(len, answers)) > 100 for answers, _ in want)
     shared = [ProductIndex(g, nsta_to_dbuta(a)) for a in queries]
     assert not any(idx.rigid for idx in shared)
@@ -153,5 +154,7 @@ def test_concurrent_streams_fill_rigid_records_together():
     for runs in got:
         assert [runs[0], runs[1]] == want
     assert all(any(r is not None for r in idx.rigid.values()) for idx in shared)
-    for idx in shared:
+    assert single[0].offsets  # the select-b answers hold keyed records
+    for idx, alone in zip(shared, single):
         check_rigid_records(idx, concurrent=True)
+        assert idx.offsets == alone.offsets  # concurrent walks store equal tuples

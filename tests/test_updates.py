@@ -25,7 +25,7 @@ from fslpenum.fixtures import (
 from fslpenum.oracle import brute_select, canonical_form
 from fslpenum.updates import build_enum_structure, extend, relabel
 
-from conftest import bytecodes, check_pid_blocks, check_stats, count_ratios, random_forest, random_nsta, under_hash_seeds
+from conftest import bytecodes, check_pid_blocks, check_rigid_records, check_stats, count_ratios, random_forest, random_nsta, under_hash_seeds
 
 
 def family(eds, node):
@@ -288,6 +288,38 @@ class TestRelabel:
             eds, root, _ = relabel(eds, root, rng.randrange(2000), rng.choice("abc"))
             stream_digest(after, root)
         assert (from_root.hexdigest(), after.hexdigest()) == want
+
+    def test_reads_after_relabels_reuse_stored_offsets(self):
+        # offsets depend only on a pid's sub-DAG: after chained relabels,
+        # a read from the newest root appends the offsets that reads from
+        # the first root stored for the unchanged subtrees
+        rng = random.Random(31)
+        query = select_labels_nsta({"b"}, "abc")
+        eds = build_enum_structure(compress_forest(parse_term(random_term(rng, 2000, "abc"))), query)
+        idx = eds.product
+        first_root = root = eds.fslp.root
+        old = list(eds.enumerate(root))
+        stored = dict(idx.offsets)
+        assert stored
+        for _ in range(10):
+            eds, root, _ = relabel(eds, root, rng.randrange(2000), rng.choice("abc"))
+        hits = []
+
+        class Reads(dict):
+            def get(self, key):
+                found = super().get(key)
+                if found is not None:
+                    hits.append(key)
+                return found
+
+        idx.offsets = Reads(idx.offsets)
+        got = list(eds.enumerate(root))
+        reused = [k for k in hits if k in stored]
+        assert sum(len(stored[k]) for k in reused) * 2 > len(got[0])  # most elements
+        fresh = build_enum_structure(compress_forest(evaluate(eds.fslp, root)), query)
+        assert [sorted(a) for a in got] == [sorted(a) for a in fresh.enumerate(fresh.fslp.root)]
+        assert list(eds.enumerate(first_root)) == old  # the older snapshot
+        check_rigid_records(idx)
 
 
 def exactly_one_b_nsta(alphabet):
