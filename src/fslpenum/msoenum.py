@@ -28,14 +28,20 @@ children's records, so the walk expands the subtree by following them,
 with no table lookup per node, while steps are still counted on the full
 witness tree.  A small record whose elements do not depend on the
 incoming d (a forest record) has a key: once a walk has expanded it,
-``ProductIndex.offsets`` keeps its elements as offsets from its c, and
-every later walk appends them in one C-level extend.  Answers come out
-duplicate-free with delay linear in the answer size.
+``ProductIndex.offsets`` keeps its elements as offsets from its c,
+checked once for a repeat, with their smallest and largest, and every
+later walk appends them in one C-level extend, a stored block.  Each
+answer is checked for a repeat: a walk with stored blocks proves it from
+their ranges and the elements between them, at a cost per block, and any
+other walk builds one set.  Answers come out duplicate-free with delay
+linear in the answer size.
 """
 
 from __future__ import annotations
 
 from contextlib import closing
+from itertools import compress, islice, repeat
+from operator import add, lt, ne, sub
 from typing import Iterator, NamedTuple, Optional
 
 from .automata import DBUTA
@@ -105,11 +111,13 @@ class ProductIndex:
     distinct tuple from the one ``rigid`` holds for that child.
 
     ``offsets[pid]`` holds the elements of a keyed record (see
-    ``fill_rigid``) as offsets from the c it is reached at.  Only walks
-    fill it (``_expand``), the first time one expands the record, never
-    the fill, so a build or a stream of singletons never touches it; each
-    tuple holds at most ``_OFFSET_NODES`` entries.  It is shared and
-    stays valid like ``rigid``, and concurrent walks write equal tuples."""
+    ``fill_rigid``) as offsets from the c it is reached at: a tuple of at
+    most ``_OFFSET_NODES`` offsets with no repeat, its smallest and its
+    largest.  Only walks fill it (``_expand``), the first time one expands
+    the record, never the fill, so a build or a stream of singletons never
+    touches it; a record that repeats an element is never stored.  It is
+    shared and stays valid like ``rigid``, and concurrent walks write
+    equal entries."""
 
     def __init__(self, g: FSLP, b: DBUTA):
         self.g = g
@@ -346,17 +354,28 @@ _LEAF_RECORD = (_LEAF_STEPS, 1, None, 0, 0)  # a leaf pair: one node, element c
 # not depend on d gets a key, under which a walk keeps its elements as
 # offsets from c: so no tuple in ``ProductIndex.offsets`` is longer.
 _OFFSET_NODES = 256
+# A walk proves an answer repeat-free from its stored blocks only when
+# the answer has at least this many elements per block or other element.
+# Under CPython 3.11 the proof costs 10 to 14 times as much per piece as
+# one set of the answer costs per element, so at this share it costs at
+# most about 1.5 sets; with blocks of two elements it would cost about 11.
+_BLOCK_SHARE = 8
 
 
-def _expand(r: tuple, c: int, d: int, answer: list, offsets: Optional[dict]) -> None:
+def _expand(r: tuple, c: int, d: int, answer: list, offsets: Optional[dict], blocks: Optional[list]) -> None:
     """Append the elements of the binary rigid record ``r``, reached at
     (c, d), to ``answer`` in witness order, following its child records.
 
     With ``offsets`` (``ProductIndex.offsets``), a keyed record found there
     is appended as ``c`` plus its offsets in one C-level extend, and is not
-    descended into; a keyed record not found there is expanded once in the
-    plain mode (``offsets`` None) and its elements are stored as offsets
-    from its ``c``.  Concurrent walks store equal tuples."""
+    descended into.  A keyed record not found there is expanded once in
+    the plain mode (``offsets`` and ``blocks`` None) and stored: its
+    elements as offsets from its ``c``, checked once for a repeat, beside
+    their smallest and largest.  A record that repeats an element raises
+    ``AssertionError`` and is not stored.  Either way the run appended is
+    a stored block, and ``blocks`` gets where it ends in ``answer``, its
+    ``c`` and its entry (see ``_blocks_apart``).  Concurrent walks store
+    equal entries."""
     todo = [(r, c, d)]
     while todo:
         r, c, d = todo.pop()
@@ -365,16 +384,53 @@ def _expand(r: tuple, c: int, d: int, answer: list, offsets: Optional[dict]) -> 
                 found = offsets.get(r[12])
                 if found is None:
                     start = len(answer)
-                    _expand(r, c, d, answer, None)
-                    offsets[r[12]] = tuple(map((-c).__add__, answer[start:]))
+                    _expand(r, c, d, answer, None, None)
+                    stored = tuple(map(add, repeat(-c), answer[start:]))
+                    if len(set(stored)) != len(stored):
+                        raise AssertionError(f"record {r[12]} repeats an element")
+                    found = offsets[r[12]] = (stored, min(stored), max(stored))
                 else:
-                    answer += map(c.__add__, found)
+                    answer += map(add, repeat(c), found[0])
+                blocks += len(answer), c, found
                 break
             todo.append((r[7], c + r[8] * d + r[9], r[10] * d + r[11]))
             c, d = c + r[3] * d + r[4], r[5] * d + r[6]
             r = r[2]
         else:
             answer.append(c + r[3] * d + r[4])
+
+
+def _blocks_apart(answer: list, blocks: list) -> bool:
+    """Whether the stored blocks of one walk (``blocks`` as ``_expand``
+    fills it) prove that ``answer`` has no repeat: their ranges
+    [c + lo, c + hi] and the answer's other elements, its singles, found
+    in the gaps between blocks, are pairwise disjoint.  Each stored tuple
+    was checked for a repeat when it was stored, so the elements are then
+    distinct.  Closed ranges (a single x is [x, x]) are pairwise disjoint
+    exactly when, with the lows and the highs sorted apart, each i-th high
+    is below the (i+1)-th low.  The cost follows the number of blocks and
+    singles, not of elements, so with fewer than ``_BLOCK_SHARE``
+    elements per block or single this answers False at once and leaves
+    the answer to one set."""
+    n = len(answer)
+    if len(blocks) // 3 * _BLOCK_SHARE > n:  # before any work per block
+        return False
+    ends, cs = blocks[::3], blocks[1::3]
+    tuples, los, his = zip(*blocks[2::3])
+    sizes = list(map(len, tuples))
+    singles = n - sum(sizes)
+    if (len(ends) + singles) * _BLOCK_SHARE > n:
+        return False
+    lows = list(map(add, cs, los))
+    highs = list(map(add, cs, his))
+    if singles:  # in the gaps between blocks
+        gap_starts, gap_ends = [0, *ends], [*map(sub, ends, sizes), n]
+        for a, b in compress(zip(gap_starts, gap_ends), map(ne, gap_starts, gap_ends)):
+            lows += answer[a:b]
+            highs += answer[a:b]
+    lows.sort()
+    highs.sort()
+    return all(map(lt, highs, islice(lows, 1, None)))
 
 
 class _WNode:
@@ -512,10 +568,16 @@ class AnswerStream:
         """Read the answer off the witness tree in preorder, and rebuild
         ``_pre`` and the last non-maximal node.  A rigid node is expanded
         by ``_expand`` and kept out of ``_pre``; the index's ``offsets``
-        are loaded only there, so a walk of singletons never reads them."""
+        are loaded only there, so a walk of singletons never reads them.
+
+        The answer is checked for a repeat.  A walk that appended stored
+        blocks first asks ``_blocks_apart``, whose cost follows its blocks,
+        and builds a set of the whole answer only if that fails; the block
+        list is made at the first binary record, so any other walk runs
+        the set test alone."""
         answer: list[int] = []
         pre: list[_WNode] = []
-        last_nonmax = None
+        last_nonmax = blocks = None
         n = 0  # nodes of the full witness tree so far
         stack = [self._root]
         while stack:
@@ -528,27 +590,30 @@ class AnswerStream:
                 if r[2] is None:  # leaf-like: its one element
                     answer.append(c + r[3] * d + r[4])
                     continue
-                _expand(r, c, d, answer, self.idx.offsets)
+                if blocks is None:
+                    blocks = []
+                _expand(r, c, d, answer, self.idx.offsets, blocks)
                 continue
             if not w.maximal:
                 last_nonmax = len(pre)
             pre.append(w)
             w.pos = n
-            n += 1
             if kind == _BINARY:
+                n += 1
                 stack.append(w.right)
                 stack.append(w.left)
-            elif w.child is None:  # a unary node's drawn leaf: one more full-tree node
-                n += 1
+            elif w.child is None:  # a unary node and its drawn leaf: two full-tree nodes
+                n += 2
                 answer.append(w.elem)
             else:
+                n += 1
                 stack.append(w.child)
         self.last_steps += n  # one step per node of the full tree
         if n > 4 * len(answer) - 2:
             raise AssertionError(
                 f"witness tree has {n} nodes for {len(answer)} leaves"
             )
-        if len(set(answer)) != len(answer):
+        if not (blocks and _blocks_apart(answer, blocks)) and len(set(answer)) != len(answer):
             raise AssertionError("answer set contains a repeated preorder number")
         self._pre = pre
         self._last_nonmax = last_nonmax

@@ -198,9 +198,10 @@ def check_rigid_records(p, concurrent: bool = False) -> None:
     the record's identity, so a record DAG whose unfolding is
     exponential costs its size: no record is hashed or compared whole.
 
-    Every ``offsets`` entry belongs to a keyed record, holds at most
-    ``_OFFSET_NODES`` offsets, and is what the record expands to, less
-    c, at two points (c, d) with different c and d."""
+    Every ``offsets`` entry belongs to a keyed record and is a tuple of
+    at most ``_OFFSET_NODES`` offsets with no repeat, beside its smallest
+    and largest; the tuple is what the record expands to, less c, at two
+    points (c, d) with different c and d."""
     g, rigid = p.g, p.rigid
     seen = set()
     todo = list(rigid.items())
@@ -243,9 +244,10 @@ def check_rigid_records(p, concurrent: bool = False) -> None:
             if r is not rigid[child]:
                 assert concurrent, (pid, child)
                 todo.append((child, r))
-    for pid, offsets in p.offsets.items():
+    for pid, (offsets, lo, hi) in p.offsets.items():
         r = rigid[pid]
         assert r[12] == pid and len(offsets) <= _OFFSET_NODES, pid
+        assert len(set(offsets)) == len(offsets) and (lo, hi) == (min(offsets), max(offsets)), pid
         for c, d in ((0, 0), (7, 3)):
             assert expand_record(r, c, d) == [c + k for k in offsets], pid
 

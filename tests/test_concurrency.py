@@ -157,4 +157,4 @@ def test_concurrent_streams_fill_rigid_records_together():
     assert single[0].offsets  # the select-b answers hold keyed records
     for idx, alone in zip(shared, single):
         check_rigid_records(idx, concurrent=True)
-        assert idx.offsets == alone.offsets  # concurrent walks store equal tuples
+        assert idx.offsets == alone.offsets  # concurrent walks store equal entries, bounds included

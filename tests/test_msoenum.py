@@ -1,5 +1,6 @@
 import hashlib
 import random
+import sys
 from itertools import islice
 
 import pytest
@@ -348,7 +349,7 @@ class TestSinglePath:
         # a select-b answer is rigid subtrees: the first walk stores each
         # small keyed record's elements as offsets from its c, and a later
         # stream appends them in one extend per record (today's counts:
-        # 159 971 and 15 346 bytecodes, 76 tuples of at most 72 offsets)
+        # 163 911 and 17 386 bytecodes, 76 tuples of at most 72 offsets)
         g = compress_forest(parse_term(random_term(rng, 5000, "abc")))
         idx = build(g, select_labels_nsta({"b"}, "abc"))
         for pid in AnswerStream(idx, g.root)._finals:
@@ -359,7 +360,7 @@ class TestSinglePath:
         second = bytecodes(lambda: answers.append(AnswerStream(idx, g.root).next()))
         assert answers[0] == answers[1] and len(answers[0]) > 1000
         assert stored and idx.offsets == stored  # the second read stores nothing
-        assert max(map(len, stored.values())) <= msoenum._OFFSET_NODES
+        assert max(len(t) for t, _, _ in stored.values()) <= msoenum._OFFSET_NODES
         assert 5 * second <= first, (first, second)
         check_rigid_records(idx)
 
@@ -482,6 +483,157 @@ class TestSinglePath:
             assert stream.step_log == log
         assert opened  # the streams above did go through sessions
         assert rigid and all(x.rec is msoenum._LEAF_RECORD for x in rigid)  # and no rigid node but leaves
+
+
+def set_sizes(monkeypatch) -> list:
+    """Spy on the sets ``msoenum`` builds: the size of each, in order."""
+    sizes = []
+
+    def spy(xs=()):
+        out = set(xs)
+        sizes.append(len(out))
+        return out
+
+    monkeypatch.setattr(msoenum, "set", spy, raising=False)
+    return sizes
+
+
+def walk_blocks(run) -> list:
+    """The ``blocks`` local of every ``AnswerStream._walk`` that ``run()``
+    makes, as the walk returns."""
+    seen = []
+
+    def local(frame, event, arg):
+        if event == "return":
+            seen.append(frame.f_locals["blocks"])
+        return local
+
+    def call(frame, event, arg):
+        return local if frame.f_code is AnswerStream._walk.__code__ else None
+
+    sys.settrace(call)
+    try:
+        run()
+    finally:
+        sys.settrace(None)
+    return seen
+
+
+class TestAnswerChecks:
+    """``_walk``'s two runtime checks: an answer repeats no element, and a
+    witness tree of k leaves has at most 4k - 2 nodes.  A walk that
+    appended stored blocks proves the first from its blocks, each stored
+    tuple checked once when stored; any other walk builds a set."""
+
+    @staticmethod
+    def small_keyed_root():
+        # a select-b answer of 13 elements whose root record is keyed:
+        # the first walk stores its elements under the root pair
+        g = compress_forest(parse_term(random_term(random.Random(0), 30, "abc")))
+        idx = build(g, select_labels_nsta({"b"}, "abc"))
+        (pid,) = AnswerStream(idx, g.root)._finals
+        r = idx.fill_rigid(pid)
+        assert r[2] is not None and r[12] == pid
+        return g, idx, pid, r
+
+    def test_entry_shifted_onto_another_block_raises(self, rng, monkeypatch):
+        g = compress_forest(parse_term(random_term(rng, 2000, "abc")))
+        idx = build(g, select_labels_nsta({"b"}, "abc"))
+        reached = []  # (key, c) of each keyed record the first walk stores
+        real = msoenum._expand
+
+        def spy(r, c, d, answer, offsets, blocks):
+            if offsets is None:  # a keyed record expanded to be stored
+                reached.append((r[12], c))
+            return real(r, c, d, answer, offsets, blocks)
+
+        monkeypatch.setattr(msoenum, "_expand", spy)
+        want = AnswerStream(idx, g.root).next()
+        monkeypatch.setattr(msoenum, "_expand", real)
+        pairs = [(a, b) for a, b in zip(reached, reached[1:]) if a[0] != b[0]][:12]
+        assert len(pairs) == 12
+        for (k1, c1), (k2, c2) in pairs:
+            # block k1's first element moves onto block k2's last one; the
+            # entry stays consistent: no repeat inside, bounds moved along
+            entry = idx.offsets[k1]
+            t1, lo, hi = entry
+            shift = c2 + idx.offsets[k2][0][-1] - c1 - t1[0]
+            idx.offsets[k1] = (tuple(x + shift for x in t1), lo + shift, hi + shift)
+            with pytest.raises(AssertionError, match="repeated preorder number"):
+                AnswerStream(idx, g.root).next()
+            idx.offsets[k1] = entry
+        assert AnswerStream(idx, g.root).next() == want
+
+    def test_overlapping_ranges_fall_back_to_one_set(self, rng, monkeypatch):
+        # bounds widened over the whole answer: the proof fails, and the
+        # set of the answer accepts it, as it has no repeat
+        g = compress_forest(parse_term(random_term(rng, 2000, "abc")))
+        idx = build(g, select_labels_nsta({"b"}, "abc"))
+        want = AnswerStream(idx, g.root).next()
+        key, (t, lo, hi) = next(iter(idx.offsets.items()))
+        idx.offsets[key] = (t, lo - max(want) - 1, hi + max(want) + 1)
+        sizes = set_sizes(monkeypatch)
+        assert AnswerStream(idx, g.root).next() == want
+        assert sizes == [len(want)]
+
+    def test_blocks_apart_on_injected_blocks(self):
+        evens = tuple(range(0, 64, 2))
+        entry = (evens, 0, 62)
+
+        def apart(*placed, singles=()):
+            answer, blocks = [], []
+            for c in placed:
+                answer += (c + x for x in evens)
+                blocks += len(answer), c, entry
+            return msoenum._blocks_apart(answer + list(singles), blocks)
+
+        assert apart(0, 100) and apart(100, 0, 200)
+        assert apart(0, 100, singles=[63, 99]) and apart(0, 100, singles=[300])
+        assert not apart(0, 1)  # ranges [0, 62] and [1, 63] overlap, no element is shared
+        assert not apart(0, 100, singles=[1])  # inside a range, though no repeat
+        assert not apart(0, 100, singles=[300, 300])
+        assert not apart(0, 100, singles=range(300, 310))  # 12 pieces for 74 elements: one set is cheaper
+
+    def test_record_that_repeats_an_element_is_not_stored(self):
+        g, idx, pid, r = self.small_keyed_root()
+        idx.rigid[pid] = r[:7] + r[2:7] + r[12:]  # its right child is now its left one
+        with pytest.raises(AssertionError, match="repeats an element"):
+            AnswerStream(idx, g.root).next()
+        assert pid not in idx.offsets and not idx.offsets
+
+    def test_witness_tree_node_bound(self):
+        g, idx, pid, r = self.small_keyed_root()
+        k = len(AnswerStream(idx, g.root).next())
+        idx.rigid[pid] = (r[0], 4 * k - 1) + r[2:]  # one node past the bound
+        with pytest.raises(AssertionError, match=f"witness tree has {4 * k - 1} nodes for {k} leaves"):
+            AnswerStream(idx, g.root).next()
+
+    def test_later_reads_build_no_set_of_the_answer(self, rng, monkeypatch):
+        # the select-b input of test_later_reads_append_stored_offsets
+        g = compress_forest(parse_term(random_term(rng, 5000, "abc")))
+        idx = build(g, select_labels_nsta({"b"}, "abc"))
+        want = AnswerStream(idx, g.root).next()
+        sizes = set_sizes(monkeypatch)
+        proofs = []
+        real = msoenum._blocks_apart
+
+        def spy(answer, blocks):
+            proofs.append(real(answer, blocks))
+            return proofs[-1]
+
+        monkeypatch.setattr(msoenum, "_blocks_apart", spy)
+        got = []
+        (blocks,) = walk_blocks(lambda: got.append(AnswerStream(idx, g.root).next()))
+        assert got == [want] and blocks and sizes == [] and proofs == [True]
+
+    def test_singleton_streams_build_no_blocks(self, rng, monkeypatch):
+        g = compress_forest(parse_term(random_term(rng, 300, "abc")))
+        idx = build(g, exactly_one_nsta("abc"))
+        sizes = set_sizes(monkeypatch)
+        answers = []
+        blocks = walk_blocks(lambda: answers.extend(AnswerStream(idx, g.root)))
+        assert len(answers) == 300 and blocks == [None] * 300
+        assert sizes == [1] * 300  # the set test, once per answer
 
 
 class TestEmptySolution:

@@ -315,7 +315,7 @@ class TestRelabel:
         idx.offsets = Reads(idx.offsets)
         got = list(eds.enumerate(root))
         reused = [k for k in hits if k in stored]
-        assert sum(len(stored[k]) for k in reused) * 2 > len(got[0])  # most elements
+        assert sum(len(stored[k][0]) for k in reused) * 2 > len(got[0])  # most elements
         fresh = build_enum_structure(compress_forest(evaluate(eds.fslp, root)), query)
         assert [sorted(a) for a in got] == [sorted(a) for a in fresh.enumerate(fresh.fslp.root)]
         assert list(eds.enumerate(first_root)) == old  # the older snapshot
