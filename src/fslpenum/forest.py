@@ -1,9 +1,13 @@
 """Unranked ordered forests and their term syntax.
 
 A forest is stored flat: vertex ids coincide with preorder numbers, so
-preorder lookups are O(1).  Forest contexts are forests with exactly one
-hole leaf (label ``*``).  The forests of an f-SLP come out of
-``fslp.evaluate``; explicit forest-algebra expressions live in ``oracle``.
+preorder lookups are O(1).  It is built from its labels and parent list
+alone, ``Forest(labels, parents)``, which checks the parents in one pass
+and derives the children and roots; a parent list that is not that of a
+forest in preorder is a ``ValueError``.  Forest contexts are forests
+with exactly one hole leaf (label ``*``).  The forests of an f-SLP come
+out of ``fslp.evaluate``; explicit forest-algebra expressions live in
+``oracle``.
 """
 
 from __future__ import annotations
@@ -22,54 +26,48 @@ class ParseError(ValueError):
 
 
 class Forest:
-    """Vertex-labelled ordered forest; vertex index == preorder number."""
+    """Vertex-labelled ordered forest; vertex index == preorder number.
+
+    A forest is given by its ``labels`` and ``parents``: the parent of
+    vertex ``v`` is ``None`` (a root) or an ``int`` that is ``v - 1`` or an
+    ancestor of ``v - 1``, which are exactly the parent lists of forests in
+    preorder.  One pass over ``parents`` checks that rule and derives
+    ``children`` (a tuple per vertex) and ``roots``.  Any other input is a
+    ``ValueError``: labels and parents of different lengths, an empty
+    label, or a parent that breaks the rule, named with its vertex.
+    """
 
     __slots__ = ("labels", "parents", "children", "roots")
 
-    def __init__(
-        self,
-        labels: Iterable[str] = (),
-        parents: Iterable[Optional[int]] = (),
-        children: Iterable[Iterable[int]] = (),
-        roots: Iterable[int] = (),
-    ):
-        self.labels = tuple(labels)
-        self.parents = tuple(parents)
-        self.children = tuple(tuple(c) for c in children)
-        self.roots = tuple(roots)
-        self._check()
-
-    def _check(self) -> None:
-        n = len(self.labels)
-        if not (len(self.parents) == len(self.children) == n):
-            raise ValueError("labels/parents/children length mismatch")
-        if not all(self.labels):
+    def __init__(self, labels: Iterable[str] = (), parents: Iterable[Optional[int]] = ()):
+        self.labels = labels = tuple(labels)
+        self.parents = parents = tuple(parents)
+        if len(parents) != len(labels):
+            raise ValueError("labels/parents length mismatch")
+        if not all(labels):
             raise ValueError("empty label")
-        # Depth-first left-to-right walk must visit vertex i as the i-th
-        # vertex, so the vertices visited so far are exactly 0..expect-1.
-        children = self.children
-        stack = list(reversed(self.roots))
-        for expect in range(n):
-            if not stack:
-                raise ValueError("traversal does not reach every vertex")
-            v = stack.pop()
-            if v != expect:
-                if expect < v < n:
-                    raise ValueError(f"vertex {v} is not stored at its preorder position")
-                raise ValueError("root/child lists are not a valid traversal")  # a repeat, or out of range
-            stack.extend(reversed(children[v]))
-        if stack:  # each vertex is visited already: a repeat, or out of range
-            raise ValueError("root/child lists are not a valid traversal")
-        # each vertex sits in exactly one list, so its parent must name that list
-        above: list[Optional[int]] = [None] * n  # the list holding v: a parent or the roots
-        for p, kids in enumerate(children):
-            for c in kids:
-                above[c] = p
-        if above != list(self.parents):
-            v = next(v for v, p in enumerate(self.parents) if p != above[v])
-            if self.parents[v] is None:
-                raise ValueError(f"vertex {v} has no parent and is not a root")
-            raise ValueError(f"vertex {v} missing from parent's child list")
+        if not {int, type(None)}.issuperset(map(type, parents)):
+            v = next(v for v, p in enumerate(parents) if p is not None and type(p) is not int)
+            raise ValueError(f"vertex {v}: parent {parents[v]!r} is not an int")
+        children: list = [()] * len(labels)  # a leaf keeps (); a first child makes a list
+        roots: list[int] = []
+        path: list[Optional[int]] = [None]  # [None, root, ..., v - 1]: v - 1 and its ancestors
+        for v, p in enumerate(parents):
+            while path[-1] != p:
+                path.pop()
+                if not path:
+                    raise ValueError(
+                        f"vertex {v}: parent {p} is not the previous vertex or one of its ancestors"
+                    )
+            if p is None:
+                roots.append(v)
+            elif children[p]:
+                children[p].append(v)
+            else:
+                children[p] = [v]
+            path.append(v)
+        self.children = tuple(map(tuple, children))
+        self.roots = tuple(roots)
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -77,14 +75,10 @@ class Forest:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Forest):
             return NotImplemented
-        return (
-            self.labels == other.labels
-            and self.parents == other.parents
-            and self.roots == other.roots
-        )
+        return self.labels == other.labels and self.parents == other.parents
 
     def __hash__(self) -> int:
-        return hash((self.labels, self.parents, self.roots))
+        return hash((self.labels, self.parents))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}({serialize_term(self)!r})"
@@ -107,7 +101,7 @@ class Forest:
             raise ValueError(f"vertex {v} out of range")
         labels = list(self.labels)
         labels[v] = label
-        return type(self)(labels, self.parents, self.children, self.roots)
+        return type(self)(labels, self.parents)
 
 
 class ForestContext(Forest):
@@ -115,8 +109,8 @@ class ForestContext(Forest):
 
     __slots__ = ()
 
-    def __init__(self, labels=(), parents=(), children=(), roots=()):
-        super().__init__(labels, parents, children, roots)
+    def __init__(self, labels=(), parents=()):
+        super().__init__(labels, parents)
         holes = [v for v, l in enumerate(self.labels) if l == HOLE]
         if len(holes) != 1:
             raise ValueError("a forest context has exactly one hole")
@@ -153,11 +147,8 @@ def parse_term(text: str) -> Forest:
     """
     labels: list[str] = []
     parents: list[Optional[int]] = []
-    children: list = []  # a leaf's entry stays (); '(' gives its vertex a list
-    roots: list[int] = []
     p: Optional[int] = None  # the vertex whose '(' group is open
-    kids = roots  # where the next vertex goes: p's child list, or the roots
-    stack: list[tuple[Optional[int], list[int]]] = []  # (p, kids) of the enclosing groups
+    stack: list[Optional[int]] = []  # the open parents of the enclosing groups
     last: Optional[int] = None  # the vertex just completed at this level; -1 once its ')' closed
     chars = enumerate(text)
     for i, ch in chars:
@@ -166,15 +157,14 @@ def parse_term(text: str) -> Forest:
                 raise ParseError("'(' must follow a label", i)
             if last < 0:
                 raise ParseError("a label may carry only one child group", i)
-            stack.append((p, kids))
+            stack.append(p)
             p = last
-            kids = children[p] = []
             last = None
             continue
         if ch == ")":
             if not stack:
                 raise ParseError("unbalanced ')'", i)
-            p, kids = stack.pop()
+            p = stack.pop()
             last = -1
             continue
         if ch.isalnum() or ch == "_" or ch == HOLE:
@@ -188,11 +178,9 @@ def parse_term(text: str) -> Forest:
         last = len(labels)
         labels.append(label)
         parents.append(p)
-        children.append(())
-        kids.append(last)
     if stack:
         raise ParseError("unbalanced '('", len(text))
-    return Forest(labels, parents, children, roots)
+    return Forest(labels, parents)
 
 
 def _emit_label(label: str) -> str:

@@ -370,8 +370,6 @@ def evaluate(g: FSLP, node: int, budget: Optional[int] = None, stats: Optional[V
     kinds, labels, lefts, rights, tau = g.kinds, g.labels, g.lefts, g.rights, stats.tau
     out: list[str] = []
     parents: list[Optional[int]] = []
-    children: list[list[int]] = []
-    roots: list[int] = []
     stack: list[tuple] = [(node, None, None)]
     while stack:
         i, parent, plug = stack.pop()
@@ -387,19 +385,15 @@ def evaluate(g: FSLP, node: int, budget: Optional[int] = None, stats: Optional[V
             v = len(out)
             out.append(labels[i])
             parents.append(parent)
-            children.append([])
-            (roots if parent is None else children[parent]).append(v)
             if kind == LEAFCTX:
                 if plug is None:
                     out.append(HOLE)
                     parents.append(v)
-                    children.append([])
-                    children[v].append(v + 1)
                 else:
                     stack.append((plug[0], v, plug[1]))
     if tau[node] == 1:
-        return ForestContext(out, parents, children, roots)
-    return Forest(out, parents, children, roots)
+        return ForestContext(out, parents)
+    return Forest(out, parents)
 
 
 # ---------------------------------------------------------------------------

@@ -75,7 +75,7 @@ def extend(eds: EnumDataStructure, defs: Iterable[NodeDef]) -> tuple[EnumDataStr
     for offset, d in enumerate(defs):  # validate and type before touching the structure
         kind = d[0] if d else None
         if kind in ("hc", "vc") and len(d) == 3:
-            if not all(isinstance(c, int) and 0 <= c < before + offset for c in d[1:]):
+            if not all(type(c) is int and 0 <= c < before + offset for c in d[1:]):
                 raise ValueError(f"definition {offset} references an undeclared node")
             tl, tr = (tau[c] if c < before else new_tau[c - before] for c in d[1:])
             new_tau.append(node_type(before + offset, kind, tl, tr))

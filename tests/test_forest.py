@@ -1,4 +1,6 @@
+import hashlib
 from functools import partial
+from random import Random
 
 import pytest
 from hypothesis import given, settings
@@ -91,34 +93,71 @@ class TestParse:
             parse_term("a(b)(c)")
 
 
+def _chain_then_roots(n: int) -> list:
+    """A chain of n/2 vertices, then n/2 roots: the first root pops the chain."""
+    half = n // 2
+    return [None] + list(range(half - 1)) + [None] * (n - half)
+
+
+def _comb(n: int, teeth: int = 16) -> list:
+    """Vertex 0 with chains of about n/teeth vertices under it: each tooth's
+    first vertex pops the whole path of the tooth before."""
+    m = n // teeth
+    return [None] + [0 if (v - 1) % m == 0 else v - 1 for v in range(1, n)]
+
+
+def _fails_last(n: int) -> list:
+    """A chain whose last vertex names parent -1: it pops the whole path, then fails."""
+    return [None] + list(range(n - 2)) + [-1]
+
+
+ADVERSARIAL = {"chain-then-roots": _chain_then_roots, "comb": _comb, "fails-last": _fails_last}
+
+
+def _build(parents: list) -> None:
+    try:
+        Forest("a" * len(parents), parents)
+    except ValueError:
+        pass
+
+
+def build_bytecodes(kind: str, sizes=(1000, 2000, 4000, 8000)) -> list:
+    """Bytecodes of ``Forest`` on the ``ADVERSARIAL[kind]`` parent list of n vertices, per size n."""
+    return [bytecodes(partial(_build, ADVERSARIAL[kind](n))) for n in sizes]
+
+
+# (labels, parents, message) of a forest the constructor rejects
+BAD_FORESTS = {
+    "length-mismatch": ("ab", (None,), "labels/parents length mismatch"),
+    "empty-label": (("a", ""), (None, 0), "empty label"),
+    "self-parent-first": ("a", (0,), "vertex 0: parent 0 is not the previous vertex"),
+    "self-parent": ("ab", (None, 1), "vertex 1: parent 1 is not the previous vertex"),
+    "forward-parent": ("abc", (None, 2, None), "vertex 1: parent 2 is not the previous vertex"),
+    "negative-parent": ("ab", (None, -1), "vertex 1: parent -1 is not the previous vertex"),
+    "closed-subtree": ("abcd", (None, 0, 0, 1), "vertex 3: parent 1 is not the previous vertex"),
+    "earlier-tree": ("abcd", (None, 0, None, 1), "vertex 3: parent 1 is not the previous vertex"),
+    "float-parent": ("ab", (None, 0.0), "vertex 1: parent 0.0 is not an int"),
+    "str-parent": ("ab", (None, "0"), "vertex 1: parent '0' is not an int"),
+    "bool-parent": ("ab", (None, False), "vertex 1: parent False is not an int"),
+}
+
+
 class TestForestCheck:
-    @pytest.mark.parametrize(
-        "parents, children, roots, message",
-        [
-            ((None, None), ((1,), ()), (0,), "vertex 1 has no parent and is not a root"),
-            ((None, 0), ((), ()), (0, 1), "vertex 1 missing from parent's child list"),
-            ((None, 0, 1), ((1, 2), (), ()), (0,), "vertex 2 missing from parent's child list"),
-            ((None, 0, 0), ((1,), (2,), ()), (0,), "vertex 2 missing from parent's child list"),
-            ((None, 0, 0), ((2, 1), (), ()), (0,), "not stored at its preorder position"),
-            ((None, 0, 0), ((1,), (), ()), (0,), "does not reach every vertex"),
-            ((None, 0), ((1, 1), ()), (0,), "not a valid traversal"),
-            ((None,), ((0,),), (0,), "not a valid traversal"),  # a self-loop
-            ((None, 0, 0), ((1, 2), (1,), ()), (0,), "not a valid traversal"),  # a self-loop
-            ((None, 0), ((1, 2), ()), (0,), "not a valid traversal"),  # a child out of range
-            ((None, 0, 0), ((3, 1, 2), (), ()), (0,), "not a valid traversal"),  # out of range
-            ((None, 0, 0), ((-1, 1, 2), (), ()), (0,), "not a valid traversal"),  # out of range
-            ((None, 0), ((1,), ()), (0, 0), "not a valid traversal"),  # a root listed twice
-            ((None, 0, 0), ((1, 2), (2,), ()), (0,), "not a valid traversal"),  # two parents
-        ],
-    )
-    def test_inconsistent_links_rejected(self, parents, children, roots, message):
-        # every case fails after at most n pops, so none can loop
-        with pytest.raises(ValueError, match=message):
-            Forest("a" * len(parents), parents, children, roots)
+    @pytest.mark.parametrize("labels, parents, message", BAD_FORESTS.values(), ids=BAD_FORESTS)
+    def test_bad_parents_rejected(self, labels, parents, message):
+        with pytest.raises(ValueError) as err:
+            Forest(labels, parents)
+        assert str(err.value).startswith(message)
 
     def test_consistent_links_accepted(self):
-        f = Forest("abc", (None, 0, None), ((1,), (), ()), (0, 2))
+        f = Forest("abc", (None, 0, None))
         assert serialize_term(f) == "a(b)c"
+        assert f.children == ((1,), (), ()) and f.roots == (0, 2)
+
+    @pytest.mark.parametrize("kind", ADVERSARIAL)
+    def test_build_bytecodes_double_with_size(self, kind):
+        # every vertex is pushed on the path once and popped at most once
+        check_counts_double(build_bytecodes(kind), f"test_forest.build_bytecodes({kind!r}, (1000, 2000))")
 
     @pytest.mark.timing
     def test_parse_time_doubles_with_size(self):
@@ -134,6 +173,45 @@ class TestForestCheck:
         # the parse counted in bytecodes: exact, so the bound is tight and
         # no busy machine skews it
         check_counts_double(parse_bytecodes(), "test_forest.parse_bytecodes((1000, 2000))")
+
+
+def links_digest(forests) -> str:
+    """SHA-256 of every forest's ``(labels, parents, children, roots)``."""
+    data = repr([(f.labels, f.parents, f.children, f.roots) for f in forests])
+    return hashlib.sha256(data.encode()).hexdigest()
+
+
+class TestDerivedLinks:
+    """The children and roots a forest derives, pinned exactly: equality of
+    forests does not compare them."""
+
+    @pytest.mark.parametrize(
+        "seed, n, digest",
+        [
+            (1, 10, "350ca4877c5b0edabf72d4860f131ae58735da8c3adde18aabc15509c0f64092"),
+            (2, 300, "d96697b72e1149116a354bdd393e84248f72ff5d29eecab5ab69ed4a74fcce24"),
+            (3, 10000, "dd256a1b33cad02271cee177e838bf470ab02f2f87865449913051e81db6466e"),
+        ],
+    )
+    def test_parse(self, seed, n, digest):
+        assert links_digest([parse_term(random_term(Random(seed), n, "abc"))]) == digest
+
+    @pytest.mark.parametrize(
+        "seed, n, digest",
+        [
+            (4, 40, "b20220ab93852d65bb88a6b5547c16f736258de3bb192cda04f3536a5c977bfe"),
+            (5, 2000, "7856863733ea5d81c07de240f046fa56e68c0ab2df3b0de839deb4aed11bfabe"),
+            (6, 10000, "fa7668068d797c3e5d741af89ff717b5bcb095cfde250a2ef6ce89379827b3b2"),
+        ],
+    )
+    def test_evaluate(self, seed, n, digest):
+        # the root and up to 60 seeded nodes of the compressed forest
+        rng = Random(seed)
+        g = compress_forest(parse_term(random_term(rng, n, "abc")))
+        stats = compute_stats(g)
+        nodes = sorted(set(rng.sample(range(len(g)), min(len(g), 60))) | {g.root})
+        assert 20 <= sum(stats.tau[v] for v in nodes) <= len(nodes) - 20  # both types
+        assert links_digest([evaluate(g, v, stats=stats) for v in nodes]) == digest
 
 
 class TestSerialize:

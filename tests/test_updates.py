@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import hashlib
 import random
@@ -116,6 +117,17 @@ class TestExtend:
         eds, ids = extend(eds, [("hc", leaf_a, leaf_b)])
         assert canonical_form(eds) == canonical_form(build_enum_structure(eds.fslp, a))
         assert family(eds, ids[0]) == brute_select(a, parse_term("ab"))
+
+    @pytest.mark.parametrize("bad", [True, False])
+    def test_bool_child_id_rejected(self, bad):
+        # a bool compares equal to 0 or 1, but stored as a child id it
+        # reaches fslp.dumps as "True", which fslp.loads rejects
+        g = compress_forest(parse_term("ab"))
+        eds = build_enum_structure(g, exactly_one_nsta("ab"))
+        before = (len(eds.fslp), eds.product.built, dataclasses.astuple(eds.stats))
+        with pytest.raises(ValueError, match="definition 1 references an undeclared node"):
+            extend(eds, [("leaf", "b"), ("hc", bad, 0)])
+        assert (len(eds.fslp), eds.product.built, dataclasses.astuple(eds.stats)) == before
 
     def test_old_views_survive_extension(self):
         g = compress_forest(parse_term("ab"))
